@@ -25,6 +25,7 @@ from .experiments import (
     ExperimentSpec,
     MethodSpec,
     MetricSpec,
+    _read_value_csv,
     abstain_indices,
     evaluate_metric,
     read_predictions,
@@ -72,23 +73,18 @@ def _cmd_simulate(args) -> int:
 
 
 def _read_raw_scores(path):
-    """Raw-score CSV: `id,label,score` (binary) or `id,label,z_0..z_{C-1}`."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = list(reader)
-    if header[:2] != ["id", "label"]:
-        raise SchemaError(f"{path}: header must start with id,label")
-    labels = np.array([int(r[1]) for r in rows], dtype=np.int64)
-    values = np.asarray([[float(v) for v in r[2:]] for r in rows], dtype=float)
-    return labels, values[:, 0] if header[2:] == ["score"] else values
+    """Raw-score CSV: `id,label,score` (binary) or `id,label,z_0..z_{C-1}`.
+
+    Returns ``(labels_or_None, scores)``.
+    """
+    _, labels, scores = _read_value_csv(path, "score", "z")
+    return labels, scores
 
 
 def _cmd_calibrate(args) -> int:
-    try:
-        labels, scores = _read_raw_scores(args.input)
-    except FileNotFoundError:
-        raise InputNotFound(args.input) from None
+    labels, scores = _read_raw_scores(args.input)
+    if labels is None:
+        raise SchemaError(f"{args.input}: calibrate needs labeled raw scores")
     cal = fit_calibrator(args.kind, scores, labels)
     cal.to_json(args.output)
     print(f"wrote {args.output}")
@@ -97,10 +93,7 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_apply(args) -> int:
     cal = Calibrator.from_json(args.calibrator)
-    try:
-        labels, scores = _read_raw_scores(args.input)
-    except FileNotFoundError:
-        raise InputNotFound(args.input) from None
+    labels, scores = _read_raw_scores(args.input)
     write_predictions(args.output, apply_calibrator(cal, scores), labels)
     print(f"wrote {args.output}")
     return 0
@@ -181,17 +174,20 @@ def _cmd_compare(args) -> int:
         rows = list(csv.DictReader(fh))
     if not rows:
         raise SchemaError(f"{args.input}: no rows")
-    by_method: dict[str, list] = {}
+    # Runs pair up by (seed, budget, adapted); `adapted` is 0 where the column is absent.
+    by_method: dict[str, dict] = {}
     for row in rows:
         if args.budget is not None and float(row["budget"]) != args.budget:
             continue
-        by_method.setdefault(row["method"], []).append(
-            (int(row["seed"]), float(row["budget"]), float(row[args.column]))
-        )
-    values = {
-        name: np.array([v for _, _, v in sorted(entries)])
-        for name, entries in sorted(by_method.items())
-    }
+        key = (int(row["seed"]), float(row["budget"]), int(row.get("adapted") or 0))
+        entries = by_method.setdefault(row["method"], {})
+        if key in entries:
+            raise SchemaError(f"{args.input}: method {row['method']} repeats (seed, budget, adapted) {key}")
+        entries[key] = float(row[args.column])
+    keys = sorted(next(iter(by_method.values()), {}))
+    if any(sorted(entries) != keys for entries in by_method.values()):
+        raise SchemaError(f"{args.input}: methods do not cover the same (seed, budget, adapted) rows")
+    values = {name: np.array([entries[k] for k in keys]) for name, entries in sorted(by_method.items())}
     result = compare_methods(values)
     payload = {
         "methods": list(result.method_names),

@@ -192,6 +192,7 @@ class ExperimentSpec:
 # ---------------------------------------------------------------------------
 # Prediction CSV schema: binary files carry `id,label,prob`, multiclass files
 # `id,label,p_0,...,p_{C-1}`; the label cell may be empty for unlabeled rows.
+# Raw-score files read by the CLI use the same layout with `score` / `z_c`.
 # ---------------------------------------------------------------------------
 
 def write_predictions(path, probs, labels=None, ids=None) -> None:
@@ -210,10 +211,11 @@ def write_predictions(path, probs, labels=None, ids=None) -> None:
             writer.writerow(row)
 
 
-def read_predictions(path):
-    """Read a prediction CSV; returns ``(ids, labels_or_None, probs)``.
+def _read_value_csv(path, binary_column: str, class_prefix: str):
+    """Read `id,label,<binary_column>` or `id,label,<class_prefix>_0..`.
 
-    ``probs`` is a vector for binary files and an N x C array otherwise.
+    Returns ``(ids, labels_or_None, values)`` with ``values`` a vector for
+    the binary layout and an N x C array otherwise.
     """
     if not os.path.exists(path):
         raise InputNotFound(path)
@@ -224,28 +226,40 @@ def read_predictions(path):
         except StopIteration:
             raise SchemaError(f"{path}: empty file") from None
         rows = list(reader)
+    if not rows:
+        raise SchemaError(f"{path}: no data rows")
     if header[:2] != ["id", "label"]:
         raise SchemaError(f"{path}: header must start with id,label")
-    prob_cols = header[2:]
-    if prob_cols == ["prob"]:
-        n_classes = None
-    elif prob_cols == [f"p_{c}" for c in range(len(prob_cols))] and prob_cols:
-        n_classes = len(prob_cols)
+    value_cols = header[2:]
+    if value_cols == [binary_column]:
+        binary = True
+    elif value_cols == [f"{class_prefix}_{c}" for c in range(len(value_cols))] and value_cols:
+        binary = False
     else:
-        raise SchemaError(f"{path}: probability columns must be `prob` or `p_0..p_{{C-1}}`")
-    ids, labels, probs = [], [], []
+        raise SchemaError(
+            f"{path}: value columns must be `{binary_column}` or `{class_prefix}_0..{class_prefix}_{{C-1}}`"
+        )
+    ids, labels, values = [], [], []
     for row in rows:
         if len(row) != len(header):
             raise SchemaError(f"{path}: row has {len(row)} cells, expected {len(header)}")
         ids.append(row[0])
         labels.append(row[1])
-        probs.append([float(v) for v in row[2:]])
+        values.append([float(v) for v in row[2:]])
     have_labels = any(cell != "" for cell in labels)
     if have_labels and not all(cell != "" for cell in labels):
         raise SchemaError(f"{path}: labels must be all present or all empty")
     label_arr = np.array([int(v) for v in labels], dtype=np.int64) if have_labels else None
-    prob_arr = np.asarray(probs, dtype=float)
-    return ids, label_arr, prob_arr[:, 0] if n_classes is None else prob_arr
+    value_arr = np.asarray(values, dtype=float)
+    return ids, label_arr, value_arr[:, 0] if binary else value_arr
+
+
+def read_predictions(path):
+    """Read a prediction CSV; returns ``(ids, labels_or_None, probs)``.
+
+    ``probs`` is a vector for binary files and an N x C array otherwise.
+    """
+    return _read_value_csv(path, "prob", "p")
 
 
 # ---------------------------------------------------------------------------
@@ -263,10 +277,6 @@ def evaluate_metric(metric: MetricSpec, probs, labels) -> float:
     if metric.name == "sens_at_spec":
         return sensitivity_at_specificity(preds, metric.target_specificity)
     return auroc(preds)
-
-
-def _binary_matrix(positive_probs) -> ProbabilityMatrix:
-    return ProbabilityMatrix.from_binary(positive_probs)
 
 
 def abstain_indices(
@@ -315,7 +325,7 @@ def abstain_indices(
         return selected, float(np.mean(scores.scores[selected]))
 
     if name in PRIORITY_METHODS:
-        matrix = _binary_matrix(probs) if probs.ndim == 1 else ProbabilityMatrix(probs)
+        matrix = ProbabilityMatrix.from_binary(probs) if probs.ndim == 1 else ProbabilityMatrix(probs)
         if name == "external_variance" and variance is None:
             raise MissingVariance("external_variance needs per-example variance scores")
         rule = "js_divergence_from_priors" if name == "js_divergence" else name
@@ -328,7 +338,7 @@ def abstain_indices(
     if name == "fumera":
         if labels is None:
             raise ValueError("fumera needs validation labels")
-        matrix = _binary_matrix(probs) if probs.ndim == 1 else ProbabilityMatrix(probs)
+        matrix = ProbabilityMatrix.from_binary(probs) if probs.ndim == 1 else ProbabilityMatrix(probs)
         grid = int(method.params.get("grid", 51))
         thresholds = fumera_threshold_search(
             matrix,
@@ -424,7 +434,7 @@ def _run_label_shift(spec: ExperimentSpec):
         shifted_probs, shifted_labels, _ = resample_with_shift(
             probs, labels, LABEL_SHIFT_TARGET, LABEL_SHIFT_TEST_SIZE, seed=seed + 1
         )
-        result = adapt_label_shift_em(_binary_matrix(shifted_probs), train_priors)
+        result = adapt_label_shift_em(ProbabilityMatrix.from_binary(shifted_probs), train_priors)
         adapted_probs = result.adapted_probs.entries[:, 1]
         rows.extend(_grid_rows(spec, shifted_probs, shifted_labels, seed, train_priors, adapted=0))
         rows.extend(_grid_rows(spec, adapted_probs, shifted_labels, seed, result.test_priors, adapted=1))

@@ -48,7 +48,7 @@ class SortedPredictionSet:
         probs = np.asarray(self.probs, dtype=float)
         if probs.ndim != 1:
             raise ValueError("probs must be a 1-D vector")
-        if probs.size and (probs.min() < 0.0 or probs.max() > 1.0):
+        if probs.size and not (probs.min() >= 0.0 and probs.max() <= 1.0):  # NaN fails too
             raise ValueError("probs must lie in [0, 1]")
         if np.any(np.diff(probs) < 0):
             raise ValueError("probs must be sorted ascending; use from_unsorted()")
@@ -89,7 +89,7 @@ class ProbabilityMatrix:
         entries = np.asarray(self.entries, dtype=float)
         if entries.ndim != 2:
             raise ValueError("entries must be an N x C matrix")
-        if entries.size and (entries.min() < 0.0 or entries.max() > 1.0):
+        if entries.size and not (entries.min() >= 0.0 and entries.max() <= 1.0):  # NaN fails too
             raise ValueError("entries must lie in [0, 1]")
         row_sums = entries.sum(axis=1)
         if entries.size and np.abs(row_sums - 1.0).max() > 1e-9:
@@ -291,51 +291,35 @@ def weighted_kappa(pred_labels, true_labels, weights: PenaltyWeightMatrix) -> fl
 class KappaAggregates:
     """Shared sums used to evaluate kappa after removing one example.
 
-    With ``N`` examples, true-class mass ``class_true_counts`` (exact counts or
-    expected mass), predicted counts ``class_pred_counts`` and penalties ``w``:
+    With ``N`` examples, true-class mass ``t`` (exact counts or expected
+    mass), predicted-class counts ``q`` and penalties ``w``:
 
-    - ``total_penalty``: sum over examples of the realized/expected penalty
-    - ``denom_base``: sum_ij w[i,j] * true[i] * pred[j] / (N-1)
-    - ``denom_row_adjust[i]``: sum_j w[i,j] * pred[j] / (N-1)
-    - ``denom_col_adjust[j]``: sum_i w[i,j] * true[i] / (N-1)
+    - ``denom_base``: sum_ij w[i,j] * t[i] * q[j] / (N-1)
+    - ``denom_row_adjust[i]``: sum_j w[i,j] * q[j] / (N-1)
+    - ``denom_col_adjust[j]``: sum_i w[i,j] * t[i] / (N-1)
 
     so the chance penalty after dropping an example with true class k and
     predicted class f is ``denom_base - denom_row_adjust[k] -
     denom_col_adjust[f] + w[k, f]/(N-1)``.
     """
 
-    class_true_counts: np.ndarray
-    class_pred_counts: np.ndarray
-    pred_labels: np.ndarray
-    total_penalty: float
     denom_base: float
     denom_row_adjust: np.ndarray
     denom_col_adjust: np.ndarray
-    n: int = 0
 
 
-def kappa_aggregates(
-    weights: PenaltyWeightMatrix,
-    class_true_counts,
-    pred_labels,
-    total_penalty: float,
-) -> KappaAggregates:
+def kappa_aggregates(weights: PenaltyWeightMatrix, true_counts, pred) -> KappaAggregates:
     """Assemble :class:`KappaAggregates` for hard or expected true counts."""
     w = weights.weights
-    true_counts = np.asarray(class_true_counts, dtype=float)
-    pred_labels = np.asarray(pred_labels, dtype=np.int64)
-    n = pred_labels.size
+    true_counts = np.asarray(true_counts, dtype=float)
+    pred = np.asarray(pred, dtype=np.int64)
+    n = pred.size
     if n < 2:
         raise ValueError("need at least 2 examples")
-    pred_counts = np.bincount(pred_labels, minlength=weights.class_count).astype(float)
+    pred_counts = np.bincount(pred, minlength=weights.class_count).astype(float)
     scale = 1.0 / (n - 1)
     return KappaAggregates(
-        class_true_counts=true_counts,
-        class_pred_counts=pred_counts,
-        pred_labels=pred_labels,
-        total_penalty=float(total_penalty),
         denom_base=float((w @ pred_counts) @ true_counts * scale),
         denom_row_adjust=(w @ pred_counts) * scale,
         denom_col_adjust=(w.T @ true_counts) * scale,
-        n=n,
     )

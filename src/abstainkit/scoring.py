@@ -48,11 +48,9 @@ __all__ = [
     "MonteCarloConfig",
     "WindowScoreVector",
     "MarginalScoreVector",
-    "ThresholdVectors",
     "AurocSums",
     "SMOOTH_WINDOW",
     "SMOOTH_POLYORDER",
-    "specificity_threshold_vectors",
     "score_windows_sens_at_spec",
     "auroc_rank_sums",
     "score_windows_auroc",
@@ -142,33 +140,16 @@ class MarginalScoreVector:
 
 
 @dataclass(frozen=True)
-class ThresholdVectors:
-    """Specificity threshold indices under hypothetical negative removals.
-
-    ``left_shift[j]`` / ``right_shift[j]`` are the threshold indices after j
-    negatives below / above the threshold are abstained on. Removing negatives
-    below the threshold can only push it up, removing negatives above can only
-    pull it down, so ``right_shift[j] <= pre_threshold <= left_shift[j]``.
-    """
-
-    pre_threshold: int
-    left_shift: np.ndarray
-    right_shift: np.ndarray
-
-
-@dataclass(frozen=True)
 class AurocSums:
-    """Rank sums behind the windowed auROC identity.
+    """Post-abstention rank sums and remaining class mass per window.
 
-    ``post_sums[i] = total_rank_sum - window_rank_sum[i] -
-    (remaining positives above the window) * (negatives inside the window)``
-    holds exactly; dividing ``post_sums[i]`` by the product of remaining
-    negative and positive mass gives the post-abstention auROC.
+    Dividing ``post_sums[i]`` by ``remaining_neg[i] * remaining_pos[i]``
+    gives the auROC after abstaining on the window starting at i.
     """
 
-    total_rank_sum: float
-    window_rank_sum: np.ndarray
     post_sums: np.ndarray
+    remaining_neg: np.ndarray
+    remaining_pos: np.ndarray
 
 
 def _window_count(budget, n: int) -> int:
@@ -178,12 +159,22 @@ def _window_count(budget, n: int) -> int:
     return d
 
 
-def _sample_rngs(seed: int, samples: int):
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(samples)]
+def _monte_carlo_mean(mc: MonteCarloConfig, size: int, draw, score) -> np.ndarray:
+    """Average ``score(draw(rng))`` over one stream per sample.
+
+    ``score`` returns ``(values, valid)``; each entry is the mean of its
+    values over the samples where it was valid, and NaN if it never was.
+    """
+    sums = np.zeros(size)
+    valid_counts = np.zeros(size)
+    for seq in np.random.SeedSequence(mc.seed).spawn(mc.samples):
+        values, valid = score(draw(np.random.default_rng(seq)))
+        sums[valid] += values[valid]
+        valid_counts[valid] += 1.0
+    return np.divide(sums, valid_counts, out=np.full_like(sums, np.nan), where=valid_counts > 0)
 
 
-def _finalize_window_scores(sums, valid, smooth: bool, window_size: int, metric: str):
-    scores = np.divide(sums, valid, out=np.full_like(sums, np.nan), where=valid > 0)
+def _finalize_window_scores(scores, smooth: bool, window_size: int, metric: str):
     if smooth:
         if not np.isfinite(scores).all():
             raise ValueError(
@@ -193,38 +184,27 @@ def _finalize_window_scores(sums, valid, smooth: bool, window_size: int, metric:
     return WindowScoreVector(scores=scores, window_size=window_size, metric=metric)
 
 
-def specificity_threshold_vectors(neg_suffix, total_neg, target_specificity, max_removed: int) -> ThresholdVectors:
-    """Thresholds under 0..max_removed abstained negatives on either side.
-
-    ``max_removed`` must stay below ``total_neg`` so at least one negative
-    remains in every hypothetical.
-    """
-    if max_removed >= total_neg:
-        raise ValueError("cannot remove all negatives and keep a threshold")
-    j = np.arange(max_removed + 1, dtype=float)
-    denom = float(total_neg) - j
-    left = specificity_threshold_index(neg_suffix, denom, target_specificity)
-    right = specificity_threshold_index(neg_suffix, denom, target_specificity, removed_above=j)
-    return ThresholdVectors(pre_threshold=int(left[0]), left_shift=left, right_shift=right)
-
-
 def _sens_window_sample(labels, d: int, target_specificity: float):
-    """One-sample window sensitivities; returns (values, valid) or None."""
+    """One-sample window sensitivities as (values, valid).
+
+    A window is valid when its complement keeps both classes, so a sample
+    missing a class entirely has no valid window.
+    """
     counts = running_counts(labels, d)
     n_pos, n_neg = counts.total_pos, counts.total_neg
-    if n_pos == 0 or n_neg == 0:
-        return None
     w_pos, w_neg = counts.window_pos, counts.window_neg
     valid = (w_pos < n_pos) & (w_neg < n_neg)
     if not valid.any():
         return np.zeros(w_pos.size), valid
+    # Thresholds after j = 0..max_removed abstained negatives below (left) or
+    # above (right) it; right[j] <= left[0] <= left[j]. At least one negative
+    # always remains.
     max_removed = int(min(d, n_neg - 1))
-    thresholds = specificity_threshold_vectors(
-        counts.neg_suffix, n_neg, target_specificity, max_removed
-    )
+    j = np.arange(max_removed + 1, dtype=float)
+    left = specificity_threshold_index(counts.neg_suffix, n_neg - j, target_specificity)
+    right = specificity_threshold_index(counts.neg_suffix, n_neg - j, target_specificity, removed_above=j)
     removed = np.minimum(w_neg.astype(np.int64), max_removed)  # windows at the cap are invalid
-    t_right = thresholds.right_shift[removed]
-    t_left = thresholds.left_shift[removed]
+    t_right, t_left = right[removed], left[removed]
     starts = np.arange(w_pos.size)
     # The adjusted threshold either sits at or below the window start (all
     # removed negatives were above it) or is pushed past the window end.
@@ -251,22 +231,20 @@ def score_windows_sens_at_spec(
         raise InvalidSpecificity(f"target specificity must be in (0, 1), got {target_specificity}")
     n = preds.n
     d = _window_count(budget, n)
-    sums = np.zeros(n + 1 - d)
-    valid_counts = np.zeros(n + 1 - d)
-    for rng in _sample_rngs(mc.seed, mc.samples):
-        labels = (rng.random(n) < preds.probs).astype(float)
-        sample = _sens_window_sample(labels, d, target_specificity)
-        if sample is None:
-            continue
-        values, valid = sample
-        sums[valid] += values[valid]
-        valid_counts[valid] += 1.0
-    return _finalize_window_scores(sums, valid_counts, mc.smooth, d, "sens_at_spec")
+    scores = _monte_carlo_mean(
+        mc, n + 1 - d,
+        lambda rng: (rng.random(n) < preds.probs).astype(float),
+        lambda labels: _sens_window_sample(labels, d, target_specificity),
+    )
+    return _finalize_window_scores(scores, mc.smooth, d, "sens_at_spec")
 
 
 def auroc_rank_sums(values, window: int) -> AurocSums:
-    """Total, in-window and post-abstention rank sums for sorted label mass.
+    """Post-abstention rank sums and remaining class mass for sorted label mass.
 
+    ``post_sums[i]`` is the full rank sum minus the window's own rank sum
+    minus (remaining positives above the window) * (negatives inside it),
+    which equals the rank sum recomputed without the window exactly.
     ``values`` may be 0/1 labels or probabilities standing in for them.
     """
     v = np.asarray(values, dtype=float)
@@ -274,18 +252,13 @@ def auroc_rank_sums(values, window: int) -> AurocSums:
     n = v.size
     contrib = v * counts.neg_prefix[:-1]
     cum = np.concatenate([[0.0], np.cumsum(contrib)])
-    total = float(cum[-1])
     window_rank = cum[window:] - cum[: n + 1 - window]
     above_pos = counts.total_pos - counts.pos_prefix[window:]
-    post = total - window_rank - above_pos * counts.window_neg
-    return AurocSums(total_rank_sum=total, window_rank_sum=window_rank, post_sums=post)
-
-
-def _auroc_window_sample(values, d: int):
-    """Per-window post-abstention rank sums and remaining class mass."""
-    counts = running_counts(values, d)
-    sums = auroc_rank_sums(values, d)
-    return sums.post_sums, counts.total_neg - counts.window_neg, counts.total_pos - counts.window_pos
+    return AurocSums(
+        post_sums=float(cum[-1]) - window_rank - above_pos * counts.window_neg,
+        remaining_neg=counts.total_neg - counts.window_neg,
+        remaining_pos=counts.total_pos - counts.window_pos,
+    )
 
 
 def score_windows_auroc(
@@ -304,33 +277,28 @@ def score_windows_auroc(
     n = preds.n
     d = _window_count(budget, n)
     if mode == "deterministic":
-        post, rem_neg, rem_pos = _auroc_window_sample(preds.probs, d)
+        sums = auroc_rank_sums(preds.probs, d)
+        rem_neg, rem_pos = sums.remaining_neg, sums.remaining_pos
         if rem_pos.min() <= _DEGENERATE_EPS or rem_neg.min() <= _DEGENERATE_EPS:
             raise DegenerateExpectedCounts(
                 "expected positive/negative mass left after abstention is ~0"
             )
-        return WindowScoreVector(post / (rem_neg * rem_pos), d, "auroc")
+        return WindowScoreVector(sums.post_sums / (rem_neg * rem_pos), d, "auroc")
     if mode != "monte_carlo":
         raise ValueError(f"unknown mode {mode!r}")
     if mc is None:
         raise ValueError("monte_carlo mode needs a MonteCarloConfig")
-    sums = np.zeros(n + 1 - d)
-    valid_counts = np.zeros(n + 1 - d)
-    for rng in _sample_rngs(mc.seed, mc.samples):
-        labels = (rng.random(n) < preds.probs).astype(float)
-        post, rem_neg, rem_pos = _auroc_window_sample(labels, d)
-        denom = rem_neg * rem_pos
+
+    def score(labels):
+        sums = auroc_rank_sums(labels, d)
+        denom = sums.remaining_neg * sums.remaining_pos
         valid = denom > 0
-        sums[valid] += post[valid] / denom[valid]
-        valid_counts[valid] += 1.0
-    return _finalize_window_scores(sums, valid_counts, mc.smooth, d, "auroc")
+        return np.divide(sums.post_sums, denom, out=np.zeros(denom.size), where=valid), valid
 
-
-def _sample_class_labels(rng, probs: np.ndarray) -> np.ndarray:
-    cum = probs.cumsum(axis=1)
-    draws = rng.random(probs.shape[0])
-    labels = (draws[:, None] >= cum).sum(axis=1)
-    return np.minimum(labels, probs.shape[1] - 1)
+    scores = _monte_carlo_mean(
+        mc, n + 1 - d, lambda rng: (rng.random(n) < preds.probs).astype(float), score
+    )
+    return _finalize_window_scores(scores, mc.smooth, d, "auroc")
 
 
 def score_examples_kappa(
@@ -354,13 +322,13 @@ def score_examples_kappa(
         raise ValueError("weights dimension must equal the class count")
     w = weights.weights
     pred = p.argmax(axis=1)
-    rows = np.arange(n)
     scale = 1.0 / (n - 1)
 
     if mode == "deterministic":
         expected_true = p.sum(axis=0)
         w_by_pred = w[:, pred].T  # [x, i] -> penalty if x's true class were i
-        agg = kappa_aggregates(weights, expected_true, pred, float((p * w_by_pred).sum()))
+        penalty_sum = float((p * w_by_pred).sum())
+        agg = kappa_aggregates(weights, expected_true, pred)
         denom = (
             agg.denom_base
             - agg.denom_col_adjust[pred][:, None]
@@ -369,19 +337,23 @@ def score_examples_kappa(
         )
         if np.abs(denom).min() < _DEGENERATE_EPS:
             raise DegenerateDenominator("leave-one-out chance penalty is ~0")
-        terms = 1.0 - (agg.total_penalty - w_by_pred) / denom
+        terms = 1.0 - (penalty_sum - w_by_pred) / denom
         return MarginalScoreVector((p * terms).sum(axis=1))
 
     if mode != "monte_carlo":
         raise ValueError(f"unknown mode {mode!r}")
     if mc is None:
         raise ValueError("monte_carlo mode needs a MonteCarloConfig")
-    totals = np.zeros(n)
-    for rng in _sample_rngs(mc.seed, mc.samples):
-        sampled = _sample_class_labels(rng, p)
+    cum = p.cumsum(axis=1)
+    every_example = np.ones(n, dtype=bool)
+
+    def draw(rng):
+        return np.minimum((rng.random(n)[:, None] >= cum).sum(axis=1), n_classes - 1)
+
+    def score(sampled):
         true_counts = np.bincount(sampled, minlength=n_classes).astype(float)
         penalties = w[sampled, pred]
-        agg = kappa_aggregates(weights, true_counts, pred, float(penalties.sum()))
+        agg = kappa_aggregates(weights, true_counts, pred)
         denom = (
             agg.denom_base
             - agg.denom_row_adjust[sampled]
@@ -390,8 +362,9 @@ def score_examples_kappa(
         )
         if np.abs(denom).min() < _DEGENERATE_EPS:
             raise DegenerateDenominator("leave-one-out chance penalty is ~0")
-        totals += 1.0 - (agg.total_penalty - penalties) / denom
-    return MarginalScoreVector(totals / mc.samples)
+        return 1.0 - (float(penalties.sum()) - penalties) / denom, every_example
+
+    return MarginalScoreVector(_monte_carlo_mean(mc, n, draw, score))
 
 
 def _center_fit_weights(half: int, polyorder: int) -> np.ndarray:

@@ -10,6 +10,7 @@ import itertools
 import numpy as np
 
 from abstainkit import SortedPredictionSet, auroc, sensitivity_at_specificity, weighted_kappa
+from abstainkit.errors import NoNegatives, NoPositives
 
 
 def pairwise_auroc(probs, labels):
@@ -107,6 +108,60 @@ def naive_mc_sens_windows(p, width, target_specificity, samples, rng):
         means[start] = np.nanmean(values)
         errs[start] = np.nanstd(values) / np.sqrt(np.isfinite(values).sum())
     return means, errs
+
+
+def sample_streams(seed, samples):
+    """The scorers' per-sample generators: one ``SeedSequence.spawn`` stream each."""
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(samples)]
+
+
+def same_stream_window_means(p, width, samples, seed, metric, **kw):
+    """Monte-Carlo window scores by remove-and-recompute on the scorers' draws.
+
+    Sample m draws 0/1 labels from stream m as ``u < p``. Each window averages,
+    in sample order, the metric of the labels it retains over the samples
+    where that metric is defined (both classes retained); NaN if never.
+    """
+    p = np.asarray(p, dtype=float)
+    n = p.size
+    sums = np.zeros(n + 1 - width)
+    counts = np.zeros(n + 1 - width)
+    for rng in sample_streams(seed, samples):
+        labels = (rng.random(n) < p).astype(int)
+        for start in range(n + 1 - width):
+            try:
+                value = metric_without_window(p, labels, start, width, metric, **kw)
+            except (NoPositives, NoNegatives):
+                continue
+            sums[start] += value
+            counts[start] += 1.0
+    means = np.full(n + 1 - width, np.nan)
+    means[counts > 0] = sums[counts > 0] / counts[counts > 0]
+    return means
+
+
+def same_stream_kappa_means(P, weights, samples, seed):
+    """Monte-Carlo leave-one-out kappa by recomputation on the scorer's draws.
+
+    Row x of sample m takes the first class whose cumulative probability
+    exceeds the stream's m-th uniform draw x (the last class if none does).
+    """
+    P = np.asarray(P, dtype=float)
+    n, c = P.shape
+    pred = P.argmax(axis=1)
+    total = np.zeros(n)
+    for rng in sample_streams(seed, samples):
+        draws = rng.random(n)
+        true = np.empty(n, dtype=np.int64)
+        for x in range(n):
+            cum = np.cumsum(P[x])
+            k = 0
+            while k < c - 1 and draws[x] >= cum[k]:
+                k += 1
+            true[x] = k
+        for x in range(n):
+            total[x] += kappa_without_example(pred, true, weights, x)
+    return total / samples
 
 
 def naive_kappa_marginals(P, w):

@@ -5,9 +5,11 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from abstainkit.cli import main
 from abstainkit.experiments import write_predictions
+from abstainkit.stats import compare_methods
 
 
 def test_simulate_then_abstain_then_evaluate(tmp_path, capsys):
@@ -130,6 +132,90 @@ def test_errors_exit_nonzero(tmp_path, capsys):
     code = main(["evaluate", "--input", str(data), "--metric", "auroc"])
     assert code == 1
     assert "NoNegatives" in capsys.readouterr().err
+
+
+def _single_error_line(capsys, error_type):
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {error_type}:"), err
+
+
+@pytest.mark.parametrize("command", ["calibrate", "apply-calibrator"])
+@pytest.mark.parametrize(
+    "content, error_type",
+    [
+        ("", "SchemaError"),
+        ("id,label,score\n", "SchemaError"),
+        ("identifier,label,score\n0,1,0.5\n", "SchemaError"),
+        ("id,label,score,extra\n0,1,0.5,0.1\n", "SchemaError"),
+        ("id,label,z_0,z_1\n0,1,0.5\n", "SchemaError"),
+        ("id,label,score\n0,1,0.5\n1,,0.2\n", "SchemaError"),
+        (None, "InputNotFound"),
+    ],
+    ids=["empty", "header_only", "bad_header", "bad_value_columns", "ragged_row", "partial_labels", "missing"],
+)
+def test_raw_score_errors_are_named(tmp_path, capsys, command, content, error_type):
+    raw = tmp_path / "raw.csv"
+    if content is not None:
+        raw.write_text(content)
+    cal = tmp_path / "cal.json"
+    cal.write_text(json.dumps({"kind": "platt", "scale": 1.0, "offset": [0.0]}))
+    extra = ["--kind", "platt"] if command == "calibrate" else ["--calibrator", str(cal)]
+    code = main([command, "--input", str(raw), *extra, "--output", str(tmp_path / "out")])
+    assert code == 1
+    _single_error_line(capsys, error_type)
+
+
+def test_calibrate_needs_labels(tmp_path, capsys):
+    raw = tmp_path / "raw.csv"
+    raw.write_text("id,label,score\n0,,0.5\n1,,-0.3\n")
+    code = main(["calibrate", "--input", str(raw), "--output", str(tmp_path / "cal.json")])
+    assert code == 1
+    _single_error_line(capsys, "SchemaError")
+
+
+def test_evaluate_rejects_nan_probability(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text("id,label,prob\n0,0,0.1\n1,1,nan\n2,0,0.3\n3,1,0.9\n")
+    code = main(["evaluate", "--input", str(data), "--metric", "sens_at_spec"])
+    assert code == 1
+    _single_error_line(capsys, "ValueError")
+
+
+def _write_results(path, rows):
+    header = ["seed", "method", "budget", "metric", "adapted", "base", "post", "abstained", "n"]
+    lines = [",".join(header)]
+    for seed, method, adapted, post in rows:
+        lines.append(f"{seed},{method},0.3,auroc,{adapted},0.5,{post!r},30,100")
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_compare_pairs_rows_by_seed_budget_and_adapted(tmp_path, capsys):
+    # `a` gains from adaptation and `b` loses, so ordering each method's rows
+    # by value would pair a's unadapted row with b's adapted row
+    rows, a, b = [], [], []
+    for seed in range(6):
+        for adapted, a_post, b_post in ((0, 0.50, 0.78), (1, 0.80, 0.48)):
+            a_post, b_post = a_post + 0.01 * seed, b_post + 0.013 * seed
+            rows += [(seed, "a", adapted, a_post), (seed, "b", adapted, b_post)]
+            a.append(a_post)
+            b.append(b_post)
+    results = tmp_path / "results.csv"
+    _write_results(results, rows[::-1])
+    assert main(["compare", "--input", str(results)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    want = compare_methods({"a": np.array(a), "b": np.array(b)})
+    assert payload["methods"] == ["a", "b"]
+    np.testing.assert_array_equal(payload["p_values"], want.p_values)
+    assert payload["significant"] == want.significant.tolist()
+
+
+def test_compare_rejects_methods_on_different_rows(tmp_path, capsys):
+    rows = [(seed, "a", 0, 0.5 + 0.01 * seed) for seed in range(6)]
+    rows += [(seed, "b", 0, 0.4 + 0.02 * seed) for seed in range(1, 7)]
+    results = tmp_path / "results.csv"
+    _write_results(results, rows)
+    assert main(["compare", "--input", str(results)]) == 1
+    _single_error_line(capsys, "SchemaError")
 
 
 def test_console_script_help():

@@ -58,6 +58,10 @@ class TestPredictionCsv:
         bad.write_text("id,label,q_0,q_1\n1,0,0.5,0.5\n")
         with pytest.raises(SchemaError):
             read_predictions(bad)
+        for header in ("id,label,prob\n", "id,label,p_0,p_1\n"):
+            bad.write_text(header)
+            with pytest.raises(SchemaError, match="no data rows"):
+                read_predictions(bad)
         with pytest.raises(InputNotFound):
             read_predictions(tmp_path / "missing.csv")
 

@@ -31,6 +31,13 @@ class TestSortedPredictionSet:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             SortedPredictionSet(np.array([-0.1, 0.2]))
 
+    def test_rejects_nan(self):
+        for probs in ([0.2, np.nan], [np.nan, 0.2], [np.nan]):
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                SortedPredictionSet(np.array(probs))
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            SortedPredictionSet.from_unsorted(np.array([0.7, np.nan, 0.1]))
+
     def test_rejects_misaligned_labels(self):
         with pytest.raises(ValueError, match="align"):
             SortedPredictionSet(np.array([0.1, 0.2]), np.array([1]))
@@ -206,6 +213,12 @@ class TestProbabilityMatrix:
     def test_rejects_bad_rows(self):
         with pytest.raises(ValueError, match="sum to 1"):
             ProbabilityMatrix(np.array([[0.5, 0.4]]))
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            ProbabilityMatrix(np.array([[0.5, 0.5], [np.nan, 1.0]]))
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            ProbabilityMatrix.from_binary(np.array([0.2, np.nan]))
 
     def test_from_binary(self):
         m = ProbabilityMatrix.from_binary(np.array([0.2, 0.7]))

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from abstainkit import PenaltyWeightMatrix, ProbabilityMatrix, score_examples_kappa
 from abstainkit.errors import DegenerateDenominator
 from abstainkit.scoring import MonteCarloConfig
 
-from oracles import kappa_without_example, naive_kappa_marginals
+from oracles import kappa_without_example, naive_kappa_marginals, same_stream_kappa_means
 
 
 def _random_simplex_rows(rng, n, c):
@@ -103,3 +105,29 @@ class TestMonteCarloKappaScorer:
         one_row = ProbabilityMatrix(np.array([[0.5, 0.5]]))
         with pytest.raises(ValueError, match="at least 2"):
             score_examples_kappa(one_row, PenaltyWeightMatrix.quadratic(2))
+
+
+@st.composite
+def _simplex_instances(draw):
+    n = draw(st.integers(3, 10))
+    c = draw(st.integers(2, 4))
+    mass = draw(st.lists(st.floats(0.01, 1.0), min_size=n * c, max_size=n * c))
+    rows = np.array(mass).reshape(n, c)
+    return rows / rows.sum(axis=1, keepdims=True), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(derandomize=True, deadline=None)
+@given(_simplex_instances())
+def test_monte_carlo_equals_same_stream_recompute_mean(instance):
+    # each MC score is the mean over the drawn label vectors of the kappa
+    # recomputed without that example
+    p, seed = instance
+    probs = ProbabilityMatrix(p)
+    weights = PenaltyWeightMatrix.quadratic(p.shape[1])
+    mc = MonteCarloConfig(samples=5, seed=seed)
+    try:
+        got = score_examples_kappa(probs, weights, mode="monte_carlo", mc=mc).scores
+    except DegenerateDenominator:
+        reject()
+    want = same_stream_kappa_means(p, weights, 5, seed)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)

@@ -9,6 +9,8 @@ sampling error of a from-scratch resampling estimate.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abstainkit import (
     SortedPredictionSet,
@@ -18,18 +20,16 @@ from abstainkit import (
     score_windows_sens_at_spec,
     sensitivity_at_specificity,
 )
-from abstainkit.errors import BudgetTooLarge, DegenerateExpectedCounts, InvalidSpecificity
-from abstainkit.scoring import (
-    MonteCarloConfig,
-    auroc_rank_sums,
-    specificity_threshold_vectors,
-)
+from abstainkit.errors import BudgetTooLarge, DegenerateExpectedCounts, InvalidSpecificity, NoNegatives
+from abstainkit.metrics import specificity_threshold_index
+from abstainkit.scoring import MonteCarloConfig, auroc_rank_sums
 
 from oracles import (
     metric_without_window,
     naive_auroc_window_scores,
     naive_mc_sens_windows,
     naive_post_rank_sums,
+    same_stream_window_means,
 )
 
 
@@ -44,15 +44,27 @@ def _hard_instance(rng, n_min=20, n_max=60):
 
 
 class TestThresholdVectors:
+    """Threshold indices after j negatives below (left) or above (right) it
+    are abstained on, as the sens window scorer forms them."""
+
+    @staticmethod
+    def _shifted(counts, s, max_removed):
+        j = np.arange(max_removed + 1, dtype=float)
+        denom = counts.total_neg - j
+        left = specificity_threshold_index(counts.neg_suffix, denom, s)
+        right = specificity_threshold_index(counts.neg_suffix, denom, s, removed_above=j)
+        return left, right
+
     def test_shift_directions(self):
         rng = np.random.default_rng(0)
         labels = (rng.random(80) < 0.4).astype(int)
         counts = running_counts(labels, window=10)
-        tv = specificity_threshold_vectors(counts.neg_suffix, counts.total_neg, 0.8, 9)
+        left, right = self._shifted(counts, 0.8, 9)
+        pre = specificity_threshold_index(counts.neg_suffix, counts.total_neg, 0.8)
         # dropping negatives below the threshold pushes it up; above, down
-        assert np.all(tv.left_shift >= tv.pre_threshold)
-        assert np.all(tv.right_shift <= tv.pre_threshold)
-        assert tv.left_shift[0] == tv.right_shift[0] == tv.pre_threshold
+        assert np.all(left >= pre)
+        assert np.all(right <= pre)
+        assert left[0] == right[0] == pre
 
     def test_matches_definition(self):
         rng = np.random.default_rng(1)
@@ -60,7 +72,7 @@ class TestThresholdVectors:
         counts = running_counts(labels, window=5)
         n_neg = counts.total_neg
         s = 0.7
-        tv = specificity_threshold_vectors(counts.neg_suffix, n_neg, s, int(n_neg) - 1)
+        left_shift, right_shift = self._shifted(counts, s, int(n_neg) - 1)
         for j in range(int(n_neg)):
             left = min(
                 i for i in range(41) if 1.0 - counts.neg_suffix[i] / (n_neg - j) >= s
@@ -68,13 +80,45 @@ class TestThresholdVectors:
             right = min(
                 i for i in range(41) if 1.0 - (counts.neg_suffix[i] - j) / (n_neg - j) >= s
             )
-            assert tv.left_shift[j] == left
-            assert tv.right_shift[j] == right
+            assert left_shift[j] == left
+            assert right_shift[j] == right
 
     def test_cannot_remove_all_negatives(self):
         counts = running_counts(np.array([0, 0, 1, 1]), window=1)
-        with pytest.raises(ValueError, match="all negatives"):
-            specificity_threshold_vectors(counts.neg_suffix, counts.total_neg, 0.5, 2)
+        with pytest.raises(NoNegatives, match="no negatives remain"):
+            self._shifted(counts, 0.5, 2)
+
+
+@st.composite
+def _window_instances(draw):
+    """Sorted soft probabilities (0 and 1 included), a window size and a seed."""
+    n = draw(st.integers(3, 12))
+    p = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    return np.sort(np.array(p)), draw(st.integers(1, n - 1)), draw(st.integers(0, 2**32 - 1))
+
+
+class TestSameStreamOracle:
+    """Each MC window score is exactly the mean, over that window's valid
+    samples, of the metric recomputed on the labels drawn from the same streams."""
+
+    @settings(derandomize=True, deadline=None)
+    @given(_window_instances(), st.floats(0.05, 0.95))
+    def test_sens_equals_remove_and_recompute_mean(self, instance, s):
+        p, d, seed = instance
+        mc = MonteCarloConfig(samples=6, seed=seed, smooth=False)
+        got = score_windows_sens_at_spec(SortedPredictionSet(p), s, d, mc).scores
+        want = same_stream_window_means(
+            p, d, 6, seed, sensitivity_at_specificity, target_specificity=s
+        )
+        np.testing.assert_array_equal(got, want)
+
+    @settings(derandomize=True, deadline=None)
+    @given(_window_instances())
+    def test_auroc_equals_remove_and_recompute_mean(self, instance):
+        p, d, seed = instance
+        mc = MonteCarloConfig(samples=6, seed=seed, smooth=False)
+        got = score_windows_auroc(SortedPredictionSet(p), d, mode="monte_carlo", mc=mc).scores
+        np.testing.assert_array_equal(got, same_stream_window_means(p, d, 6, seed, auroc))
 
 
 class TestSensWindowScorer:
