@@ -25,6 +25,7 @@ from .experiments import (
     ExperimentSpec,
     MethodSpec,
     MetricSpec,
+    _load_json,
     _read_value_csv,
     abstain_indices,
     evaluate_metric,
@@ -36,14 +37,6 @@ from .metrics import ProbabilityMatrix
 from .scoring import MonteCarloConfig
 from .simulate import BinarySimConfig, MulticlassSimConfig, simulate_binary, simulate_multiclass
 from .stats import compare_methods
-
-
-def _load_json(path):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise InputNotFound(path) from None
 
 
 def _parse_priors(text: str) -> PriorEstimate:
@@ -92,7 +85,7 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_apply(args) -> int:
-    cal = Calibrator.from_json(args.calibrator)
+    cal = Calibrator.from_dict(_load_json(args.calibrator))
     labels, scores = _read_raw_scores(args.input)
     write_predictions(args.output, apply_calibrator(cal, scores), labels)
     print(f"wrote {args.output}")
@@ -170,8 +163,11 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    with open(args.input, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+    try:
+        with open(args.input, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+    except FileNotFoundError:
+        raise InputNotFound(args.input) from None
     if not rows:
         raise SchemaError(f"{args.input}: no rows")
     # Runs pair up by (seed, budget, adapted); `adapted` is 0 where the column is absent.

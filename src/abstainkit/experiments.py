@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .calibration import PriorEstimate, adapt_label_shift_em
-from .errors import InputNotFound, MissingVariance, SchemaError
+from .errors import DidNotConverge, InputNotFound, MissingVariance, SchemaError
 from .metrics import (
     PenaltyWeightMatrix,
     ProbabilityMatrix,
@@ -171,8 +171,7 @@ class ExperimentSpec:
 
     @classmethod
     def from_json(cls, path) -> "ExperimentSpec":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(_load_json(path))
 
     def to_dict(self) -> dict:
         return {
@@ -187,6 +186,14 @@ class ExperimentSpec:
             "input": self.input_path,
             "sim": dict(self.sim_overrides),
         }
+
+
+def _load_json(path):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise InputNotFound(path) from None
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +258,9 @@ def _read_value_csv(path, binary_column: str, class_prefix: str):
         raise SchemaError(f"{path}: labels must be all present or all empty")
     label_arr = np.array([int(v) for v in labels], dtype=np.int64) if have_labels else None
     value_arr = np.asarray(values, dtype=float)
+    class_count = 2 if binary else value_arr.shape[1]
+    if label_arr is not None and not (label_arr.min() >= 0 and label_arr.max() < class_count):
+        raise SchemaError(f"{path}: labels must lie in [0, {class_count})")
     return ids, label_arr, value_arr[:, 0] if binary else value_arr
 
 
@@ -266,9 +276,19 @@ def read_predictions(path):
 # Method pipelines
 # ---------------------------------------------------------------------------
 
+def _require_metric_shape(metric: MetricSpec, probs: np.ndarray) -> None:
+    """Kappa needs an N x C matrix; binary metrics a vector or 2 columns."""
+    if metric.name == "weighted_kappa":
+        if probs.ndim != 2:
+            raise SchemaError("weighted_kappa needs an N x C probability matrix")
+    elif probs.ndim == 2 and probs.shape[1] != 2:
+        raise SchemaError(f"{metric.name} needs binary predictions, got {probs.shape[1]} classes")
+
+
 def evaluate_metric(metric: MetricSpec, probs, labels) -> float:
     """Recompute the metric on (retained) examples with their true labels."""
     probs = np.asarray(getattr(probs, "entries", probs), dtype=float)
+    _require_metric_shape(metric, probs)
     if metric.name == "weighted_kappa":
         weights = PenaltyWeightMatrix.quadratic(probs.shape[1])
         return weighted_kappa(probs.argmax(axis=1), labels, weights)
@@ -339,6 +359,8 @@ def abstain_indices(
         if labels is None:
             raise ValueError("fumera needs validation labels")
         matrix = ProbabilityMatrix.from_binary(probs) if probs.ndim == 1 else ProbabilityMatrix(probs)
+        # the search skips tuples the metric rejects, so a wrong shape would abstain on nothing
+        _require_metric_shape(metric, matrix.entries)
         grid = int(method.params.get("grid", 51))
         thresholds = fumera_threshold_search(
             matrix,
@@ -435,6 +457,8 @@ def _run_label_shift(spec: ExperimentSpec):
             probs, labels, LABEL_SHIFT_TARGET, LABEL_SHIFT_TEST_SIZE, seed=seed + 1
         )
         result = adapt_label_shift_em(ProbabilityMatrix.from_binary(shifted_probs), train_priors)
+        if not result.converged:
+            raise DidNotConverge(f"label-shift EM did not converge for seed {seed}")
         adapted_probs = result.adapted_probs.entries[:, 1]
         rows.extend(_grid_rows(spec, shifted_probs, shifted_labels, seed, train_priors, adapted=0))
         rows.extend(_grid_rows(spec, adapted_probs, shifted_labels, seed, result.test_priors, adapted=1))

@@ -208,18 +208,34 @@ def specificity_threshold_index(neg_suffix, denom, target_specificity, removed_a
     if np.any(denom <= 0):
         raise NoNegatives("no negatives remain; specificity threshold undefined")
     shape = np.broadcast_shapes(denom.shape, removed_above.shape)
-    denom, removed_above = np.broadcast_to(denom, shape), np.broadcast_to(removed_above, shape)
+    denom = np.broadcast_to(denom, shape).ravel()
+    removed_above = np.broadcast_to(removed_above, shape).ravel()
     n = neg_suffix.size - 1
-    # The predicate is monotone in i (neg_suffix is nonincreasing), and always
-    # true at i = N where neg_suffix is 0, so binary search is exact.
-    lo = np.zeros(shape, dtype=np.int64)
-    hi = np.full(shape, n, dtype=np.int64)
-    while np.any(lo < hi):
-        mid = (lo + hi) // 2
-        ok = 1.0 - (neg_suffix[mid] - removed_above) / denom >= target_specificity
-        hi = np.where(ok, mid, hi)
-        lo = np.where(ok, lo, mid + 1)
-    return lo if shape else int(lo)
+
+    def holds(i, k):
+        return 1.0 - (neg_suffix[i] - removed_above[k]) / denom[k] >= target_specificity
+
+    # The predicate depends on i only through neg_suffix[i] and is monotone in
+    # it, so the answer is the first index of a run of equal values. Up to
+    # rounding it holds where neg_suffix[i] <= removed_above + (1 - s) * denom:
+    # one search in the ascending -neg_suffix finds that crossing, then the
+    # exact predicate moves each index by whole runs until it is the smallest
+    # index where it holds (or N where it never does, as a scan of [0, N) gives).
+    # The clamps keep both loops finite should neg_suffix not be sorted.
+    ascending = -neg_suffix
+    idx = np.searchsorted(ascending, -(removed_above + (1.0 - target_specificity) * denom))
+    idx = np.minimum(idx, n)
+    k = np.flatnonzero(idx < n)
+    while k.size:  # up: where the predicate fails at idx, skip idx's run
+        k = k[~holds(idx[k], k)]
+        idx[k] = np.minimum(np.maximum(np.searchsorted(ascending, ascending[idx[k]], "right"), idx[k] + 1), n)
+        k = k[idx[k] < n]
+    k = np.flatnonzero(idx > 0)
+    while k.size:  # down: where it holds just below idx, go to that run's start
+        k = k[holds(idx[k] - 1, k)]
+        idx[k] = np.minimum(np.searchsorted(ascending, ascending[idx[k] - 1], "left"), idx[k] - 1)
+        k = k[idx[k] > 0]
+    return idx.reshape(shape) if shape else int(idx[0])
 
 
 def sensitivity_at_specificity(preds: SortedPredictionSet, target_specificity: float) -> float:

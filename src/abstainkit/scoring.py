@@ -470,8 +470,12 @@ def fumera_threshold_search(
     retained set leaves the metric undefined are skipped, and if nothing is
     feasible the all-zero tuple (abstain nothing) is returned.
 
-    The search visits ``grid ** class_count`` tuples; keep the grid coarse
-    beyond a few classes.
+    The search visits ``grid ** class_count`` tuples but calls ``metric`` once
+    per distinct feasible abstained set: within a class the abstained rows are
+    the ones with the smallest top-class probabilities, so the per-class counts
+    identify the set, and tuples sharing it reuse its score (or its skip).
+    ``metric`` must therefore be a pure function of the retained rows. Keep the
+    grid coarse beyond a few classes.
     """
     p = val_probs.entries
     labels = np.asarray(val_labels)
@@ -481,28 +485,41 @@ def fumera_threshold_search(
     grid_values = np.linspace(0.0, 1.0, grid) if np.isscalar(grid) else np.asarray(grid, dtype=float)
     if grid_values.size < 2:
         raise ValueError("grid needs at least 2 points per class")
+    if not np.isfinite(grid_values).all():
+        raise ValueError("grid values must be finite")
     max_abstained = budget.count_for(n) if isinstance(budget, AbstentionBudget) else int(budget)
 
     top_class = p.argmax(axis=1)
     top_prob = p[np.arange(n), top_class]
+    # counts[c][g]: class-c rows with top_prob < grid_values[g], the rows a
+    # tuple with grid index g for class c abstains on.
+    counts = [
+        np.searchsorted(np.sort(top_prob[top_class == c]), grid_values, side="left").tolist()
+        for c in range(n_classes)
+    ]
+    scores = {}  # per-class counts -> metric score, or None where it raised
     best_score = -np.inf
     best_count = None
-    best_tuple = None
-    for thresholds in itertools.product(grid_values, repeat=n_classes):
-        abstain = top_prob < np.asarray(thresholds)[top_class]
-        count = int(abstain.sum())
+    best_index = None
+    for index in itertools.product(range(grid_values.size), repeat=n_classes):
+        key = tuple(class_counts[g] for class_counts, g in zip(counts, index))
+        count = sum(key)
         if count > max_abstained:
             continue
-        keep = ~abstain
-        try:
-            score = float(metric(p[keep], labels[keep]))
-        except (AbstainkitError, ValueError):
+        if key not in scores:
+            keep = ~(top_prob < grid_values[list(index)][top_class])
+            try:
+                scores[key] = float(metric(p[keep], labels[keep]))
+            except (AbstainkitError, ValueError):
+                scores[key] = None
+        score = scores[key]
+        if score is None:
             continue
         if score > best_score or (score == best_score and count < best_count):
-            best_score, best_count, best_tuple = score, count, thresholds
-    if best_tuple is None:
+            best_score, best_count, best_index = score, count, index
+    if best_index is None:
         return np.zeros(n_classes)
-    return np.asarray(best_tuple, dtype=float)
+    return grid_values[list(best_index)]
 
 
 def select_abstentions(scores, budget: AbstentionBudget) -> np.ndarray:

@@ -1,11 +1,16 @@
 """Baseline priority rules, validation threshold search, and budget selection."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abstainkit import (
     AbstentionBudget,
     MarginalScoreVector,
+    PenaltyWeightMatrix,
     PriorEstimate,
     ProbabilityMatrix,
     SortedPredictionSet,
@@ -14,6 +19,7 @@ from abstainkit import (
     baseline_scores,
     fumera_threshold_search,
     select_abstentions,
+    weighted_kappa,
 )
 from abstainkit.errors import BudgetMismatch, MissingPriors, MissingVariance
 
@@ -124,6 +130,70 @@ class TestFumeraSearch:
             if (top_p < thresholds[top]).any():
                 # probe the midpoint: argmax ties resolve to class 0
                 assert 0.5 < thresholds[0]
+
+
+def _kappa_metric(probs, labels):
+    weights = PenaltyWeightMatrix.quadratic(probs.shape[1])
+    return weighted_kappa(probs.argmax(axis=1), labels, weights)
+
+
+def _picky_accuracy(probs, labels):
+    # coarse values force score ties; some retained sets are rejected
+    if labels.size % 3 == 0:
+        raise ValueError("rejected retained set")
+    return round(float(np.mean(probs.argmax(axis=1) == labels)), 1)
+
+
+@st.composite
+def _fumera_instances(draw):
+    """Rows and grid on the same lattice k/steps, so top-class probabilities
+    equal grid values and tie; labels, metric and budget to go with them."""
+    n_classes = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(2, 25))
+    steps = draw(st.sampled_from([4, 10]))
+    rows = []
+    for _ in range(n):
+        cuts = sorted(draw(st.lists(st.integers(0, steps), min_size=n_classes - 1, max_size=n_classes - 1)))
+        rows.append(np.diff([0, *cuts, steps]) / steps)
+    grid = np.array(draw(st.lists(st.integers(0, steps), min_size=3, max_size=11, unique=True))) / steps
+    labels = np.array(draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n)))
+    metrics = [_kappa_metric, _picky_accuracy] + ([_auroc_metric] if n_classes == 2 else [])
+    metric = draw(st.sampled_from(metrics))
+    return ProbabilityMatrix(np.array(rows)), labels, metric, draw(st.integers(0, n)), grid
+
+
+class TestFumeraSearchProperties:
+    @settings(derandomize=True, deadline=None)
+    @given(_fumera_instances())
+    def test_matches_exhaustive_oracle(self, instance):
+        matrix, labels, metric, budget, grid = instance
+        got = fumera_threshold_search(matrix, labels, metric, budget, grid=grid)
+        want = exhaustive_threshold_search(matrix.entries, labels, metric, budget, grid)
+        np.testing.assert_array_equal(got, want)
+
+    @settings(derandomize=True, deadline=None)
+    @given(_fumera_instances())
+    def test_one_metric_call_per_distinct_feasible_abstained_set(self, instance):
+        matrix, labels, metric, budget, grid = instance
+        calls = []
+
+        def counted(probs, retained):
+            calls.append(retained.size)
+            return metric(probs, retained)
+
+        fumera_threshold_search(matrix, labels, counted, budget, grid=grid)
+        top = matrix.entries.argmax(axis=1)
+        top_p = matrix.entries[np.arange(matrix.n), top]
+        abstained_sets = {
+            tuple(np.flatnonzero(top_p < np.asarray(t)[top]))
+            for t in itertools.product(grid, repeat=matrix.class_count)
+        }
+        assert len(calls) == sum(len(a) <= budget for a in abstained_sets)
+
+    def test_rejects_nan_grid_value(self):
+        matrix = ProbabilityMatrix.from_binary(np.array([0.2, 0.6, 0.9]))
+        with pytest.raises(ValueError, match="finite"):
+            fumera_threshold_search(matrix, np.array([0, 1, 1]), _auroc_metric, 1, grid=[0.0, np.nan, 1.0])
 
 
 class TestSelectAbstentions:

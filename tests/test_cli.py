@@ -139,6 +139,50 @@ def _single_error_line(capsys, error_type):
     assert err.count("\n") == 1 and err.startswith(f"error: {error_type}:"), err
 
 
+@pytest.mark.parametrize("metric", ["auroc", "sens_at_spec"])
+def test_evaluate_rejects_binary_metric_on_multiclass(tmp_path, capsys, metric):
+    rng = np.random.default_rng(4)
+    probs = rng.dirichlet(np.ones(3), 40)
+    labels = (probs[:, 2] > 0.3).astype(int)
+    data = tmp_path / "three.csv"
+    write_predictions(data, probs, labels)
+    assert main(["evaluate", "--input", str(data), "--metric", metric]) == 1
+    _single_error_line(capsys, "SchemaError")
+
+    # a 2-column matrix is binary and scores like the positive-class vector
+    binary, matrix = tmp_path / "binary.csv", tmp_path / "two.csv"
+    write_predictions(binary, probs[:, 1], labels)
+    write_predictions(matrix, np.column_stack([1.0 - probs[:, 1], probs[:, 1]]), labels)
+    values = []
+    for path in (binary, matrix):
+        assert main(["evaluate", "--input", str(path), "--metric", metric]) == 0
+        values.append(json.loads(capsys.readouterr().out)["value"])
+    assert values[0] == values[1]
+
+
+def test_evaluate_kappa_rejects_binary_vector(tmp_path, capsys):
+    data = tmp_path / "binary.csv"
+    write_predictions(data, np.linspace(0.05, 0.95, 10), np.arange(10) % 2)
+    assert main(["evaluate", "--input", str(data), "--metric", "weighted_kappa"]) == 1
+    _single_error_line(capsys, "SchemaError")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "--input", "missing.csv"],
+        ["experiment", "--spec", "missing.json"],
+        ["apply-calibrator", "--input", "raw.csv", "--calibrator", "missing.json", "--output", "out.csv"],
+    ],
+    ids=["compare", "experiment", "apply_calibrator"],
+)
+def test_missing_input_is_named(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "raw.csv").write_text("id,label,score\n0,1,0.5\n")
+    assert main(argv) == 1
+    _single_error_line(capsys, "InputNotFound")
+
+
 @pytest.mark.parametrize("command", ["calibrate", "apply-calibrator"])
 @pytest.mark.parametrize(
     "content, error_type",

@@ -1,12 +1,15 @@
 """Experiment grid runner: schemas, determinism, and task behavior."""
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from abstainkit.errors import InputNotFound, SchemaError
+from abstainkit import experiments
+from abstainkit.calibration import adapt_label_shift_em
+from abstainkit.errors import DidNotConverge, InputNotFound, SchemaError
 from abstainkit.experiments import (
     ExperimentSpec,
     MethodSpec,
@@ -64,6 +67,14 @@ class TestPredictionCsv:
                 read_predictions(bad)
         with pytest.raises(InputNotFound):
             read_predictions(tmp_path / "missing.csv")
+        for content in (
+            "id,label,prob\n0,0,0.2\n1,2,0.7\n",
+            "id,label,prob\n0,-1,0.2\n1,1,0.7\n",
+            "id,label,p_0,p_1,p_2\n0,7,0.2,0.3,0.5\n1,0,0.6,0.3,0.1\n",
+        ):
+            bad.write_text(content)
+            with pytest.raises(SchemaError, match=r"bad\.csv: labels must lie in \[0, [23]\)"):
+                read_predictions(bad)
 
 
 def _small_figure1_spec(tmp_path, **overrides):
@@ -158,6 +169,23 @@ class TestOtherTasks:
         rows = _read_rows(run_experiment(spec)["results"])
         assert sorted(int(r["adapted"]) for r in rows) == [0, 1]
 
+    def test_label_shift_unconverged_em_names_the_seed(self, tmp_path, monkeypatch):
+        def capped(test_probs, train_priors):
+            return dataclasses.replace(adapt_label_shift_em(test_probs, train_priors), converged=False)
+
+        monkeypatch.setattr(experiments, "adapt_label_shift_em", capped)
+        spec = ExperimentSpec.from_dict({
+            "task": "label_shift",
+            "methods": ["max_class_prob"],
+            "budgets": [0.2],
+            "seeds": [3],
+            "metric": {"name": "auroc"},
+            "sim": {"n": 3000},
+            "output": str(tmp_path / "ls"),
+        })
+        with pytest.raises(DidNotConverge, match="seed 3"):
+            run_experiment(spec)
+
     def test_custom_task_reads_csv(self, tmp_path):
         rng = np.random.default_rng(0)
         probs = rng.uniform(0, 1, 300)
@@ -221,6 +249,16 @@ class TestAbstainIndices:
             MethodSpec("fumera", {"grid": 11}), probs, 0.25, metric, mc, labels=labels
         )
         assert idx.size <= 30
+
+    def test_fumera_rejects_binary_metric_on_multiclass(self):
+        # every grid tuple's metric call would fail, leaving nothing abstained
+        rng = np.random.default_rng(3)
+        probs = rng.dirichlet(np.ones(3), 60)
+        with pytest.raises(SchemaError, match="binary"):
+            abstain_indices(
+                MethodSpec("fumera", {"grid": 5}), probs, 0.2, MetricSpec(name="auroc"),
+                MonteCarloConfig(samples=2), labels=rng.integers(0, 2, 60),
+            )
 
     def test_zero_budget_returns_empty(self):
         metric = MetricSpec(name="auroc")

@@ -88,6 +88,41 @@ class TestThresholdVectors:
         with pytest.raises(NoNegatives, match="no negatives remain"):
             self._shifted(counts, 0.5, 2)
 
+    @settings(derandomize=True, deadline=None)
+    @given(
+        st.lists(st.integers(0, 4), min_size=10, max_size=60),
+        st.booleans(),
+        st.one_of(st.floats(0.0, 1e-9), st.floats(0.0, 1.0), st.floats(1.0 - 1e-9, 1.0)),
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+    )
+    def test_matches_linear_scan(self, quarters, soft, s, fractions):
+        # 0/1 labels give integer runs of equal neg_suffix values; quarter
+        # probabilities give soft ones. Both vector forms the scorer uses are
+        # checked: removed mass below the threshold (left) and above it (right).
+        values = np.sort(np.array(quarters) / 4.0) if soft else (np.array(quarters) >= 2).astype(float)
+        counts = running_counts(values, window=1)
+        n, total = values.size, counts.total_neg
+        if total == 0:
+            return
+        # every count the scorer removes for labels; some of the mass for soft values
+        removed = np.array(fractions) * total * 0.999 if soft else np.arange(total)
+        denom = total - removed
+
+        # decimal targets put (1 - s) * denom a rounding error off an integer count
+        for target in (s, 0.5, 0.7, 0.8, 0.9, 0.95):
+            def scan(d, r):
+                return next(
+                    (i for i in range(n) if 1.0 - (counts.neg_suffix[i] - r) / d >= target), n
+                )
+
+            left = specificity_threshold_index(counts.neg_suffix, denom, target)
+            right = specificity_threshold_index(counts.neg_suffix, denom, target, removed_above=removed)
+            assert left.shape == right.shape == denom.shape
+            assert left.tolist() == [scan(d, 0.0) for d in denom]
+            assert right.tolist() == [scan(d, r) for d, r in zip(denom, removed)]
+            single = specificity_threshold_index(counts.neg_suffix, total, target)
+            assert type(single) is int and single == scan(total, 0.0)
+
 
 @st.composite
 def _window_instances(draw):
