@@ -252,11 +252,17 @@ def _read_value_csv(path, binary_column: str, class_prefix: str):
             raise SchemaError(f"{path}: row has {len(row)} cells, expected {len(header)}")
         ids.append(row[0])
         labels.append(row[1])
-        values.append([float(v) for v in row[2:]])
+        try:
+            values.append([float(v) for v in row[2:]])
+        except ValueError as exc:
+            raise SchemaError(f"{path}: value cell is not a number: {exc}") from None
     have_labels = any(cell != "" for cell in labels)
     if have_labels and not all(cell != "" for cell in labels):
         raise SchemaError(f"{path}: labels must be all present or all empty")
-    label_arr = np.array([int(v) for v in labels], dtype=np.int64) if have_labels else None
+    try:
+        label_arr = np.array([int(v) for v in labels], dtype=np.int64) if have_labels else None
+    except ValueError as exc:
+        raise SchemaError(f"{path}: label cell is not an integer: {exc}") from None
     value_arr = np.asarray(values, dtype=float)
     class_count = 2 if binary else value_arr.shape[1]
     if label_arr is not None and not (label_arr.min() >= 0 and label_arr.max() < class_count):

@@ -498,9 +498,7 @@ def fumera_threshold_search(
         for c in range(n_classes)
     ]
     scores = {}  # per-class counts -> metric score, or None where it raised
-    best_score = -np.inf
-    best_count = None
-    best_index = None
+    best_score = best_count = best_index = None
     for index in itertools.product(range(grid_values.size), repeat=n_classes):
         key = tuple(class_counts[g] for class_counts, g in zip(counts, index))
         count = sum(key)
@@ -515,7 +513,7 @@ def fumera_threshold_search(
         score = scores[key]
         if score is None:
             continue
-        if score > best_score or (score == best_score and count < best_count):
+        if best_index is None or score > best_score or (score == best_score and count < best_count):
             best_score, best_count, best_index = score, count, index
     if best_index is None:
         return np.zeros(n_classes)

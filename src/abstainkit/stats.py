@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+# scipy is imported inside the functions that call it: ~0.7 s per subpackage, unused by most subcommands.
+
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import TooFewPairs, ZeroVariance
 
@@ -39,6 +40,8 @@ def rank_correlations(a, b) -> tuple[float, float]:
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim != 1 or a.size < 3:
         raise ValueError("need two aligned vectors of length >= 3")
+    from scipy.stats import rankdata
+
     pearson = _pearson(a, b)
     spearman = _pearson(rankdata(a, method="average"), rankdata(b, method="average"))
     return spearman, pearson
@@ -75,6 +78,8 @@ def wilcoxon_signed_rank_one_sided(differences) -> float:
     n = diffs.size
     if n < 5:
         raise TooFewPairs(f"need at least 5 nonzero differences, got {n}")
+    from scipy.stats import rankdata
+
     ranks = rankdata(np.abs(diffs), method="average")
     w_plus = float(ranks[diffs > 0].sum())
     if n <= EXACT_WILCOXON_MAX_N:

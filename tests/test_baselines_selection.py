@@ -144,6 +144,13 @@ def _picky_accuracy(probs, labels):
     return round(float(np.mean(probs.argmax(axis=1) == labels)), 1)
 
 
+def _minus_inf_on_even(probs, labels):
+    # -inf is a score, not a skip: retained sets of even size score it
+    if labels.size % 2 == 0:
+        return -np.inf
+    return round(float(np.mean(probs.argmax(axis=1) == labels)), 1)
+
+
 @st.composite
 def _fumera_instances(draw):
     """Rows and grid on the same lattice k/steps, so top-class probabilities
@@ -157,7 +164,7 @@ def _fumera_instances(draw):
         rows.append(np.diff([0, *cuts, steps]) / steps)
     grid = np.array(draw(st.lists(st.integers(0, steps), min_size=3, max_size=11, unique=True))) / steps
     labels = np.array(draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n)))
-    metrics = [_kappa_metric, _picky_accuracy] + ([_auroc_metric] if n_classes == 2 else [])
+    metrics = [_kappa_metric, _picky_accuracy, _minus_inf_on_even] + ([_auroc_metric] if n_classes == 2 else [])
     metric = draw(st.sampled_from(metrics))
     return ProbabilityMatrix(np.array(rows)), labels, metric, draw(st.integers(0, n)), grid
 
@@ -189,6 +196,13 @@ class TestFumeraSearchProperties:
             for t in itertools.product(grid, repeat=matrix.class_count)
         }
         assert len(calls) == sum(len(a) <= budget for a in abstained_sets)
+
+    def test_minus_inf_first_score_is_kept(self):
+        matrix = ProbabilityMatrix.from_binary(np.array([0.2, 0.6, 0.9]))
+        labels = np.array([0, 1, 1])
+        got = fumera_threshold_search(matrix, labels, lambda p, y: -np.inf, 1, grid=3)
+        want = exhaustive_threshold_search(matrix.entries, labels, lambda p, y: -np.inf, 1, np.linspace(0, 1, 3))
+        np.testing.assert_array_equal(got, want)
 
     def test_rejects_nan_grid_value(self):
         matrix = ProbabilityMatrix.from_binary(np.array([0.2, 0.6, 0.9]))

@@ -225,6 +225,19 @@ def test_evaluate_rejects_nan_probability(tmp_path, capsys):
     _single_error_line(capsys, "ValueError")
 
 
+@pytest.mark.parametrize(
+    "content, kind",
+    [("id,label,prob\n0,1.0,0.2\n1,0,0.7\n", "label"), ("id,label,prob\n0,1,\n1,0,0.7\n", "value")],
+    ids=["float_label", "empty_value"],
+)
+def test_unparseable_cell_is_named(tmp_path, capsys, content, kind):
+    data = tmp_path / "data.csv"
+    data.write_text(content)
+    assert main(["evaluate", "--input", str(data), "--metric", "auroc"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: SchemaError: {data}: {kind} cell"), err
+
+
 def _write_results(path, rows):
     header = ["seed", "method", "budget", "metric", "adapted", "base", "post", "abstained", "n"]
     lines = [",".join(header)]

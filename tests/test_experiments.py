@@ -75,6 +75,16 @@ class TestPredictionCsv:
             bad.write_text(content)
             with pytest.raises(SchemaError, match=r"bad\.csv: labels must lie in \[0, [23]\)"):
                 read_predictions(bad)
+        for content, kind in (
+            ("id,label,prob\n0,1.0,0.2\n1,0,0.7\n", "label"),
+            ("id,label,prob\n0,x,0.2\n1,0,0.7\n", "label"),
+            ("id,label,prob\n0,1,abc\n1,0,0.7\n", "value"),
+            ("id,label,prob\n0,1,\n1,0,0.7\n", "value"),
+            ("id,label,p_0,p_1\n0,1,0.5,0.5\n1,0,0.3,\n", "value"),
+        ):
+            bad.write_text(content)
+            with pytest.raises(SchemaError, match=rf"bad\.csv: {kind} cell"):
+                read_predictions(bad)
 
 
 def _small_figure1_spec(tmp_path, **overrides):

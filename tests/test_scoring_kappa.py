@@ -131,3 +131,28 @@ def test_monte_carlo_equals_same_stream_recompute_mean(instance):
         reject()
     want = same_stream_kappa_means(p, weights, 5, seed)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+
+@st.composite
+def _lattice_simplex_rows(draw):
+    """Rows k/steps summing to 1 (steps 1 gives one-hot rows), so entries and
+    argmax candidates tie."""
+    n = draw(st.integers(3, 10))
+    c = draw(st.integers(2, 4))
+    steps = draw(st.sampled_from([1, 4, 10]))
+    rows = []
+    for _ in range(n):
+        cuts = sorted(draw(st.lists(st.integers(0, steps), min_size=c - 1, max_size=c - 1)))
+        rows.append(np.diff([0, *cuts, steps]) / steps)
+    return np.array(rows)
+
+
+@settings(derandomize=True, deadline=None)
+@given(_lattice_simplex_rows())
+def test_deterministic_equals_naive_loop_evaluation(p):
+    weights = PenaltyWeightMatrix.quadratic(p.shape[1])
+    try:
+        got = score_examples_kappa(ProbabilityMatrix(p), weights).scores
+    except DegenerateDenominator:
+        reject()
+    np.testing.assert_allclose(got, naive_kappa_marginals(p, weights.weights), rtol=0, atol=1e-10)

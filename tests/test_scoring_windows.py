@@ -156,6 +156,33 @@ class TestSameStreamOracle:
         np.testing.assert_array_equal(got, same_stream_window_means(p, d, 6, seed, auroc))
 
 
+@st.composite
+def _lattice_window_instances(draw):
+    """Sorted probabilities k/steps (steps 1 gives hard 0/1 values), so values
+    tie, with their integer numerators and a window size."""
+    steps = draw(st.sampled_from([1, 4, 10]))
+    n = draw(st.integers(3, 12))
+    ks = np.sort(draw(st.lists(st.integers(0, steps), min_size=n, max_size=n)))
+    return ks / steps, ks, steps, draw(st.integers(1, n - 1))
+
+
+class TestDeterministicOracle:
+    @settings(derandomize=True, deadline=None)
+    @given(_lattice_window_instances())
+    def test_auroc_equals_naive_double_loop(self, instance):
+        p, ks, steps, d = instance
+        preds = SortedPredictionSet(p)
+        # expected class mass left by each window, in exact units of 1/steps
+        kept_pos = ks.sum() - np.convolve(ks, np.ones(d, dtype=int), "valid")
+        kept_neg = (p.size - d) * steps - kept_pos
+        if min(kept_pos.min(), kept_neg.min()) == 0:
+            with pytest.raises(DegenerateExpectedCounts):
+                score_windows_auroc(preds, d, mode="deterministic")
+            return
+        got = score_windows_auroc(preds, d, mode="deterministic").scores
+        np.testing.assert_allclose(got, naive_auroc_window_scores(p, d), rtol=0, atol=1e-10)
+
+
 class TestSensWindowScorer:
     def test_degenerate_probability_collapse_exact(self):
         rng = np.random.default_rng(7)

@@ -1,0 +1,119 @@
+"""scipy stays off the CLI start-up path.
+
+Only `calibrate` (calibrator fits) and the rank statistics (`compare`, the
+`auroc_correlation` task) call scipy, so every other subcommand must run in
+a fresh interpreter without ever importing it. Each check runs in its own
+subprocess, because this test process may have imported scipy already.
+No timings are asserted.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import abstainkit
+from abstainkit.experiments import write_predictions
+
+_SRC = os.path.dirname(os.path.dirname(abstainkit.__file__))
+_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")])))
+
+# Runs each (name, argv) through cli.main, then writes the exit codes and the
+# scipy modules loaded so far to the JSON file named by argv[1].
+_RUN_COMMANDS = """
+import json, sys
+if sys.argv[3] == "block":
+    sys.modules["scipy"] = None  # any import of scipy or scipy.* now fails
+from abstainkit.cli import main
+codes = {name: main(argv) for name, argv in json.loads(sys.argv[2])}
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+with open(sys.argv[1], "w") as fh:
+    json.dump({"codes": codes, "scipy": loaded}, fh)
+"""
+
+
+def _run_commands(tmp_path, commands, block_scipy=False):
+    report = tmp_path / "report.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_COMMANDS, str(report), json.dumps(commands),
+         "block" if block_scipy else "allow"],
+        cwd=tmp_path, env=_ENV, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(report.read_text())
+
+
+def _write_raw_logits(path, n=300, c=3, seed=0):
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, c, n)
+    logits = rng.normal(0, 1, (n, c)) + 2.0 * np.eye(c)[labels]
+    lines = ["id,label," + ",".join(f"z_{k}" for k in range(c))]
+    for i, (y, row) in enumerate(zip(labels, logits)):
+        lines.append(f"{i},{y}," + ",".join(repr(float(v)) for v in row))
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("module", ["abstainkit", "abstainkit.cli"])
+def test_import_leaves_scipy_unloaded(tmp_path, module):
+    code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], env=_ENV, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_pipeline_runs_with_scipy_blocked(tmp_path):
+    (tmp_path / "spec.json").write_text(json.dumps({
+        "task": "figure1",
+        "methods": ["sens_window", "max_class_prob"],
+        "budgets": [0.3],
+        "seeds": [0],
+        "metric": {"name": "sens_at_spec", "target_specificity": 0.9},
+        "mc_samples": 20,
+        "sim": {"n": 400},
+        "output": "exp",
+    }))
+    _write_raw_logits(tmp_path / "raw.csv")
+    (tmp_path / "cal.json").write_text(json.dumps({"kind": "temperature", "scale": 1.0, "offset": [0.0] * 3}))
+    rng = np.random.default_rng(1)
+    p = rng.uniform(0, 1, 400)
+    write_predictions(tmp_path / "binary.csv", p, (rng.random(400) < p).astype(int))
+    commands = [
+        ("experiment", ["experiment", "--spec", "spec.json"]),
+        ("apply-calibrator", ["apply-calibrator", "--input", "raw.csv", "--calibrator", "cal.json",
+                              "--output", "calibrated.csv"]),
+        ("adapt", ["adapt", "--input", "calibrated.csv", "--train-priors", "0.4,0.3,0.3",
+                   "--output", "adapted.csv"]),
+        ("abstain kappa_marginal_mc", ["abstain", "--input", "adapted.csv", "--method", "kappa_marginal_mc",
+                                       "--metric", "weighted_kappa", "--budget", "0.2",
+                                       "--mc-samples", "20", "--output", "kappa.json"]),
+        ("abstain sens_window", ["abstain", "--input", "binary.csv", "--method", "sens_window",
+                                 "--budget", "0.3", "--mc-samples", "20", "--output", "sens.json"]),
+        ("evaluate", ["evaluate", "--input", "binary.csv", "--abstain-file", "sens.json"]),
+    ]
+    report = _run_commands(tmp_path, commands, block_scipy=True)
+    assert report["codes"] == {name: 0 for name, _ in commands}
+    assert (tmp_path / "exp" / "results.csv").exists()
+    assert len(json.loads((tmp_path / "kappa.json").read_text())["indices"]) == 60
+
+
+@pytest.mark.parametrize(
+    "command, module",
+    [("calibrate", "scipy.optimize"), ("compare", "scipy.stats")],
+)
+def test_scipy_commands_load_it(tmp_path, command, module):
+    _write_raw_logits(tmp_path / "raw.csv")
+    lines = ["seed,method,budget,metric,adapted,base,post,abstained,n"]
+    for seed in range(6):
+        lines += [f"{seed},a,0.3,auroc,0,0.5,{0.6 + 0.01 * seed!r},30,100",
+                  f"{seed},b,0.3,auroc,0,0.5,{0.5 + 0.02 * seed!r},30,100"]
+    (tmp_path / "results.csv").write_text("\n".join(lines) + "\n")
+    argv = {
+        "calibrate": ["calibrate", "--input", "raw.csv", "--kind", "temperature", "--output", "cal.json"],
+        "compare": ["compare", "--input", "results.csv", "--output", "pvalues.json"],
+    }[command]
+    report = _run_commands(tmp_path, [(command, argv)])
+    assert report["codes"] == {command: 0}
+    assert module in report["scipy"]
