@@ -8,9 +8,10 @@ Calibrators map raw scores or logits to calibrated probabilities:
   per-class additive offset fit jointly with the temperature
 
 Fits minimize the negative log-likelihood with a deterministic start
-(scale=1, offset=0) refined by bounded quasi-Newton steps; the temperature
-kinds additionally scan a fixed log-spaced grid so a bad start cannot leave
-the fit in a poor local basin. Identical inputs always give identical fits.
+(scale=1, offset=0) refined by bounded quasi-Newton steps; the ``temperature``
+kind also starts from the best scale on a fixed log-spaced grid, so a bad
+start cannot leave the fit in a poor local basin (``bias_corrected_temperature``
+starts only from scale=1, offset=0). Identical inputs always give identical fits.
 
 Label-shift adaptation reweights calibrated test-set posteriors by iterating
 expectation/maximization over the unknown test priors.

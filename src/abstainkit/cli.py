@@ -20,20 +20,20 @@ import sys
 import numpy as np
 
 from .calibration import Calibrator, PriorEstimate, adapt_label_shift_em, apply_calibrator, fit_calibrator
-from .errors import AbstainkitError, InputNotFound, SchemaError
+from .errors import AbstainkitError, DidNotConverge, InputNotFound, SchemaError
 from .experiments import (
     ExperimentSpec,
     MethodSpec,
     MetricSpec,
     _load_json,
     _read_value_csv,
+    _shaped,
     abstain_indices,
     evaluate_metric,
     read_predictions,
     run_experiment,
     write_predictions,
 )
-from .metrics import ProbabilityMatrix
 from .scoring import MonteCarloConfig
 from .simulate import BinarySimConfig, MulticlassSimConfig, simulate_binary, simulate_multiclass
 from .stats import compare_methods
@@ -45,6 +45,17 @@ def _parse_priors(text: str) -> PriorEstimate:
 
 def _metric_spec(args) -> MetricSpec:
     return MetricSpec(name=args.metric, target_specificity=args.target_specificity)
+
+
+def _emit(payload, output, indent=None) -> None:
+    """Write a JSON payload to ``output``, or print it on one line when there is none."""
+    if output:
+        with open(output, "w") as fh:
+            json.dump(payload, fh, indent=indent)
+            fh.write("\n")
+        print(f"wrote {output}")
+    else:
+        print(json.dumps(payload))
 
 
 def _cmd_simulate(args) -> int:
@@ -68,14 +79,17 @@ def _cmd_simulate(args) -> int:
 def _read_raw_scores(path):
     """Raw-score CSV: `id,label,score` (binary) or `id,label,z_0..z_{C-1}`.
 
-    Returns ``(labels_or_None, scores)``.
+    Returns ``(ids, labels_or_None, scores)``; every score must be finite.
     """
-    _, labels, scores = _read_value_csv(path, "score", "z")
-    return labels, scores
+    ids, labels, scores = _read_value_csv(path, "score", "z")
+    if not np.isfinite(scores).all():
+        raise SchemaError(f"{path}: value cell is not finite")
+    return ids, labels, scores
 
 
 def _cmd_calibrate(args) -> int:
-    labels, scores = _read_raw_scores(args.input)
+    # the slice drops the ids at once, so they are not held during the fit
+    labels, scores = _read_raw_scores(args.input)[1:]
     if labels is None:
         raise SchemaError(f"{args.input}: calibrate needs labeled raw scores")
     cal = fit_calibrator(args.kind, scores, labels)
@@ -86,20 +100,22 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_apply(args) -> int:
     cal = Calibrator.from_dict(_load_json(args.calibrator))
-    labels, scores = _read_raw_scores(args.input)
-    write_predictions(args.output, apply_calibrator(cal, scores), labels)
+    ids, labels, scores = _read_raw_scores(args.input)
+    write_predictions(args.output, apply_calibrator(cal, scores), labels, ids)
     print(f"wrote {args.output}")
     return 0
 
 
 def _cmd_adapt(args) -> int:
-    _, labels, probs = read_predictions(args.input)
-    matrix = ProbabilityMatrix.from_binary(probs) if probs.ndim == 1 else ProbabilityMatrix(probs)
+    ids, labels, probs = read_predictions(args.input)
     result = adapt_label_shift_em(
-        matrix, _parse_priors(args.train_priors), tol=args.tol, max_iter=args.max_iter
+        _shaped(probs, "lifted", "adapt"), _parse_priors(args.train_priors),
+        tol=args.tol, max_iter=args.max_iter,
     )
+    if not result.converged:
+        raise DidNotConverge(f"label-shift EM did not converge in {result.iterations} iterations")
     adapted = result.adapted_probs.entries
-    write_predictions(args.output, adapted[:, 1] if probs.ndim == 1 else adapted, labels)
+    write_predictions(args.output, adapted[:, 1] if probs.ndim == 1 else adapted, labels, ids)
     print(json.dumps({
         "test_priors": result.test_priors.priors.tolist(),
         "iterations": result.iterations,
@@ -126,13 +142,7 @@ def _cmd_abstain(args) -> int:
         "indices": indices.tolist(),
         "estimated_metric": estimate,
     }
-    if args.output:
-        with open(args.output, "w") as fh:
-            json.dump(payload, fh)
-            fh.write("\n")
-        print(f"wrote {args.output}")
-    else:
-        print(json.dumps(payload))
+    _emit(payload, args.output)
     return 0
 
 
@@ -190,13 +200,7 @@ def _cmd_compare(args) -> int:
         "p_values": result.p_values.tolist(),
         "significant": result.significant.tolist(),
     }
-    if args.output:
-        with open(args.output, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {args.output}")
-    else:
-        print(json.dumps(payload))
+    _emit(payload, args.output, indent=2)
     return 0
 
 

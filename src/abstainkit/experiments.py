@@ -202,20 +202,26 @@ def _load_json(path):
 # Raw-score files read by the CLI use the same layout with `score` / `z_c`.
 # ---------------------------------------------------------------------------
 
-def write_predictions(path, probs, labels=None, ids=None) -> None:
-    probs = np.asarray(getattr(probs, "entries", probs), dtype=float)
-    n = probs.shape[0]
-    ids = range(n) if ids is None else ids
-    binary = probs.ndim == 1
-    header = ["id", "label", "prob"] if binary else ["id", "label"] + [f"p_{c}" for c in range(probs.shape[1])]
+def _write_rows(path, header, rows) -> None:
+    """The one CSV writer: prediction files and experiment results."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for i, row_id in zip(range(n), ids):
-            label = "" if labels is None else int(labels[i])
-            row = [row_id, label]
-            row += [repr(float(probs[i]))] if binary else [repr(float(v)) for v in probs[i]]
-            writer.writerow(row)
+        writer.writerows(rows)
+
+
+def write_predictions(path, probs, labels=None, ids=None) -> None:
+    probs = np.asarray(getattr(probs, "entries", probs), dtype=float)
+    n = probs.shape[0]
+    binary = probs.ndim == 1
+    header = ["id", "label", "prob"] if binary else ["id", "label"] + [f"p_{c}" for c in range(probs.shape[1])]
+    table = probs[:, None] if binary else probs
+    # rows stream one at a time: a whole-table list would raise the peak memory
+    rows = (
+        [row_id, "" if labels is None else int(labels[i]), *map(repr, table[i].tolist())]
+        for i, row_id in zip(range(n), range(n) if ids is None else ids)
+    )
+    _write_rows(path, header, rows)
 
 
 def _read_value_csv(path, binary_column: str, class_prefix: str):
@@ -282,24 +288,37 @@ def read_predictions(path):
 # Method pipelines
 # ---------------------------------------------------------------------------
 
-def _require_metric_shape(metric: MetricSpec, probs: np.ndarray) -> None:
-    """Kappa needs an N x C matrix; binary metrics a vector or 2 columns."""
-    if metric.name == "weighted_kappa":
+def _shaped(probs, layout: str, consumer: str):
+    """The one shape rule for predictions, whether a file stores `prob` or `p_0..`.
+
+    ``"binary"`` returns the positive-class vector of a vector or an N x 2
+    matrix; ``"classes"`` returns an N x C matrix and rejects a vector, whose
+    class count is unknown; ``"lifted"`` returns a ProbabilityMatrix, lifting a
+    vector to ``[1 - p, p]``. A shape the layout rejects is a SchemaError.
+    """
+    probs = np.asarray(getattr(probs, "entries", probs), dtype=float)
+    if layout == "lifted":
+        return ProbabilityMatrix.from_binary(probs) if probs.ndim == 1 else ProbabilityMatrix(probs)
+    if layout == "classes":
         if probs.ndim != 2:
-            raise SchemaError("weighted_kappa needs an N x C probability matrix")
-    elif probs.ndim == 2 and probs.shape[1] != 2:
-        raise SchemaError(f"{metric.name} needs binary predictions, got {probs.shape[1]} classes")
+            raise SchemaError(f"{consumer} needs an N x C probability matrix")
+        return probs
+    if probs.ndim == 2 and probs.shape[1] != 2:
+        raise SchemaError(f"{consumer} needs binary predictions, got {probs.shape[1]} classes")
+    return probs if probs.ndim == 1 else probs[:, 1]
+
+
+# the layout each metric reads: kappa needs the class count, the others a positive column
+_METRIC_LAYOUT = {"sens_at_spec": "binary", "auroc": "binary", "weighted_kappa": "classes"}
 
 
 def evaluate_metric(metric: MetricSpec, probs, labels) -> float:
     """Recompute the metric on (retained) examples with their true labels."""
-    probs = np.asarray(getattr(probs, "entries", probs), dtype=float)
-    _require_metric_shape(metric, probs)
+    probs = _shaped(probs, _METRIC_LAYOUT[metric.name], metric.name)
     if metric.name == "weighted_kappa":
         weights = PenaltyWeightMatrix.quadratic(probs.shape[1])
         return weighted_kappa(probs.argmax(axis=1), labels, weights)
-    positive = probs if probs.ndim == 1 else probs[:, -1]
-    preds = SortedPredictionSet.from_unsorted(positive, labels)
+    preds = SortedPredictionSet.from_unsorted(probs, labels)
     if metric.name == "sens_at_spec":
         return sensitivity_at_specificity(preds, metric.target_specificity)
     return auroc(preds)
@@ -317,10 +336,12 @@ def abstain_indices(
 ):
     """Run one abstention method; returns ``(indices, estimate_or_None)``.
 
-    ``probs`` is the positive-class vector for binary methods or an N x C
-    matrix for the kappa methods; indices refer to the given row order.
-    ``labels`` are consulted only by the validation-search method and
-    ``variance`` only by the external-variance baseline.
+    ``probs`` is a positive-class vector or an N x C matrix; a vector and
+    its ``[1 - p, p]`` matrix give the same result. Window methods need
+    binary predictions and kappa methods a matrix, else SchemaError.
+    Indices refer to the given row order. ``labels`` are consulted only by
+    the validation-search method and ``variance`` only by the
+    external-variance baseline.
     """
     probs = np.asarray(getattr(probs, "entries", probs), dtype=float)
     n = probs.shape[0]
@@ -330,6 +351,7 @@ def abstain_indices(
     name = method.name
 
     if name in WINDOW_METHODS:
+        probs = _shaped(probs, "binary", name)
         order = np.argsort(probs, kind="stable")
         preds = SortedPredictionSet(probs[order])
         if name == "sens_window":
@@ -343,7 +365,7 @@ def abstain_indices(
         return np.sort(order[selected]), float(scores.scores[selected[0]])
 
     if name in KAPPA_METHODS:
-        matrix = ProbabilityMatrix(probs)
+        matrix = ProbabilityMatrix(_shaped(probs, "classes", name))
         weights = PenaltyWeightMatrix.quadratic(matrix.class_count)
         mode = "deterministic" if name == "kappa_marginal_det" else "monte_carlo"
         scores = score_examples_kappa(matrix, weights, mode=mode, mc=mc)
@@ -351,7 +373,7 @@ def abstain_indices(
         return selected, float(np.mean(scores.scores[selected]))
 
     if name in PRIORITY_METHODS:
-        matrix = ProbabilityMatrix.from_binary(probs) if probs.ndim == 1 else ProbabilityMatrix(probs)
+        matrix = _shaped(probs, "lifted", name)
         if name == "external_variance" and variance is None:
             raise MissingVariance("external_variance needs per-example variance scores")
         rule = "js_divergence_from_priors" if name == "js_divergence" else name
@@ -364,9 +386,9 @@ def abstain_indices(
     if name == "fumera":
         if labels is None:
             raise ValueError("fumera needs validation labels")
-        matrix = ProbabilityMatrix.from_binary(probs) if probs.ndim == 1 else ProbabilityMatrix(probs)
         # the search skips tuples the metric rejects, so a wrong shape would abstain on nothing
-        _require_metric_shape(metric, matrix.entries)
+        _shaped(probs, _METRIC_LAYOUT[metric.name], metric.name)
+        matrix = _shaped(probs, "lifted", name)
         grid = int(method.params.get("grid", 51))
         thresholds = fumera_threshold_search(
             matrix,
@@ -389,13 +411,6 @@ def abstain_indices(
 
 def _float_cell(value) -> str:
     return repr(float(value))
-
-
-def _write_rows(path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def _grid_rows(spec: ExperimentSpec, probs, labels, seed: int, priors, variance=None, adapted: int = 0):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from abstainkit.cli import main
-from abstainkit.experiments import write_predictions
+from abstainkit.experiments import read_predictions, write_predictions
 from abstainkit.stats import compare_methods
 
 
@@ -193,9 +193,15 @@ def test_missing_input_is_named(tmp_path, capsys, monkeypatch, argv):
         ("id,label,score,extra\n0,1,0.5,0.1\n", "SchemaError"),
         ("id,label,z_0,z_1\n0,1,0.5\n", "SchemaError"),
         ("id,label,score\n0,1,0.5\n1,,0.2\n", "SchemaError"),
+        ("id,label,score\n0,1,0.5\n1,0,inf\n", "SchemaError"),
+        ("id,label,score\n0,1,-inf\n1,0,0.2\n", "SchemaError"),
+        ("id,label,z_0,z_1\n0,1,0.5,nan\n1,0,0.2,0.1\n", "SchemaError"),
         (None, "InputNotFound"),
     ],
-    ids=["empty", "header_only", "bad_header", "bad_value_columns", "ragged_row", "partial_labels", "missing"],
+    ids=[
+        "empty", "header_only", "bad_header", "bad_value_columns", "ragged_row", "partial_labels",
+        "inf", "minus_inf", "nan", "missing",
+    ],
 )
 def test_raw_score_errors_are_named(tmp_path, capsys, command, content, error_type):
     raw = tmp_path / "raw.csv"
@@ -207,6 +213,91 @@ def test_raw_score_errors_are_named(tmp_path, capsys, command, content, error_ty
     code = main([command, "--input", str(raw), *extra, "--output", str(tmp_path / "out")])
     assert code == 1
     _single_error_line(capsys, error_type)
+
+
+def test_non_finite_logit_is_named_before_the_fit(tmp_path, capsys):
+    # an `inf` logit used to yield RuntimeWarnings and the identity calibrator
+    rng = np.random.default_rng(8)
+    logits = rng.normal(0, 2, (40, 2))
+    logits[7, 1] = np.inf
+    raw = tmp_path / "raw.csv"
+    raw.write_text("id,label,z_0,z_1\n" + "".join(
+        f"{i},{i % 2},{a!r},{b!r}\n" for i, (a, b) in enumerate(logits.tolist())
+    ))
+    cal = tmp_path / "cal.json"
+    assert main(["calibrate", "--input", str(raw), "--kind", "temperature", "--output", str(cal)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: SchemaError: {raw}: value cell is not finite\n"
+    assert not cal.exists()
+
+
+def test_ids_survive_apply_calibrator_and_adapt(tmp_path):
+    rng = np.random.default_rng(9)
+    logits = rng.normal(0, 2, (30, 3))
+    ids = [f"pt-{1000 + 7 * i}" for i in range(30)]
+    raw = tmp_path / "raw.csv"
+    raw.write_text("id,label,z_0,z_1,z_2\n" + "".join(
+        f"{row_id},{i % 3},{a!r},{b!r},{c!r}\n" for i, (row_id, (a, b, c)) in enumerate(zip(ids, logits.tolist()))
+    ))
+    cal = tmp_path / "cal.json"
+    cal.write_text(json.dumps({"kind": "temperature", "scale": 0.5, "offset": [0.0, 0.0, 0.0]}))
+    calibrated, adapted = tmp_path / "calibrated.csv", tmp_path / "adapted.csv"
+    assert main(["apply-calibrator", "--input", str(raw), "--calibrator", str(cal), "--output", str(calibrated)]) == 0
+    assert main(["adapt", "--input", str(calibrated), "--train-priors", "0.4,0.3,0.3", "--output", str(adapted)]) == 0
+    for path in (calibrated, adapted):
+        got_ids, labels, _ = read_predictions(path)
+        assert got_ids == ids
+        np.testing.assert_array_equal(labels, np.arange(30) % 3)
+
+
+def test_adapt_stops_on_unconverged_em(tmp_path, capsys):
+    rng = np.random.default_rng(10)
+    probs = rng.uniform(0, 1, 200)
+    data, out = tmp_path / "preds.csv", tmp_path / "adapted.csv"
+    write_predictions(data, probs, (rng.random(200) < probs).astype(int))
+    argv = ["adapt", "--input", str(data), "--train-priors", "0.9,0.1", "--output", str(out)]
+    assert main([*argv, "--max-iter", "1"]) == 1
+    _single_error_line(capsys, "DidNotConverge")
+    assert not out.exists()
+    assert main(argv) == 0
+
+
+def test_abstain_reads_vector_and_two_column_files_alike(tmp_path, capsys):
+    rng = np.random.default_rng(11)
+    probs = rng.uniform(0, 1, 200)
+    labels = (rng.random(200) < probs).astype(int)
+    vector, matrix = tmp_path / "vector.csv", tmp_path / "matrix.csv"
+    write_predictions(vector, probs, labels)
+    write_predictions(matrix, np.column_stack([1.0 - probs, probs]), labels)
+    # external_variance is left out: the CLI has no variance input
+    methods = ("sens_window", "auroc_window_det", "auroc_window_mc", "js_divergence", "max_class_prob", "entropy", "fumera")
+    for method in methods:
+        payloads = []
+        for path in (vector, matrix):
+            code = main(["abstain", "--input", str(path), "--method", method, "--budget", "0.2", "--mc-samples", "10"])
+            assert code == 0, (method, capsys.readouterr().err)
+            payloads.append(json.loads(capsys.readouterr().out))
+        assert payloads[0] == payloads[1], method
+
+
+@pytest.mark.parametrize(
+    "method, metric, probs",
+    [
+        ("kappa_marginal_det", "weighted_kappa", np.linspace(0.05, 0.95, 20)),
+        ("kappa_marginal_mc", "weighted_kappa", np.linspace(0.05, 0.95, 20)),
+        ("fumera", "weighted_kappa", np.linspace(0.05, 0.95, 20)),
+        ("sens_window", "sens_at_spec", np.full((20, 3), 1.0 / 3.0)),
+        ("auroc_window_det", "auroc", np.full((20, 3), 1.0 / 3.0)),
+        ("auroc_window_mc", "auroc", np.full((20, 3), 1.0 / 3.0)),
+    ],
+    ids=["kappa_det_vector", "kappa_mc_vector", "fumera_kappa_vector", "sens_window_3", "auroc_det_3", "auroc_mc_3"],
+)
+def test_abstain_rejects_a_layout_the_method_cannot_read(tmp_path, capsys, method, metric, probs):
+    data = tmp_path / "preds.csv"
+    write_predictions(data, probs, np.arange(20) % 2)
+    code = main(["abstain", "--input", str(data), "--method", method, "--metric", metric, "--budget", "0.2"])
+    assert code == 1
+    _single_error_line(capsys, "SchemaError")
 
 
 def test_calibrate_needs_labels(tmp_path, capsys):

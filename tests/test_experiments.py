@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from abstainkit import experiments
-from abstainkit.calibration import adapt_label_shift_em
+from abstainkit.calibration import PriorEstimate, adapt_label_shift_em
 from abstainkit.errors import DidNotConverge, InputNotFound, SchemaError
 from abstainkit.experiments import (
     ExperimentSpec,
@@ -269,6 +269,24 @@ class TestAbstainIndices:
                 MethodSpec("fumera", {"grid": 5}), probs, 0.2, MetricSpec(name="auroc"),
                 MonteCarloConfig(samples=2), labels=rng.integers(0, 2, 60),
             )
+
+    def test_vector_and_two_column_matrix_agree(self):
+        # a binary prediction set is the same input as a `prob` vector or `p_0,p_1` matrix
+        rng = np.random.default_rng(5)
+        probs = rng.uniform(0, 1, 150)
+        labels = (rng.random(150) < probs).astype(int)
+        matrix = np.column_stack([1.0 - probs, probs])
+        metric = MetricSpec(name="sens_at_spec", target_specificity=0.9)
+        mc = MonteCarloConfig(samples=10, seed=0)
+        extra = dict(labels=labels, priors=PriorEstimate.from_labels(labels, 2), variance=rng.random(150))
+        for name in (*experiments.WINDOW_METHODS, *experiments.PRIORITY_METHODS, "fumera"):
+            method = MethodSpec(name, {"grid": 11} if name == "fumera" else {})
+            (idx_v, est_v), (idx_m, est_m) = (
+                abstain_indices(method, p, 0.2, metric, mc, **extra) for p in (probs, matrix)
+            )
+            assert idx_v.size == 30 or name == "fumera", name
+            np.testing.assert_array_equal(idx_v, idx_m, err_msg=name)
+            assert est_v == est_m, name
 
     def test_zero_budget_returns_empty(self):
         metric = MetricSpec(name="auroc")
