@@ -29,7 +29,6 @@ from .metrics import (
     weighted_kappa,
 )
 from .scoring import (
-    AbstentionBudget,
     MarginalScoreVector,
     MonteCarloConfig,
     WindowScoreVector,
@@ -68,7 +67,6 @@ __all__ = [
     "fit_calibrator",
     "apply_calibrator",
     "adapt_label_shift_em",
-    "AbstentionBudget",
     "MonteCarloConfig",
     "WindowScoreVector",
     "MarginalScoreVector",

@@ -43,7 +43,7 @@ class NonpositiveTrainPrior(AbstainkitError, ValueError):
 
 
 class BudgetTooLarge(AbstainkitError, ValueError):
-    """Abstention count must satisfy 1 <= d < N for window/marginal scoring."""
+    """An abstention budget outside its valid range."""
 
 
 class BudgetMismatch(AbstainkitError, ValueError):

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .calibration import PriorEstimate, adapt_label_shift_em
-from .errors import DidNotConverge, InputNotFound, MissingVariance, SchemaError
+from .errors import BudgetTooLarge, DidNotConverge, InputNotFound, SchemaError
 from .metrics import (
     PenaltyWeightMatrix,
     ProbabilityMatrix,
@@ -31,7 +31,6 @@ from .metrics import (
     weighted_kappa,
 )
 from .scoring import (
-    AbstentionBudget,
     MarginalScoreVector,
     MonteCarloConfig,
     baseline_scores,
@@ -68,8 +67,9 @@ __all__ = [
 TASKS = ("figure1", "auroc_correlation", "kappa_convergence", "label_shift", "custom")
 
 WINDOW_METHODS = ("sens_window", "auroc_window_det", "auroc_window_mc")
-PRIORITY_METHODS = ("js_divergence", "max_class_prob", "entropy", "external_variance")
+PRIORITY_METHODS = ("js_divergence", "max_class_prob", "entropy")
 KAPPA_METHODS = ("kappa_marginal_det", "kappa_marginal_mc")
+METHODS = WINDOW_METHODS + KAPPA_METHODS + PRIORITY_METHODS + ("fumera",)
 
 # Simulated-classifier setup behind the binary comparison task.
 FIGURE1_CONFIG = dict(positive_prior=0.1, mu_pos=2.0, mu_neg=-1.0, sigma_pos=1.0, sigma_neg=2.0, n=10000)
@@ -122,6 +122,10 @@ class MetricSpec:
 class MethodSpec:
     name: str
     params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.name not in METHODS:
+            raise ValueError(f"unknown method {self.name!r}; expected one of {', '.join(METHODS)}")
 
     @classmethod
     def from_dict(cls, payload) -> "MethodSpec":
@@ -292,9 +296,10 @@ def _shaped(probs, layout: str, consumer: str):
     """The one shape rule for predictions, whether a file stores `prob` or `p_0..`.
 
     ``"binary"`` returns the positive-class vector of a vector or an N x 2
-    matrix; ``"classes"`` returns an N x C matrix and rejects a vector, whose
-    class count is unknown; ``"lifted"`` returns a ProbabilityMatrix, lifting a
-    vector to ``[1 - p, p]``. A shape the layout rejects is a SchemaError.
+    matrix; ``"classes"`` returns an N x C ProbabilityMatrix and rejects a
+    vector, whose class count is unknown; ``"lifted"`` returns a
+    ProbabilityMatrix, lifting a vector to ``[1 - p, p]``. A shape the layout
+    rejects is a SchemaError.
     """
     probs = np.asarray(getattr(probs, "entries", probs), dtype=float)
     if layout == "lifted":
@@ -302,7 +307,7 @@ def _shaped(probs, layout: str, consumer: str):
     if layout == "classes":
         if probs.ndim != 2:
             raise SchemaError(f"{consumer} needs an N x C probability matrix")
-        return probs
+        return ProbabilityMatrix(probs)
     if probs.ndim == 2 and probs.shape[1] != 2:
         raise SchemaError(f"{consumer} needs binary predictions, got {probs.shape[1]} classes")
     return probs if probs.ndim == 1 else probs[:, 1]
@@ -316,8 +321,8 @@ def evaluate_metric(metric: MetricSpec, probs, labels) -> float:
     """Recompute the metric on (retained) examples with their true labels."""
     probs = _shaped(probs, _METRIC_LAYOUT[metric.name], metric.name)
     if metric.name == "weighted_kappa":
-        weights = PenaltyWeightMatrix.quadratic(probs.shape[1])
-        return weighted_kappa(probs.argmax(axis=1), labels, weights)
+        weights = PenaltyWeightMatrix.quadratic(probs.class_count)
+        return weighted_kappa(probs.entries.argmax(axis=1), labels, weights)
     preds = SortedPredictionSet.from_unsorted(probs, labels)
     if metric.name == "sens_at_spec":
         return sensitivity_at_specificity(preds, metric.target_specificity)
@@ -332,20 +337,22 @@ def abstain_indices(
     mc: MonteCarloConfig,
     labels=None,
     priors=None,
-    variance=None,
 ):
     """Run one abstention method; returns ``(indices, estimate_or_None)``.
 
     ``probs`` is a positive-class vector or an N x C matrix; a vector and
     its ``[1 - p, p]`` matrix give the same result. Window methods need
     binary predictions and kappa methods a matrix, else SchemaError.
-    Indices refer to the given row order. ``labels`` are consulted only by
-    the validation-search method and ``variance`` only by the
-    external-variance baseline.
+    Indices refer to the given row order. The budget abstains on at most
+    ``floor(budget_fraction * N)`` rows; a fraction outside [0, 1) is
+    BudgetTooLarge. ``labels`` are consulted only by the validation-search
+    method.
     """
+    if not 0.0 <= budget_fraction < 1.0:
+        raise BudgetTooLarge(f"abstention budget must lie in [0, 1), got {budget_fraction}")
     probs = np.asarray(getattr(probs, "entries", probs), dtype=float)
     n = probs.shape[0]
-    d = AbstentionBudget(mode="top_k", fraction=budget_fraction).count_for(n)
+    d = int(np.floor(budget_fraction * n))
     if d == 0:
         return np.empty(0, dtype=np.int64), None
     name = method.name
@@ -360,49 +367,40 @@ def abstain_indices(
             scores = score_windows_auroc(preds, d, mode="deterministic")
         else:
             scores = score_windows_auroc(preds, d, mode="monte_carlo", mc=mc)
-        budget = AbstentionBudget(mode="window", count=d)
-        selected = select_abstentions(scores, budget)
+        selected = select_abstentions(scores, d)
         return np.sort(order[selected]), float(scores.scores[selected[0]])
 
     if name in KAPPA_METHODS:
-        matrix = ProbabilityMatrix(_shaped(probs, "classes", name))
+        matrix = _shaped(probs, "classes", name)
         weights = PenaltyWeightMatrix.quadratic(matrix.class_count)
         mode = "deterministic" if name == "kappa_marginal_det" else "monte_carlo"
         scores = score_examples_kappa(matrix, weights, mode=mode, mc=mc)
-        selected = select_abstentions(scores, AbstentionBudget(mode="top_k", count=d))
+        selected = select_abstentions(scores, d)
         return selected, float(np.mean(scores.scores[selected]))
 
     if name in PRIORITY_METHODS:
-        matrix = _shaped(probs, "lifted", name)
-        if name == "external_variance" and variance is None:
-            raise MissingVariance("external_variance needs per-example variance scores")
         rule = "js_divergence_from_priors" if name == "js_divergence" else name
-        priorities = baseline_scores(matrix, priors=priors, method=rule, variance=variance)
-        selected = select_abstentions(
-            MarginalScoreVector(priorities), AbstentionBudget(mode="top_k", count=d)
-        )
-        return selected, None
+        priorities = baseline_scores(_shaped(probs, "lifted", name), priors=priors, method=rule)
+        return select_abstentions(MarginalScoreVector(priorities), d), None
 
-    if name == "fumera":
-        if labels is None:
-            raise ValueError("fumera needs validation labels")
-        # the search skips tuples the metric rejects, so a wrong shape would abstain on nothing
-        _shaped(probs, _METRIC_LAYOUT[metric.name], metric.name)
-        matrix = _shaped(probs, "lifted", name)
-        grid = int(method.params.get("grid", 51))
-        thresholds = fumera_threshold_search(
-            matrix,
-            np.asarray(labels),
-            lambda keep_p, keep_y: evaluate_metric(metric, keep_p, keep_y),
-            AbstentionBudget(mode="top_k", count=d),
-            grid=grid,
-        )
-        entries = matrix.entries
-        top = entries.argmax(axis=1)
-        abstain = entries[np.arange(n), top] < thresholds[top]
-        return np.flatnonzero(abstain), None
-
-    raise ValueError(f"unknown method {name!r}")
+    # fumera, the one method left
+    if labels is None:
+        raise ValueError("fumera needs validation labels")
+    # the search skips tuples the metric rejects, so a wrong shape would abstain on nothing
+    _shaped(probs, _METRIC_LAYOUT[metric.name], metric.name)
+    matrix = _shaped(probs, "lifted", name)
+    grid = int(method.params.get("grid", 51))
+    thresholds = fumera_threshold_search(
+        matrix,
+        np.asarray(labels),
+        lambda keep_p, keep_y: evaluate_metric(metric, keep_p, keep_y),
+        d,
+        grid=grid,
+    )
+    entries = matrix.entries
+    top = entries.argmax(axis=1)
+    abstain = entries[np.arange(n), top] < thresholds[top]
+    return np.flatnonzero(abstain), None
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +411,7 @@ def _float_cell(value) -> str:
     return repr(float(value))
 
 
-def _grid_rows(spec: ExperimentSpec, probs, labels, seed: int, priors, variance=None, adapted: int = 0):
+def _grid_rows(spec: ExperimentSpec, probs, labels, seed: int, priors, adapted: int = 0):
     probs = np.asarray(getattr(probs, "entries", probs), dtype=float)
     labels = np.asarray(labels)
     base = evaluate_metric(spec.metric, probs, labels)
@@ -421,10 +419,7 @@ def _grid_rows(spec: ExperimentSpec, probs, labels, seed: int, priors, variance=
     for method in spec.methods:
         for budget in spec.budgets:
             mc = MonteCarloConfig(samples=spec.mc_samples, seed=seed, smooth=spec.smooth)
-            indices, _ = abstain_indices(
-                method, probs, budget, spec.metric, mc,
-                labels=labels, priors=priors, variance=variance,
-            )
+            indices, _ = abstain_indices(method, probs, budget, spec.metric, mc, labels=labels, priors=priors)
             keep = np.setdiff1d(np.arange(probs.shape[0]), indices)
             post = evaluate_metric(spec.metric, probs[keep], labels[keep])
             rows.append(

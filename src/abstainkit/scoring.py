@@ -44,7 +44,6 @@ from .metrics import (
 )
 
 __all__ = [
-    "AbstentionBudget",
     "MonteCarloConfig",
     "WindowScoreVector",
     "MarginalScoreVector",
@@ -69,36 +68,6 @@ _DEGENERATE_EPS = 1e-12
 
 
 @dataclass(frozen=True)
-class AbstentionBudget:
-    """How many examples may be abstained on and how they are selected.
-
-    ``window`` budgets abstain one contiguous interval of the sorted binary
-    predictions; ``top_k`` budgets abstain the examples with the highest
-    scores. Exactly one of ``fraction`` / ``count`` must be given; a fraction
-    resolves to ``floor(fraction * n)``.
-    """
-
-    mode: str
-    fraction: float | None = None
-    count: int | None = None
-
-    def __post_init__(self):
-        if self.mode not in ("window", "top_k"):
-            raise ValueError(f"unknown budget mode {self.mode!r}")
-        if (self.fraction is None) == (self.count is None):
-            raise ValueError("specify exactly one of fraction or count")
-        if self.fraction is not None and not 0.0 <= self.fraction < 1.0:
-            raise ValueError("fraction must lie in [0, 1)")
-        if self.count is not None and self.count < 0:
-            raise ValueError("count must be nonnegative")
-
-    def count_for(self, n: int) -> int:
-        if self.count is not None:
-            return int(self.count)
-        return int(np.floor(self.fraction * n))
-
-
-@dataclass(frozen=True)
 class MonteCarloConfig:
     """Sample count, stream seed and whether to smooth the averaged scores."""
 
@@ -117,7 +86,6 @@ class WindowScoreVector:
 
     scores: np.ndarray
     window_size: int
-    metric: str
 
     def __post_init__(self):
         object.__setattr__(self, "scores", np.asarray(self.scores, dtype=float))
@@ -152,11 +120,10 @@ class AurocSums:
     remaining_pos: np.ndarray
 
 
-def _window_count(budget, n: int) -> int:
-    d = budget.count_for(n) if isinstance(budget, AbstentionBudget) else int(budget)
+def _window_count(d: int, n: int) -> int:
     if not 1 <= d < n:
         raise BudgetTooLarge(f"abstention count must satisfy 1 <= d < {n}, got {d}")
-    return d
+    return int(d)
 
 
 def _monte_carlo_mean(mc: MonteCarloConfig, size: int, draw, score) -> np.ndarray:
@@ -174,14 +141,14 @@ def _monte_carlo_mean(mc: MonteCarloConfig, size: int, draw, score) -> np.ndarra
     return np.divide(sums, valid_counts, out=np.full_like(sums, np.nan), where=valid_counts > 0)
 
 
-def _finalize_window_scores(scores, smooth: bool, window_size: int, metric: str):
+def _finalize_window_scores(scores, smooth: bool, window_size: int):
     if smooth:
         if not np.isfinite(scores).all():
             raise ValueError(
                 "cannot smooth scores: some windows never had a valid sample"
             )
         scores = smooth_savitzky_golay(scores, SMOOTH_WINDOW, SMOOTH_POLYORDER)
-    return WindowScoreVector(scores=scores, window_size=window_size, metric=metric)
+    return WindowScoreVector(scores=scores, window_size=window_size)
 
 
 def _sens_window_sample(labels, d: int, target_specificity: float):
@@ -217,7 +184,7 @@ def _sens_window_sample(labels, d: int, target_specificity: float):
 def score_windows_sens_at_spec(
     preds: SortedPredictionSet,
     target_specificity: float,
-    budget,
+    budget: int,
     mc: MonteCarloConfig,
 ) -> WindowScoreVector:
     """Estimate post-abstention sensitivity at a target specificity per window.
@@ -236,7 +203,7 @@ def score_windows_sens_at_spec(
         lambda rng: (rng.random(n) < preds.probs).astype(float),
         lambda labels: _sens_window_sample(labels, d, target_specificity),
     )
-    return _finalize_window_scores(scores, mc.smooth, d, "sens_at_spec")
+    return _finalize_window_scores(scores, mc.smooth, d)
 
 
 def auroc_rank_sums(values, window: int) -> AurocSums:
@@ -263,7 +230,7 @@ def auroc_rank_sums(values, window: int) -> AurocSums:
 
 def score_windows_auroc(
     preds: SortedPredictionSet,
-    budget,
+    budget: int,
     mode: str = "deterministic",
     mc: MonteCarloConfig | None = None,
 ) -> WindowScoreVector:
@@ -283,7 +250,7 @@ def score_windows_auroc(
             raise DegenerateExpectedCounts(
                 "expected positive/negative mass left after abstention is ~0"
             )
-        return WindowScoreVector(sums.post_sums / (rem_neg * rem_pos), d, "auroc")
+        return WindowScoreVector(sums.post_sums / (rem_neg * rem_pos), d)
     if mode != "monte_carlo":
         raise ValueError(f"unknown mode {mode!r}")
     if mc is None:
@@ -298,7 +265,7 @@ def score_windows_auroc(
     scores = _monte_carlo_mean(
         mc, n + 1 - d, lambda rng: (rng.random(n) < preds.probs).astype(float), score
     )
-    return _finalize_window_scores(scores, mc.smooth, d, "auroc")
+    return _finalize_window_scores(scores, mc.smooth, d)
 
 
 def score_examples_kappa(
@@ -457,14 +424,14 @@ def fumera_threshold_search(
     val_probs: ProbabilityMatrix,
     val_labels,
     metric,
-    budget,
+    budget: int,
     grid=51,
 ):
     """Per-class abstention thresholds by exhaustive validation-set search.
 
     An example is abstained when the probability of its argmax class falls
     below that class's threshold. Among all threshold tuples on the grid whose
-    abstained fraction stays within the budget, the one maximizing
+    abstained count stays within ``budget``, the one maximizing
     ``metric(retained_probs, retained_labels)`` is returned; ties prefer fewer
     abstentions, then the lexicographically smallest tuple. Tuples whose
     retained set leaves the metric undefined are skipped, and if nothing is
@@ -487,7 +454,6 @@ def fumera_threshold_search(
         raise ValueError("grid needs at least 2 points per class")
     if not np.isfinite(grid_values).all():
         raise ValueError("grid values must be finite")
-    max_abstained = budget.count_for(n) if isinstance(budget, AbstentionBudget) else int(budget)
 
     top_class = p.argmax(axis=1)
     top_prob = p[np.arange(n), top_class]
@@ -502,7 +468,7 @@ def fumera_threshold_search(
     for index in itertools.product(range(grid_values.size), repeat=n_classes):
         key = tuple(class_counts[g] for class_counts, g in zip(counts, index))
         count = sum(key)
-        if count > max_abstained:
+        if count > budget:
             continue
         if key not in scores:
             keep = ~(top_prob < grid_values[list(index)][top_class])
@@ -520,30 +486,22 @@ def fumera_threshold_search(
     return grid_values[list(best_index)]
 
 
-def select_abstentions(scores, budget: AbstentionBudget) -> np.ndarray:
-    """Turn a score vector into the abstained index set for a budget.
+def select_abstentions(scores, count: int) -> np.ndarray:
+    """Turn a score vector into the set of ``count`` abstained indices.
 
-    Window scores: the best-scoring window [i*, i*+d), earliest on ties.
-    Marginal/top-k scores: the d highest-scoring indices, lower index on ties.
+    Window scores: the best-scoring window [i*, i*+count), earliest on ties.
+    Marginal/top-k scores: the count highest-scoring indices, lower index on ties.
     Returned indices are sorted ascending.
     """
     if isinstance(scores, WindowScoreVector):
-        if budget.mode != "window":
-            raise BudgetMismatch("window scores need a window-mode budget")
-        n = len(scores) + scores.window_size - 1
-        if budget.count_for(n) != scores.window_size:
-            raise BudgetMismatch(
-                f"budget resolves to {budget.count_for(n)} but scores use window {scores.window_size}"
-            )
+        if count != scores.window_size:
+            raise BudgetMismatch(f"budget is {count} but scores use window {scores.window_size}")
         start = int(np.nanargmax(scores.scores))
         return np.arange(start, start + scores.window_size)
     if isinstance(scores, MarginalScoreVector):
-        if budget.mode != "top_k":
-            raise BudgetMismatch("marginal scores need a top_k-mode budget")
         n = len(scores)
-        d = budget.count_for(n)
-        if not 0 <= d <= n:
-            raise BudgetMismatch(f"cannot abstain on {d} of {n} examples")
+        if not 0 <= count <= n:
+            raise BudgetMismatch(f"cannot abstain on {count} of {n} examples")
         order = np.lexsort((np.arange(n), -scores.scores))
-        return np.sort(order[:d])
+        return np.sort(order[:count])
     raise TypeError("scores must be a WindowScoreVector or MarginalScoreVector")

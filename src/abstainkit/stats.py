@@ -103,7 +103,6 @@ class ComparisonResult:
     """
 
     method_names: tuple
-    values: np.ndarray
     p_values: np.ndarray
     significant: np.ndarray
 
@@ -123,7 +122,6 @@ def compare_methods(values_by_method: dict) -> ComparisonResult:
                 p_values[i, j] = wilcoxon_signed_rank_one_sided(columns[i] - columns[j])
     return ComparisonResult(
         method_names=names,
-        values=np.column_stack(columns),
         p_values=p_values,
         significant=p_values < SIGNIFICANCE_LEVEL,
     )

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from abstainkit import (
-    AbstentionBudget,
     BinarySimConfig,
     MarginalScoreVector,
     PenaltyWeightMatrix,
@@ -57,20 +56,13 @@ def _abstain_sets(probs_sorted, seed, d, target_specificity, priors):
     """The three competing selections on one sorted binary dataset."""
     preds = SortedPredictionSet(probs_sorted)
     mc = MonteCarloConfig(samples=100, seed=seed, smooth=True)
-    window_budget = AbstentionBudget(mode="window", count=d)
-    sens = select_abstentions(
-        score_windows_sens_at_spec(preds, target_specificity, d, mc), window_budget
-    )
-    roc = select_abstentions(
-        score_windows_auroc(preds, d, mode="deterministic"), window_budget
-    )
+    sens = select_abstentions(score_windows_sens_at_spec(preds, target_specificity, d, mc), d)
+    roc = select_abstentions(score_windows_auroc(preds, d, mode="deterministic"), d)
     priorities = baseline_scores(
         ProbabilityMatrix.from_binary(probs_sorted), priors=priors,
         method="js_divergence_from_priors",
     )
-    js = select_abstentions(
-        MarginalScoreVector(priorities), AbstentionBudget(mode="top_k", count=d)
-    )
+    js = select_abstentions(MarginalScoreVector(priorities), d)
     return {"sens": sens, "roc": roc, "js": js}
 
 
@@ -250,7 +242,7 @@ def test_criterion_5_label_shift_recovery():
                 SortedPredictionSet(version[order]), 0.99, 3000,
                 MonteCarloConfig(samples=100, seed=seed, smooth=True),
             )
-            chosen = select_abstentions(scores, AbstentionBudget(mode="window", count=3000))
+            chosen = select_abstentions(scores, 3000)
             keep = np.setdiff1d(np.arange(10000), order[chosen])
             retained = SortedPredictionSet.from_unsorted(shifted_probs[keep], shifted_labels[keep])
             post[tag] = sensitivity_at_specificity(retained, 0.99)

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abstainkit import (
-    AbstentionBudget,
     MarginalScoreVector,
     PenaltyWeightMatrix,
     PriorEstimate,
@@ -96,7 +95,7 @@ class TestFumeraSearch:
         matrix = ProbabilityMatrix.from_binary(p)
         labels = (rng.random(40) < p).astype(int)
         thresholds = fumera_threshold_search(
-            matrix, labels, _auroc_metric, AbstentionBudget(mode="top_k", fraction=0.0), grid=11
+            matrix, labels, _auroc_metric, 0, grid=11
         )
         top = matrix.entries.argmax(axis=1)
         top_p = matrix.entries[np.arange(40), top]
@@ -109,7 +108,7 @@ class TestFumeraSearch:
         matrix = ProbabilityMatrix.from_binary(p)
         grid = np.linspace(0, 1, 21)
         got = fumera_threshold_search(
-            matrix, labels, _auroc_metric, AbstentionBudget(mode="top_k", fraction=0.3), grid=grid
+            matrix, labels, _auroc_metric, 30, grid=grid
         )
         want = exhaustive_threshold_search(matrix.entries, labels, _auroc_metric, 30, grid)
         np.testing.assert_array_equal(got, want)
@@ -123,7 +122,7 @@ class TestFumeraSearch:
             labels = (rng.random(60) < p).astype(int)
             matrix = ProbabilityMatrix.from_binary(p)
             thresholds = fumera_threshold_search(
-                matrix, labels, _auroc_metric, AbstentionBudget(mode="top_k", fraction=0.25), grid=11
+                matrix, labels, _auroc_metric, 15, grid=11
             )
             top = matrix.entries.argmax(axis=1)
             top_p = matrix.entries[np.arange(60), top]
@@ -212,37 +211,27 @@ class TestFumeraSearchProperties:
 
 class TestSelectAbstentions:
     def test_window_tie_break_prefers_first(self):
-        scores = WindowScoreVector(np.full(7, 0.5), window_size=4, metric="auroc")
-        chosen = select_abstentions(scores, AbstentionBudget(mode="window", count=4))
+        scores = WindowScoreVector(np.full(7, 0.5), window_size=4)
+        chosen = select_abstentions(scores, 4)
         np.testing.assert_array_equal(chosen, [0, 1, 2, 3])
 
     def test_window_increasing_takes_last(self):
-        scores = WindowScoreVector(np.linspace(0, 1, 6), window_size=3, metric="auroc")
-        chosen = select_abstentions(scores, AbstentionBudget(mode="window", count=3))
+        scores = WindowScoreVector(np.linspace(0, 1, 6), window_size=3)
+        chosen = select_abstentions(scores, 3)
         np.testing.assert_array_equal(chosen, [5, 6, 7])
 
     def test_window_fraction_budget_must_match(self):
-        scores = WindowScoreVector(np.zeros(8), window_size=3, metric="auroc")
-        # n = 10, fraction 0.3 -> 3: consistent
-        chosen = select_abstentions(scores, AbstentionBudget(mode="window", fraction=0.3))
+        scores = WindowScoreVector(np.zeros(8), window_size=3)
+        # n = 10 rows and a window of 3: consistent
+        chosen = select_abstentions(scores, 3)
         assert chosen.size == 3
         with pytest.raises(BudgetMismatch):
-            select_abstentions(scores, AbstentionBudget(mode="window", count=4))
-        with pytest.raises(BudgetMismatch):
-            select_abstentions(scores, AbstentionBudget(mode="top_k", count=3))
+            select_abstentions(scores, 4)
 
     def test_top_k_selects_highest_with_low_index_ties(self):
         scores = MarginalScoreVector(np.array([0.3, 0.9, 0.1, 0.9]))
-        chosen = select_abstentions(scores, AbstentionBudget(mode="top_k", count=2))
+        chosen = select_abstentions(scores, 2)
         np.testing.assert_array_equal(chosen, [1, 3])
         tied = MarginalScoreVector(np.array([0.5, 0.5, 0.5, 0.1]))
-        chosen = select_abstentions(tied, AbstentionBudget(mode="top_k", count=2))
+        chosen = select_abstentions(tied, 2)
         np.testing.assert_array_equal(chosen, [0, 1])
-
-    def test_budget_validation(self):
-        with pytest.raises(ValueError, match="exactly one"):
-            AbstentionBudget(mode="window", fraction=0.3, count=3)
-        with pytest.raises(ValueError, match="fraction"):
-            AbstentionBudget(mode="window", fraction=1.0)
-        with pytest.raises(ValueError, match="mode"):
-            AbstentionBudget(mode="interval", count=3)

@@ -269,7 +269,6 @@ def test_abstain_reads_vector_and_two_column_files_alike(tmp_path, capsys):
     vector, matrix = tmp_path / "vector.csv", tmp_path / "matrix.csv"
     write_predictions(vector, probs, labels)
     write_predictions(matrix, np.column_stack([1.0 - probs, probs]), labels)
-    # external_variance is left out: the CLI has no variance input
     methods = ("sens_window", "auroc_window_det", "auroc_window_mc", "js_divergence", "max_class_prob", "entropy", "fumera")
     for method in methods:
         payloads = []
@@ -298,6 +297,49 @@ def test_abstain_rejects_a_layout_the_method_cannot_read(tmp_path, capsys, metho
     code = main(["abstain", "--input", str(data), "--method", method, "--metric", metric, "--budget", "0.2"])
     assert code == 1
     _single_error_line(capsys, "SchemaError")
+
+
+@pytest.mark.parametrize("bad_row", ["2,2,0.1,0.1,nan", "2,2,0.9,0.9,0.9"], ids=["nan_cell", "row_sum"])
+def test_evaluate_kappa_rejects_invalid_probability_rows(tmp_path, capsys, bad_row):
+    data = tmp_path / "three.csv"
+    data.write_text(f"id,label,p_0,p_1,p_2\n0,0,0.8,0.1,0.1\n1,1,0.1,0.8,0.1\n{bad_row}\n3,0,0.7,0.2,0.1\n")
+    assert main(["evaluate", "--input", str(data), "--metric", "weighted_kappa"]) == 1
+    _single_error_line(capsys, "ValueError")
+
+
+def _write_spec(path, methods, budgets):
+    path.write_text(json.dumps({
+        "task": "figure1", "methods": methods, "budgets": budgets, "seeds": [0],
+        "metric": {"name": "auroc"}, "sim": {"n": 200}, "output": str(path.parent / "exp"),
+    }))
+
+
+def test_unknown_method_is_rejected_at_zero_budget(tmp_path, capsys):
+    data = tmp_path / "preds.csv"
+    write_predictions(data, np.linspace(0.05, 0.95, 20), np.arange(20) % 2)
+    for budget in ("0.0", "0.04"):  # floor(budget * 20) = 0 abstains on nothing
+        assert main(["abstain", "--input", str(data), "--method", "bogus", "--budget", budget]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ValueError: unknown method 'bogus'"), err
+        assert "sens_window" in err and "fumera" in err
+    spec = tmp_path / "spec.json"
+    _write_spec(spec, ["bogus"], [0.0])
+    assert main(["experiment", "--spec", str(spec)]) == 1
+    _single_error_line(capsys, "ValueError")
+    assert not (tmp_path / "exp" / "results.csv").exists()
+
+
+@pytest.mark.parametrize("budget", ["1.5", "-0.1"])
+def test_budget_outside_unit_interval_is_named(tmp_path, capsys, budget):
+    data = tmp_path / "preds.csv"
+    write_predictions(data, np.linspace(0.05, 0.95, 20), np.arange(20) % 2)
+    assert main(["abstain", "--input", str(data), "--method", "entropy", "--budget", budget]) == 1
+    _single_error_line(capsys, "BudgetTooLarge")
+    spec = tmp_path / "spec.json"
+    _write_spec(spec, ["entropy"], [float(budget)])
+    assert main(["experiment", "--spec", str(spec)]) == 1
+    _single_error_line(capsys, "BudgetTooLarge")
+    assert not (tmp_path / "exp" / "results.csv").exists()
 
 
 def test_calibrate_needs_labels(tmp_path, capsys):

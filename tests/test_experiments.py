@@ -9,7 +9,7 @@ import pytest
 
 from abstainkit import experiments
 from abstainkit.calibration import PriorEstimate, adapt_label_shift_em
-from abstainkit.errors import DidNotConverge, InputNotFound, SchemaError
+from abstainkit.errors import BudgetTooLarge, DidNotConverge, InputNotFound, SchemaError
 from abstainkit.experiments import (
     ExperimentSpec,
     MethodSpec,
@@ -278,7 +278,7 @@ class TestAbstainIndices:
         matrix = np.column_stack([1.0 - probs, probs])
         metric = MetricSpec(name="sens_at_spec", target_specificity=0.9)
         mc = MonteCarloConfig(samples=10, seed=0)
-        extra = dict(labels=labels, priors=PriorEstimate.from_labels(labels, 2), variance=rng.random(150))
+        extra = dict(labels=labels, priors=PriorEstimate.from_labels(labels, 2))
         for name in (*experiments.WINDOW_METHODS, *experiments.PRIORITY_METHODS, "fumera"):
             method = MethodSpec(name, {"grid": 11} if name == "fumera" else {})
             (idx_v, est_v), (idx_m, est_m) = (
@@ -297,8 +297,15 @@ class TestAbstainIndices:
         assert idx.size == 0 and estimate is None
 
     def test_unknown_method(self):
-        with pytest.raises(ValueError, match="unknown method"):
-            abstain_indices(
-                MethodSpec("psychic"), np.linspace(0.01, 0.99, 50), 0.2,
-                MetricSpec(name="auroc"), MonteCarloConfig(samples=2),
-            )
+        # external_variance needs a per-row variance that no pipeline input carries
+        for name in ("psychic", "external_variance"):
+            with pytest.raises(ValueError, match="unknown method"):
+                MethodSpec(name)
+
+    def test_budget_fraction_outside_unit_interval(self):
+        for fraction in (1.0, 1.5, -0.1, float("nan")):
+            with pytest.raises(BudgetTooLarge):
+                abstain_indices(
+                    MethodSpec("entropy"), np.linspace(0.01, 0.99, 50), fraction,
+                    MetricSpec(name="auroc"), MonteCarloConfig(samples=2),
+                )
