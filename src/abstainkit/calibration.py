@@ -21,7 +21,6 @@ from __future__ import annotations
 
 # scipy is imported inside the functions that call it: ~0.7 s per subpackage, unused by most subcommands.
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,16 +100,6 @@ class Calibrator:
     @classmethod
     def from_dict(cls, payload: dict) -> "Calibrator":
         return cls(kind=payload["kind"], scale=float(payload["scale"]), offset=payload["offset"])
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
-
-    @classmethod
-    def from_json(cls, path) -> "Calibrator":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:

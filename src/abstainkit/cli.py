@@ -16,18 +16,25 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
-from .calibration import Calibrator, PriorEstimate, adapt_label_shift_em, apply_calibrator, fit_calibrator
-from .errors import AbstainkitError, DidNotConverge, InputNotFound, SchemaError
+from .calibration import (
+    CALIBRATOR_KINDS, Calibrator, PriorEstimate, adapt_label_shift_em, apply_calibrator, fit_calibrator,
+)
+from .errors import AbstainkitError, DidNotConverge, SchemaError
 from .experiments import (
+    _METRIC_LAYOUT,
     ExperimentSpec,
     MethodSpec,
     MetricSpec,
+    _check_budget,
     _load_json,
+    _open_input,
     _read_value_csv,
     _shaped,
+    _write_json,
     abstain_indices,
     evaluate_metric,
     read_predictions,
@@ -50,27 +57,25 @@ def _metric_spec(args) -> MetricSpec:
 def _emit(payload, output, indent=None) -> None:
     """Write a JSON payload to ``output``, or print it on one line when there is none."""
     if output:
-        with open(output, "w") as fh:
-            json.dump(payload, fh, indent=indent)
-            fh.write("\n")
+        _write_json(output, payload, indent)
         print(f"wrote {output}")
     else:
         print(json.dumps(payload))
 
 
-def _cmd_simulate(args) -> int:
-    payload = _load_json(args.config)
+def _sim_config(payload):
+    """A config JSON object: binary when it has `positive_prior`, multiclass otherwise."""
     if "positive_prior" in payload:
-        cfg = BinarySimConfig(**payload)
+        return BinarySimConfig(**payload)
+    return MulticlassSimConfig(**payload)
+
+
+def _cmd_simulate(args) -> int:
+    cfg = _load_json(args.config, _sim_config)
+    if isinstance(cfg, BinarySimConfig):
         probs, labels, _ = simulate_binary(cfg)
-    elif "priors" in payload:
-        cfg = MulticlassSimConfig(
-            priors=tuple(payload["priors"]), means=tuple(payload["means"]),
-            sigmas=tuple(payload["sigmas"]), n=int(payload["n"]), seed=int(payload["seed"]),
-        )
-        probs, labels = simulate_multiclass(cfg)
     else:
-        raise SchemaError("config must carry BinarySimConfig or MulticlassSimConfig fields")
+        probs, labels = simulate_multiclass(cfg)
     write_predictions(args.output, probs, labels)
     print(f"wrote {args.output}")
     return 0
@@ -92,14 +97,12 @@ def _cmd_calibrate(args) -> int:
     labels, scores = _read_raw_scores(args.input)[1:]
     if labels is None:
         raise SchemaError(f"{args.input}: calibrate needs labeled raw scores")
-    cal = fit_calibrator(args.kind, scores, labels)
-    cal.to_json(args.output)
-    print(f"wrote {args.output}")
+    _emit(fit_calibrator(args.kind, scores, labels).to_dict(), args.output, indent=2)
     return 0
 
 
 def _cmd_apply(args) -> int:
-    cal = Calibrator.from_dict(_load_json(args.calibrator))
+    cal = _load_json(args.calibrator, Calibrator.from_dict)
     ids, labels, scores = _read_raw_scores(args.input)
     write_predictions(args.output, apply_calibrator(cal, scores), labels, ids)
     print(f"wrote {args.output}")
@@ -125,16 +128,17 @@ def _cmd_adapt(args) -> int:
 
 
 def _cmd_abstain(args) -> int:
-    _, labels, probs = read_predictions(args.input)
+    # every argument is checked before the prediction file is read
+    method = MethodSpec(name=args.method)
+    _check_budget(args.budget)
     mc = MonteCarloConfig(samples=args.mc_samples, seed=args.seed, smooth=args.smooth)
+    metric = _metric_spec(args)
     priors = _parse_priors(args.priors) if args.priors else None
+    _, labels, probs = read_predictions(args.input)
     if priors is None and labels is not None:
         count = 2 if probs.ndim == 1 else probs.shape[1]
         priors = PriorEstimate.from_labels(labels, count)
-    indices, estimate = abstain_indices(
-        MethodSpec(name=args.method), probs, args.budget, _metric_spec(args), mc,
-        labels=labels, priors=priors,
-    )
+    indices, estimate = abstain_indices(method, probs, args.budget, metric, mc, labels=labels, priors=priors)
     payload = {
         "method": args.method,
         "budget": args.budget,
@@ -146,6 +150,15 @@ def _cmd_abstain(args) -> int:
     return 0
 
 
+def _abstained_rows(path, n: int) -> np.ndarray:
+    """The `indices` of an abstain file: distinct integer rows in [0, n), else SchemaError."""
+    indices = _load_json(path, lambda payload: payload["indices"])
+    if not (isinstance(indices, list) and all(type(i) is int and 0 <= i < n for i in indices)
+            and len(set(indices)) == len(indices)):
+        raise SchemaError(f"{path}: indices must be distinct integers in [0, {n})")
+    return np.array(indices, dtype=np.int64)
+
+
 def _cmd_evaluate(args) -> int:
     _, labels, probs = read_predictions(args.input)
     if labels is None:
@@ -153,8 +166,7 @@ def _cmd_evaluate(args) -> int:
     keep = np.arange(labels.size)
     abstained = 0
     if args.abstain_file:
-        payload = _load_json(args.abstain_file)
-        dropped = np.asarray(payload["indices"], dtype=np.int64)
+        dropped = _abstained_rows(args.abstain_file, labels.size)
         keep = np.setdiff1d(keep, dropped)
         abstained = int(dropped.size)
     probs_arr = probs[keep]
@@ -164,22 +176,22 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    spec = ExperimentSpec.from_json(args.spec)
+    spec = _load_json(args.spec, ExperimentSpec.from_dict)
     if args.output:
-        spec = ExperimentSpec.from_dict({**spec.to_dict(), "output": args.output})
+        spec = replace(spec, output=args.output)
     paths = run_experiment(spec)
     print(json.dumps(paths))
     return 0
 
 
 def _cmd_compare(args) -> int:
-    try:
-        with open(args.input, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-    except FileNotFoundError:
-        raise InputNotFound(args.input) from None
+    with _open_input(args.input) as fh:
+        rows = list(csv.DictReader(fh))
     if not rows:
         raise SchemaError(f"{args.input}: no rows")
+    missing = {"seed", "method", "budget", args.column}.difference(rows[0])
+    if missing:
+        raise SchemaError(f"{args.input}: missing columns {', '.join(sorted(missing))}")
     # Runs pair up by (seed, budget, adapted); `adapted` is 0 where the column is absent.
     by_method: dict[str, dict] = {}
     for row in rows:
@@ -215,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate", help="fit a calibrator and save it as JSON")
     p.add_argument("--input", required=True, help="raw-score CSV (id,label,score or id,label,z_0..)")
-    p.add_argument("--kind", default="platt", choices=["platt", "temperature", "bias_corrected_temperature"])
+    p.add_argument("--kind", default="platt", choices=CALIBRATOR_KINDS)
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_calibrate)
 
@@ -236,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("abstain", help="score + select an abstention set")
     p.add_argument("--input", required=True)
     p.add_argument("--method", required=True)
-    p.add_argument("--metric", default="sens_at_spec", choices=["sens_at_spec", "auroc", "weighted_kappa"])
+    p.add_argument("--metric", default="sens_at_spec", choices=tuple(_METRIC_LAYOUT))
     p.add_argument("--budget", type=float, required=True, help="abstention fraction in [0, 1)")
     p.add_argument("--target-specificity", type=float, default=0.9)
     p.add_argument("--mc-samples", type=int, default=100)
@@ -248,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="recompute a metric on retained examples")
     p.add_argument("--input", required=True)
-    p.add_argument("--metric", default="sens_at_spec", choices=["sens_at_spec", "auroc", "weighted_kappa"])
+    p.add_argument("--metric", default="sens_at_spec", choices=tuple(_METRIC_LAYOUT))
     p.add_argument("--target-specificity", type=float, default=0.9)
     p.add_argument("--abstain-file", default=None, help="JSON produced by the abstain subcommand")
     p.set_defaults(func=_cmd_evaluate)

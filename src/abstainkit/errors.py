@@ -71,7 +71,7 @@ class MissingVariance(AbstainkitError, ValueError):
 
 
 class InvalidConfig(AbstainkitError, ValueError):
-    """A simulation config violates its parameter constraints."""
+    """A configuration violates its parameter constraints."""
 
 
 class EmptyClass(AbstainkitError, ValueError):

@@ -88,6 +88,10 @@ LABEL_SHIFT_TEST_SIZE = 10000
 LABEL_SHIFT_TARGET = (2.0 / 3.0, 1.0 / 3.0)
 
 
+# the metric names, each with the layout it reads: kappa needs the class count, the others a positive column
+_METRIC_LAYOUT = {"sens_at_spec": "binary", "auroc": "binary", "weighted_kappa": "classes"}
+
+
 @dataclass(frozen=True)
 class MetricSpec:
     """Which metric a run optimizes and evaluates.
@@ -100,7 +104,7 @@ class MetricSpec:
     target_specificity: float | None = None
 
     def __post_init__(self):
-        if self.name not in ("sens_at_spec", "auroc", "weighted_kappa"):
+        if self.name not in _METRIC_LAYOUT:
             raise ValueError(f"unknown metric {self.name!r}")
         if self.name == "sens_at_spec" and self.target_specificity is None:
             raise ValueError("sens_at_spec needs a target_specificity")
@@ -173,10 +177,6 @@ class ExperimentSpec:
             sim_overrides=dict(payload.get("sim", {})),
         )
 
-    @classmethod
-    def from_json(cls, path) -> "ExperimentSpec":
-        return cls.from_dict(_load_json(path))
-
     def to_dict(self) -> dict:
         return {
             "task": self.task,
@@ -192,12 +192,38 @@ class ExperimentSpec:
         }
 
 
-def _load_json(path):
+# ---------------------------------------------------------------------------
+# The file boundary: every input opens through `_open_input`, every JSON file
+# is read by `_load_json` and written by `_write_json`.
+# ---------------------------------------------------------------------------
+
+def _open_input(path):
+    """Open an input file for reading; a missing file is InputNotFound."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        return open(path, newline="")
     except FileNotFoundError:
         raise InputNotFound(path) from None
+
+
+def _load_json(path, build):
+    """Return ``build(payload)`` for the JSON file at ``path``.
+
+    A file that is not JSON, or a payload ``build`` cannot read (a missing
+    field, a wrong type, a top level that is not an object), is a SchemaError
+    naming the file.
+    """
+    with _open_input(path) as fh:
+        try:
+            return build(json.load(fh))
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise SchemaError(f"{path}: {type(exc).__name__}: {exc}") from None
+
+
+def _write_json(path, payload, indent) -> None:
+    """The one JSON file writer: the payload, then a newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=indent)
+        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +260,7 @@ def _read_value_csv(path, binary_column: str, class_prefix: str):
     Returns ``(ids, labels_or_None, values)`` with ``values`` a vector for
     the binary layout and an N x C array otherwise.
     """
-    if not os.path.exists(path):
-        raise InputNotFound(path)
-    with open(path, newline="") as fh:
+    with _open_input(path) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -313,10 +337,6 @@ def _shaped(probs, layout: str, consumer: str):
     return probs if probs.ndim == 1 else probs[:, 1]
 
 
-# the layout each metric reads: kappa needs the class count, the others a positive column
-_METRIC_LAYOUT = {"sens_at_spec": "binary", "auroc": "binary", "weighted_kappa": "classes"}
-
-
 def evaluate_metric(metric: MetricSpec, probs, labels) -> float:
     """Recompute the metric on (retained) examples with their true labels."""
     probs = _shaped(probs, _METRIC_LAYOUT[metric.name], metric.name)
@@ -327,6 +347,12 @@ def evaluate_metric(metric: MetricSpec, probs, labels) -> float:
     if metric.name == "sens_at_spec":
         return sensitivity_at_specificity(preds, metric.target_specificity)
     return auroc(preds)
+
+
+def _check_budget(fraction: float) -> None:
+    """A budget fraction must lie in [0, 1) (NaN fails); else BudgetTooLarge."""
+    if not 0.0 <= fraction < 1.0:
+        raise BudgetTooLarge(f"abstention budget must lie in [0, 1), got {fraction}")
 
 
 def abstain_indices(
@@ -348,8 +374,7 @@ def abstain_indices(
     BudgetTooLarge. ``labels`` are consulted only by the validation-search
     method.
     """
-    if not 0.0 <= budget_fraction < 1.0:
-        raise BudgetTooLarge(f"abstention budget must lie in [0, 1), got {budget_fraction}")
+    _check_budget(budget_fraction)
     probs = np.asarray(getattr(probs, "entries", probs), dtype=float)
     n = probs.shape[0]
     d = int(np.floor(budget_fraction * n))
@@ -552,7 +577,5 @@ def run_experiment(spec: ExperimentSpec) -> dict:
         "rows": len(rows),
         "written_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    _write_json(manifest_path, manifest, indent=2)
     return {"results": results_path, "manifest": manifest_path}

@@ -29,6 +29,7 @@ from .errors import (
     DegenerateDenominator,
     DegenerateExpectedCounts,
     EvenWindow,
+    InvalidConfig,
     InvalidSpecificity,
     MissingPriors,
     MissingVariance,
@@ -77,7 +78,7 @@ class MonteCarloConfig:
 
     def __post_init__(self):
         if self.samples < 1:
-            raise ValueError("samples must be >= 1")
+            raise InvalidConfig("samples must be >= 1")
 
 
 @dataclass(frozen=True)

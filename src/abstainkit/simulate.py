@@ -27,6 +27,13 @@ __all__ = [
 ]
 
 
+def _check_size_and_seed(n, seed) -> None:
+    if not (isinstance(n, (int, np.integer)) and isinstance(seed, (int, np.integer))):
+        raise InvalidConfig(f"n and seed must be integers, got n={n!r}, seed={seed!r}")
+    if n < 1:
+        raise InvalidConfig("n must be >= 1")
+
+
 @dataclass(frozen=True)
 class BinarySimConfig:
     """Two-Gaussian mixture: label ~ Bernoulli(positive_prior), value ~ N(mu, sigma)."""
@@ -44,8 +51,7 @@ class BinarySimConfig:
             raise InvalidConfig("positive_prior must be in (0, 1)")
         if self.sigma_pos <= 0 or self.sigma_neg <= 0:
             raise InvalidConfig("sigmas must be positive")
-        if self.n < 1:
-            raise InvalidConfig("n must be >= 1")
+        _check_size_and_seed(self.n, self.seed)
 
 
 @dataclass(frozen=True)
@@ -70,8 +76,7 @@ class MulticlassSimConfig:
             raise InvalidConfig("priors must be nonnegative and sum to 1")
         if sigmas.min() <= 0:
             raise InvalidConfig("sigmas must be positive")
-        if self.n < 1:
-            raise InvalidConfig("n must be >= 1")
+        _check_size_and_seed(self.n, self.seed)
         object.__setattr__(self, "priors", tuple(float(p) for p in priors))
         object.__setattr__(self, "means", tuple(float(m) for m in means))
         object.__setattr__(self, "sigmas", tuple(float(s) for s in sigmas))

@@ -183,6 +183,100 @@ def test_missing_input_is_named(tmp_path, capsys, monkeypatch, argv):
     _single_error_line(capsys, "InputNotFound")
 
 
+# one valid JSON object per input, and the field each "missing" case drops
+_BINARY_SIM = {"positive_prior": 0.1, "mu_pos": 2.0, "mu_neg": -1.0, "sigma_pos": 1.0, "sigma_neg": 2.0,
+               "n": 40, "seed": 0}
+_MULTICLASS_SIM = {"priors": [0.5, 0.5], "means": [-1.0, 1.0], "sigmas": [1.0, 1.0], "n": 40, "seed": 0}
+_JSON_INPUTS = {
+    "simulate_binary": (_BINARY_SIM, "seed"),
+    "simulate_multiclass": (_MULTICLASS_SIM, "means"),
+    "apply_calibrator": ({"kind": "platt", "scale": 1.0, "offset": [0.0]}, "scale"),
+    "evaluate": ({"indices": [0, 1]}, "indices"),
+    "experiment": ({"task": "figure1", "methods": ["entropy"], "budgets": [0.1], "seeds": [0],
+                    "metric": {"name": "auroc"}, "sim": {"n": 200}}, "task"),
+}
+_JSON_CASES = [(name, case) for name in _JSON_INPUTS for case in ("valid", "not_json", "list", "missing")]
+_JSON_CASES += [(name, case) for name in ("simulate_binary", "simulate_multiclass") for case in ("unknown_key", "n_float")]
+
+
+@pytest.mark.parametrize("name, case", _JSON_CASES, ids=[f"{name}-{case}" for name, case in _JSON_CASES])
+def test_malformed_json_input_is_one_named_error(tmp_path, capsys, name, case):
+    payload, required = _JSON_INPUTS[name]
+    text = {
+        "valid": json.dumps(payload),
+        "not_json": "{not json",
+        "list": json.dumps([payload]),
+        "missing": json.dumps({k: v for k, v in payload.items() if k != required}),
+        "unknown_key": json.dumps({**payload, "bogus": 1}),
+        "n_float": json.dumps({**payload, "n": 10.5}),
+    }[case]
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    data, raw, out = tmp_path / "data.csv", tmp_path / "raw.csv", tmp_path / "out"
+    write_predictions(data, np.array([0.1, 0.8, 0.3, 0.9]), np.array([0, 1, 0, 1]))
+    raw.write_text("id,label,score\n0,1,0.5\n1,0,-0.2\n")
+    argv = {
+        "simulate_binary": ["simulate", "--config", str(path), "--output", str(out)],
+        "simulate_multiclass": ["simulate", "--config", str(path), "--output", str(out)],
+        "apply_calibrator": ["apply-calibrator", "--input", str(raw), "--calibrator", str(path), "--output", str(out)],
+        "evaluate": ["evaluate", "--input", str(data), "--metric", "auroc", "--abstain-file", str(path)],
+        "experiment": ["experiment", "--spec", str(path), "--output", str(out)],
+    }[name]
+    code = main(argv)
+    if case == "valid":
+        assert code == 0, capsys.readouterr().err
+        return
+    assert code == 1
+    out_text, err = capsys.readouterr()
+    assert out_text == "" and not out.exists()
+    error_type = "InvalidConfig" if case == "n_float" else "SchemaError"
+    assert err.count("\n") == 1 and err.startswith(f"error: {error_type}:"), err
+    if error_type == "SchemaError":
+        assert err.startswith(f"error: SchemaError: {path}: "), err
+
+
+@pytest.mark.parametrize("indices", [[1, 1, 99], [1, 1], [99], [-1], [1.5], [True], "0"],
+                         ids=["repro", "repeat", "past_end", "negative", "float", "bool", "not_a_list"])
+def test_abstain_file_indices_must_be_distinct_rows(tmp_path, capsys, indices):
+    data, abstained = tmp_path / "data.csv", tmp_path / "abstain.json"
+    write_predictions(data, np.array([0.1, 0.8, 0.3, 0.9]), np.array([0, 1, 0, 1]))
+    abstained.write_text(json.dumps({"indices": indices}))
+    assert main(["evaluate", "--input", str(data), "--metric", "auroc", "--abstain-file", str(abstained)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: SchemaError: {abstained}: indices must be distinct integers in [0, 4)\n"
+
+
+@pytest.mark.parametrize(
+    "argv, error_type",
+    [
+        (["--method", "bogus", "--budget", "0.3"], "ValueError"),
+        (["--method", "sens_window", "--budget", "1.5"], "BudgetTooLarge"),
+        (["--method", "sens_window", "--budget", "0.3", "--mc-samples", "0"], "InvalidConfig"),
+    ],
+    ids=["method", "budget", "mc_samples"],
+)
+def test_abstain_checks_arguments_before_reading(tmp_path, capsys, argv, error_type):
+    assert main(["abstain", "--input", str(tmp_path / "missing.csv"), *argv]) == 1
+    _single_error_line(capsys, error_type)
+
+
+@pytest.mark.parametrize(
+    "drop, column",
+    [("budget", "post"), ("seed", "post"), ("method", "post"), (None, "bogus")],
+    ids=["budget", "seed", "method", "column"],
+)
+def test_compare_names_a_missing_column(tmp_path, capsys, drop, column):
+    results = tmp_path / "results.csv"
+    _write_results(results, [(seed, method, 0, 0.5 + 0.01 * seed) for seed in range(6) for method in "ab"])
+    if drop is not None:
+        rows = [line.split(",") for line in results.read_text().splitlines()]
+        keep = [i for i, name in enumerate(rows[0]) if name != drop]
+        results.write_text("".join(",".join(row[i] for i in keep) + "\n" for row in rows))
+    assert main(["compare", "--input", str(results), "--column", column]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: SchemaError: {results}: missing columns {drop or column}\n"
+
+
 @pytest.mark.parametrize("command", ["calibrate", "apply-calibrator"])
 @pytest.mark.parametrize(
     "content, error_type",
