@@ -64,10 +64,10 @@ def _emit(payload, output, indent=None) -> None:
 
 
 def _sim_config(payload):
-    """A config JSON object: binary when it has `positive_prior`, multiclass otherwise."""
-    if "positive_prior" in payload:
-        return BinarySimConfig(**payload)
-    return MulticlassSimConfig(**payload)
+    """A config JSON object: multiclass when it has `priors`, binary otherwise."""
+    if "priors" in payload:
+        return MulticlassSimConfig(**payload)
+    return BinarySimConfig(**payload)
 
 
 def _cmd_simulate(args) -> int:
@@ -128,7 +128,7 @@ def _cmd_adapt(args) -> int:
 
 
 def _cmd_abstain(args) -> int:
-    # every argument is checked before the prediction file is read
+    # method, budget, sample count and metric are checked before the prediction file is read
     method = MethodSpec(name=args.method)
     _check_budget(args.budget)
     mc = MonteCarloConfig(samples=args.mc_samples, seed=args.seed, smooth=args.smooth)

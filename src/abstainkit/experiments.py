@@ -43,6 +43,7 @@ from .scoring import (
 from .simulate import (
     BinarySimConfig,
     MulticlassSimConfig,
+    _check_integers,
     resample_with_shift,
     sample_random_binary_config,
     simulate_binary,
@@ -161,6 +162,7 @@ class ExperimentSpec:
             raise ValueError(f"unknown task {self.task!r}")
         if not self.methods or not self.budgets or not self.seeds:
             raise ValueError("need at least one method, one budget and one seed")
+        _check_integers(mc_samples=self.mc_samples, **{f"seeds[{i}]": s for i, s in enumerate(self.seeds)})
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentSpec":
@@ -168,9 +170,9 @@ class ExperimentSpec:
             task=payload["task"],
             methods=tuple(MethodSpec.from_dict(m) for m in payload.get("methods", ["sens_window"])),
             budgets=tuple(float(b) for b in payload.get("budgets", [0.3])),
-            seeds=tuple(int(s) for s in payload.get("seeds", [0])),
+            seeds=tuple(payload.get("seeds", [0])),
             metric=MetricSpec.from_dict(payload.get("metric", {"name": "sens_at_spec", "target_specificity": 0.9})),
-            mc_samples=int(payload.get("mc_samples", 100)),
+            mc_samples=payload.get("mc_samples", 100),
             smooth=bool(payload.get("smooth", True)),
             output=payload.get("output", "results"),
             input_path=payload.get("input"),

@@ -27,9 +27,15 @@ __all__ = [
 ]
 
 
+def _check_integers(**values) -> None:
+    """Raise InvalidConfig unless every value is an int; a bool, float or string is not."""
+    if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in values.values()):
+        got = ", ".join(f"{k}={v!r}" for k, v in values.items())
+        raise InvalidConfig(f"{' and '.join(values)} must be integers, got {got}")
+
+
 def _check_size_and_seed(n, seed) -> None:
-    if not (isinstance(n, (int, np.integer)) and isinstance(seed, (int, np.integer))):
-        raise InvalidConfig(f"n and seed must be integers, got n={n!r}, seed={seed!r}")
+    _check_integers(n=n, seed=seed)
     if n < 1:
         raise InvalidConfig("n must be >= 1")
 

@@ -197,6 +197,8 @@ _JSON_INPUTS = {
 }
 _JSON_CASES = [(name, case) for name in _JSON_INPUTS for case in ("valid", "not_json", "list", "missing")]
 _JSON_CASES += [(name, case) for name in ("simulate_binary", "simulate_multiclass") for case in ("unknown_key", "n_float")]
+_JSON_CASES += [("simulate_binary", "no_prior"), ("experiment", "seed_float"), ("experiment", "mc_float")]
+_NOT_INTEGER = ("n_float", "seed_float", "mc_float")
 
 
 @pytest.mark.parametrize("name, case", _JSON_CASES, ids=[f"{name}-{case}" for name, case in _JSON_CASES])
@@ -209,6 +211,9 @@ def test_malformed_json_input_is_one_named_error(tmp_path, capsys, name, case):
         "missing": json.dumps({k: v for k, v in payload.items() if k != required}),
         "unknown_key": json.dumps({**payload, "bogus": 1}),
         "n_float": json.dumps({**payload, "n": 10.5}),
+        "no_prior": json.dumps({k: v for k, v in payload.items() if k != "positive_prior"}),
+        "seed_float": json.dumps({**payload, "seeds": [1.5]}),
+        "mc_float": json.dumps({**payload, "mc_samples": 10.5}),
     }[case]
     path = tmp_path / "input.json"
     path.write_text(text)
@@ -229,8 +234,10 @@ def test_malformed_json_input_is_one_named_error(tmp_path, capsys, name, case):
     assert code == 1
     out_text, err = capsys.readouterr()
     assert out_text == "" and not out.exists()
-    error_type = "InvalidConfig" if case == "n_float" else "SchemaError"
+    error_type = "InvalidConfig" if case in _NOT_INTEGER else "SchemaError"
     assert err.count("\n") == 1 and err.startswith(f"error: {error_type}:"), err
+    if case == "no_prior":
+        assert "positive_prior" in err, err
     if error_type == "SchemaError":
         assert err.startswith(f"error: SchemaError: {path}: "), err
 

@@ -73,7 +73,7 @@ class TestBinarySimulation:
         with pytest.raises(InvalidConfig):
             BinarySimConfig(positive_prior=0.5, mu_pos=1, mu_neg=0, sigma_pos=1, sigma_neg=1, n=0, seed=0)
 
-    @pytest.mark.parametrize("n, seed", [(10.5, 0), (10.0, 0), ("10", 0), (10, 1.5)])
+    @pytest.mark.parametrize("n, seed", [(10.5, 0), (10.0, 0), ("10", 0), (10, 1.5), (True, 0), (10, False)])
     def test_size_and_seed_must_be_integers(self, n, seed):
         binary = dict(positive_prior=0.5, mu_pos=1, mu_neg=0, sigma_pos=1, sigma_neg=1)
         multiclass = dict(priors=(0.5, 0.5), means=(0.0, 1.0), sigmas=(1.0, 1.0))
