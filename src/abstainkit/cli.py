@@ -160,6 +160,7 @@ def _abstained_rows(path, n: int) -> np.ndarray:
 
 
 def _cmd_evaluate(args) -> int:
+    metric = _metric_spec(args)
     _, labels, probs = read_predictions(args.input)
     if labels is None:
         raise SchemaError("evaluate needs labeled predictions")
@@ -170,7 +171,7 @@ def _cmd_evaluate(args) -> int:
         keep = np.setdiff1d(keep, dropped)
         abstained = int(dropped.size)
     probs_arr = probs[keep]
-    value = evaluate_metric(_metric_spec(args), probs_arr, labels[keep])
+    value = evaluate_metric(metric, probs_arr, labels[keep])
     print(json.dumps({"metric": args.metric, "value": value, "n": int(keep.size), "abstained": abstained}))
     return 0
 

@@ -15,13 +15,16 @@ import csv
 import datetime
 import json
 import os
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import __version__
 from .calibration import PriorEstimate, adapt_label_shift_em
-from .errors import BudgetTooLarge, DidNotConverge, InputNotFound, SchemaError
+from .errors import (
+    AbstainkitError, BudgetTooLarge, DidNotConverge, InputNotFound, InvalidConfig, InvalidSpecificity, SchemaError,
+)
 from .metrics import (
     PenaltyWeightMatrix,
     ProbabilityMatrix,
@@ -65,8 +68,6 @@ __all__ = [
     "KAPPA_SAMPLE_LADDER",
 ]
 
-TASKS = ("figure1", "auroc_correlation", "kappa_convergence", "label_shift", "custom")
-
 WINDOW_METHODS = ("sens_window", "auroc_window_det", "auroc_window_mc")
 PRIORITY_METHODS = ("js_divergence", "max_class_prob", "entropy")
 KAPPA_METHODS = ("kappa_marginal_det", "kappa_marginal_mc")
@@ -87,6 +88,17 @@ KAPPA_SAMPLE_LADDER = (8, 32, 128, 512, 2048)
 LABEL_SHIFT_CONFIG = dict(positive_prior=0.5, mu_pos=1.0, mu_neg=-1.0, sigma_pos=1.0, sigma_neg=1.0, n=30000)
 LABEL_SHIFT_TEST_SIZE = 10000
 LABEL_SHIFT_TARGET = (2.0 / 3.0, 1.0 / 3.0)
+
+# every task, with the `sim` keys it reads: its simulation config's fields but
+# the seed, which comes from `seeds`, and its own knobs
+_BINARY_SIM_KEYS = frozenset(f.name for f in fields(BinarySimConfig)) - {"seed"}
+_SIM_KEYS = {
+    "figure1": _BINARY_SIM_KEYS,
+    "auroc_correlation": frozenset({"abstain_count"}),
+    "kappa_convergence": frozenset(f.name for f in fields(MulticlassSimConfig)) - {"seed"} | {"repeats"},
+    "label_shift": _BINARY_SIM_KEYS,
+    "custom": frozenset(),
+}
 
 
 # the metric names, each with the layout it reads: kappa needs the class count, the others a positive column
@@ -109,6 +121,8 @@ class MetricSpec:
             raise ValueError(f"unknown metric {self.name!r}")
         if self.name == "sens_at_spec" and self.target_specificity is None:
             raise ValueError("sens_at_spec needs a target_specificity")
+        if self.target_specificity is not None and not 0.0 < self.target_specificity < 1.0:  # NaN fails too
+            raise InvalidSpecificity(f"target specificity must be in (0, 1), got {self.target_specificity}")
 
     @classmethod
     def from_dict(cls, payload) -> "MetricSpec":
@@ -142,6 +156,10 @@ class MethodSpec:
         return {"name": self.name, "params": dict(self.params)}
 
 
+# the top-level keys of a spec JSON object
+_SPEC_KEYS = frozenset({"task", "methods", "budgets", "seeds", "metric", "mc_samples", "smooth", "output", "input", "sim"})
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Resolved grid: task x methods x budgets x seeds."""
@@ -158,14 +176,22 @@ class ExperimentSpec:
     sim_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.task not in TASKS:
+        if self.task not in _SIM_KEYS:
             raise ValueError(f"unknown task {self.task!r}")
         if not self.methods or not self.budgets or not self.seeds:
             raise ValueError("need at least one method, one budget and one seed")
+        unknown = set(self.sim_overrides) - _SIM_KEYS[self.task]
+        if unknown:
+            raise ValueError(f"task {self.task} takes no sim keys {', '.join(sorted(unknown))}")
+        if self.metric.target_specificity is None and any(m.name == "sens_window" for m in self.methods):
+            raise InvalidConfig("sens_window needs a metric with a target_specificity")
         _check_integers(mc_samples=self.mc_samples, **{f"seeds[{i}]": s for i, s in enumerate(self.seeds)})
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentSpec":
+        unknown = set(payload) - _SPEC_KEYS
+        if unknown:
+            raise ValueError(f"unknown spec keys {', '.join(sorted(unknown))}")
         return cls(
             task=payload["task"],
             methods=tuple(MethodSpec.from_dict(m) for m in payload.get("methods", ["sens_window"])),
@@ -211,13 +237,16 @@ def _load_json(path, build):
     """Return ``build(payload)`` for the JSON file at ``path``.
 
     A file that is not JSON, or a payload ``build`` cannot read (a missing
-    field, a wrong type, a top level that is not an object), is a SchemaError
-    naming the file.
+    field, a wrong type, a top level that is not an object, a value it
+    rejects with a plain ValueError), is a SchemaError naming the file. An
+    AbstainkitError from ``build`` passes through unchanged.
     """
     with _open_input(path) as fh:
         try:
             return build(json.load(fh))
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except AbstainkitError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"{path}: {type(exc).__name__}: {exc}") from None
 
 
@@ -256,62 +285,113 @@ def write_predictions(path, probs, labels=None, ids=None) -> None:
     _write_rows(path, header, rows)
 
 
+def _line_breaks(data: bytes) -> int:
+    """Line terminators in ``data``: `\\n`, `\\r\\n` and a lone `\\r` count once each."""
+    codes = np.frombuffer(data, dtype=np.uint8)
+    newlines, returns = codes == 10, codes == 13
+    return int(np.count_nonzero(newlines) + np.count_nonzero(returns) - np.count_nonzero(returns[:-1] & newlines[1:]))
+
+
+def _file_line_breaks(path):
+    """Line terminators in the file at ``path``, read in chunks, and whether it ends with one."""
+    breaks, last = 0, b""
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            # a `\r\n` split across chunks counts once: the `\r` was already counted alone
+            breaks += _line_breaks(last[-1:] + chunk) - _line_breaks(last[-1:])
+            last = chunk
+    return breaks, last[-1:] in (b"\n", b"\r")
+
+
 def _read_value_csv(path, binary_column: str, class_prefix: str):
     """Read `id,label,<binary_column>` or `id,label,<class_prefix>_0..`.
 
     Returns ``(ids, labels_or_None, values)`` with ``values`` a vector for
-    the binary layout and an N x C array otherwise.
+    the binary layout and an N x C array otherwise. The body is parsed in one
+    ``np.loadtxt`` pass: ids and labels as strings, values as floats.
     """
     with _open_input(path) as fh:
-        reader = csv.reader(fh)
+        first = fh.readline()
+        if not first:
+            raise SchemaError(f"{path}: empty file")
+        header = next(csv.reader([first]), [])
+        body = fh.tell()
+        lead = fh.read(1)
+        if not lead:
+            raise SchemaError(f"{path}: no data rows")
+        if header[:2] != ["id", "label"]:
+            raise SchemaError(f"{path}: header must start with id,label")
+        value_cols = header[2:]
+        if value_cols == [binary_column]:
+            binary = True
+        elif value_cols == [f"{class_prefix}_{c}" for c in range(len(value_cols))] and value_cols:
+            binary = False
+        else:
+            raise SchemaError(
+                f"{path}: value columns must be `{binary_column}` or `{class_prefix}_0..{class_prefix}_{{C-1}}`"
+            )
+        blank_row = SchemaError(f"{path}: row has 0 cells, expected {len(header)}")
+        if lead in "\r\n":
+            raise blank_row
+        fh.seek(body)
+        dtype = [("id", object), ("label", object), ("values", float, (len(value_cols),))]
         try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file") from None
-        rows = list(reader)
-    if not rows:
-        raise SchemaError(f"{path}: no data rows")
-    if header[:2] != ["id", "label"]:
-        raise SchemaError(f"{path}: header must start with id,label")
-    value_cols = header[2:]
-    if value_cols == [binary_column]:
-        binary = True
-    elif value_cols == [f"{class_prefix}_{c}" for c in range(len(value_cols))] and value_cols:
-        binary = False
-    else:
-        raise SchemaError(
-            f"{path}: value columns must be `{binary_column}` or `{class_prefix}_0..{class_prefix}_{{C-1}}`"
-        )
-    ids, labels, values = [], [], []
-    for row in rows:
-        if len(row) != len(header):
-            raise SchemaError(f"{path}: row has {len(row)} cells, expected {len(header)}")
-        ids.append(row[0])
-        labels.append(row[1])
-        try:
-            values.append([float(v) for v in row[2:]])
+            # comments=None: a `#` inside an id is data, not the start of a comment
+            table = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, ndmin=1, dtype=dtype)
         except ValueError as exc:
-            raise SchemaError(f"{path}: value cell is not a number: {exc}") from None
-    have_labels = any(cell != "" for cell in labels)
-    if have_labels and not all(cell != "" for cell in labels):
+            raise _parse_error(path, len(header), exc) from None
+    ids, labels = table["id"].tolist(), table["label"]
+    # loadtxt skips blank lines, which are rows of 0 cells: every line break must end a row or sit in a cell
+    breaks, ends_with_break = _file_line_breaks(path)
+    if breaks != len(ids) + ends_with_break:
+        in_cells = sum(_line_breaks(cell.encode()) for cell in [*ids, *labels.tolist()])
+        if breaks != len(ids) + ends_with_break + in_cells:
+            raise blank_row
+    present = labels != ""
+    if present.any() and not present.all():
         raise SchemaError(f"{path}: labels must be all present or all empty")
     try:
-        label_arr = np.array([int(v) for v in labels], dtype=np.int64) if have_labels else None
+        label_arr = labels.astype(np.int64) if present.any() else None
     except ValueError as exc:
         raise SchemaError(f"{path}: label cell is not an integer: {exc}") from None
-    value_arr = np.asarray(values, dtype=float)
-    class_count = 2 if binary else value_arr.shape[1]
+    values = np.ascontiguousarray(table["values"][:, 0] if binary else table["values"])
+    class_count = 2 if binary else values.shape[1]
     if label_arr is not None and not (label_arr.min() >= 0 and label_arr.max() < class_count):
         raise SchemaError(f"{path}: labels must lie in [0, {class_count})")
-    return ids, label_arr, value_arr[:, 0] if binary else value_arr
+    return ids, label_arr, values
+
+
+def _parse_error(path, cells: int, exc: ValueError) -> SchemaError:
+    """The SchemaError for a ValueError from ``np.loadtxt``; rows are numbered from 1."""
+    text = str(exc)
+    ragged = re.search(r"requires \d+ columns but (\d+) were found at row (\d+)", text)
+    if ragged:
+        return SchemaError(f"{path}: row has {ragged[1]} cells, expected {cells} (row {ragged[2]})")
+    number = re.search(r"could not convert string (.*) to float64 at row (\d+)", text)
+    if number:
+        return SchemaError(f"{path}: value cell is not a number: {number[1]} (row {int(number[2]) + 1})")
+    return SchemaError(f"{path}: {text}")
 
 
 def read_predictions(path):
     """Read a prediction CSV; returns ``(ids, labels_or_None, probs)``.
 
     ``probs`` is a vector for binary files and an N x C array otherwise.
+    Every value must be a finite probability and every `p_` row must sum to
+    1 within 1e-9; the first row that is not is a SchemaError.
     """
-    return _read_value_csv(path, "prob", "p")
+    ids, labels, probs = _read_value_csv(path, "prob", "p")
+    table = probs.reshape(probs.shape[0], -1)
+    outside = ~((table >= 0.0) & (table <= 1.0)).all(axis=1)  # NaN is outside too
+    off_one = np.abs(table.sum(axis=1) - 1.0) > 1e-9 if probs.ndim == 2 else False
+    bad = np.flatnonzero(outside | off_one)
+    if bad.size:
+        row = int(bad[0])
+        if outside[row]:
+            raise SchemaError(f"{path}: row {row + 1}: probabilities must be finite and lie in [0, 1], "
+                              f"got {table[row].tolist()}")
+        raise SchemaError(f"{path}: row {row + 1}: probabilities sum to {table[row].sum()!r}, not 1 within 1e-9")
+    return ids, labels, probs
 
 
 # ---------------------------------------------------------------------------

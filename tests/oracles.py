@@ -5,12 +5,13 @@ recomputation from scratch, full enumeration. Tests freeze expected values
 computed by these functions or compare against them directly.
 """
 
+import csv
 import itertools
 
 import numpy as np
 
 from abstainkit import SortedPredictionSet, auroc, sensitivity_at_specificity, weighted_kappa
-from abstainkit.errors import NoNegatives, NoPositives
+from abstainkit.errors import NoNegatives, NoPositives, SchemaError
 
 
 def pairwise_auroc(probs, labels):
@@ -276,3 +277,51 @@ def exhaustive_threshold_search(probs, labels, metric, max_abstained, grid):
 def brute_force_auroc_after_drop(probs, labels, drop):
     keep = np.setdiff1d(np.arange(len(probs)), drop)
     return auroc(SortedPredictionSet(np.asarray(probs)[keep], np.asarray(labels)[keep]))
+
+
+def read_value_csv(path, binary_column, class_prefix):
+    """Prediction / raw-score CSV reader: `csv.reader` rows and `float()` per cell.
+
+    Returns ``(ids, labels_or_None, values)`` like ``experiments._read_value_csv``
+    and raises SchemaError on the same inputs.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise SchemaError(f"{path}: empty file") from None
+        rows = list(reader)
+    if not rows:
+        raise SchemaError(f"{path}: no data rows")
+    if header[:2] != ["id", "label"]:
+        raise SchemaError(f"{path}: header must start with id,label")
+    value_cols = header[2:]
+    if value_cols == [binary_column]:
+        binary = True
+    elif value_cols and value_cols == [f"{class_prefix}_{c}" for c in range(len(value_cols))]:
+        binary = False
+    else:
+        raise SchemaError(f"{path}: bad value columns")
+    ids, labels, values = [], [], []
+    for row in rows:
+        if len(row) != len(header):
+            raise SchemaError(f"{path}: row has {len(row)} cells, expected {len(header)}")
+        ids.append(row[0])
+        labels.append(row[1])
+        try:
+            values.append([float(v) for v in row[2:]])
+        except ValueError as exc:
+            raise SchemaError(f"{path}: value cell is not a number: {exc}") from None
+    have_labels = any(cell != "" for cell in labels)
+    if have_labels and not all(cell != "" for cell in labels):
+        raise SchemaError(f"{path}: labels must be all present or all empty")
+    try:
+        label_arr = np.array([int(v) for v in labels], dtype=np.int64) if have_labels else None
+    except ValueError as exc:
+        raise SchemaError(f"{path}: label cell is not an integer: {exc}") from None
+    value_arr = np.asarray(values, dtype=float)
+    class_count = 2 if binary else value_arr.shape[1]
+    if label_arr is not None and not (label_arr.min() >= 0 and label_arr.max() < class_count):
+        raise SchemaError(f"{path}: labels must lie in [0, {class_count})")
+    return ids, label_arr, value_arr[:, 0] if binary else value_arr

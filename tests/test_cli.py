@@ -198,6 +198,8 @@ _JSON_INPUTS = {
 _JSON_CASES = [(name, case) for name in _JSON_INPUTS for case in ("valid", "not_json", "list", "missing")]
 _JSON_CASES += [(name, case) for name in ("simulate_binary", "simulate_multiclass") for case in ("unknown_key", "n_float")]
 _JSON_CASES += [("simulate_binary", "no_prior"), ("experiment", "seed_float"), ("experiment", "mc_float")]
+_JSON_CASES += [("experiment", case) for case in ("unknown_key", "method_key", "sim_key", "text_budget")]
+_JSON_CASES += [("apply_calibrator", "text_scale")]
 _NOT_INTEGER = ("n_float", "seed_float", "mc_float")
 
 
@@ -214,6 +216,10 @@ def test_malformed_json_input_is_one_named_error(tmp_path, capsys, name, case):
         "no_prior": json.dumps({k: v for k, v in payload.items() if k != "positive_prior"}),
         "seed_float": json.dumps({**payload, "seeds": [1.5]}),
         "mc_float": json.dumps({**payload, "mc_samples": 10.5}),
+        "method_key": json.dumps({("method" if k == "methods" else k): v for k, v in payload.items()}),
+        "sim_key": json.dumps({**payload, "sim": {"bogus": 3}}),
+        "text_budget": json.dumps({**payload, "budgets": ["a"]}),
+        "text_scale": json.dumps({**payload, "scale": "abc"}),
     }[case]
     path = tmp_path / "input.json"
     path.write_text(text)
@@ -259,8 +265,9 @@ def test_abstain_file_indices_must_be_distinct_rows(tmp_path, capsys, indices):
         (["--method", "bogus", "--budget", "0.3"], "ValueError"),
         (["--method", "sens_window", "--budget", "1.5"], "BudgetTooLarge"),
         (["--method", "sens_window", "--budget", "0.3", "--mc-samples", "0"], "InvalidConfig"),
+        (["--method", "sens_window", "--budget", "0.3", "--target-specificity", "1.5"], "InvalidSpecificity"),
     ],
-    ids=["method", "budget", "mc_samples"],
+    ids=["method", "budget", "mc_samples", "target_specificity"],
 )
 def test_abstain_checks_arguments_before_reading(tmp_path, capsys, argv, error_type):
     assert main(["abstain", "--input", str(tmp_path / "missing.csv"), *argv]) == 1
@@ -405,7 +412,8 @@ def test_evaluate_kappa_rejects_invalid_probability_rows(tmp_path, capsys, bad_r
     data = tmp_path / "three.csv"
     data.write_text(f"id,label,p_0,p_1,p_2\n0,0,0.8,0.1,0.1\n1,1,0.1,0.8,0.1\n{bad_row}\n3,0,0.7,0.2,0.1\n")
     assert main(["evaluate", "--input", str(data), "--metric", "weighted_kappa"]) == 1
-    _single_error_line(capsys, "ValueError")
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: SchemaError: {data}: row 3: probabilities "), err
 
 
 def _write_spec(path, methods, budgets):
@@ -413,6 +421,28 @@ def _write_spec(path, methods, budgets):
         "task": "figure1", "methods": methods, "budgets": budgets, "seeds": [0],
         "metric": {"name": "auroc"}, "sim": {"n": 200}, "output": str(path.parent / "exp"),
     }))
+
+
+def test_sens_window_needs_a_target_specificity(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    _write_spec(spec, ["entropy", "sens_window"], [0.3])
+    assert main(["experiment", "--spec", str(spec)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: InvalidConfig: sens_window needs a metric with a target_specificity\n"
+    assert not (tmp_path / "exp").exists()
+
+
+@pytest.mark.parametrize(
+    "argv", [["abstain", "--method", "entropy", "--budget", "0.2"], ["evaluate", "--metric", "auroc"]],
+    ids=["abstain_entropy", "evaluate"],
+)
+def test_probability_outside_unit_interval_is_named(tmp_path, capsys, argv):
+    data = tmp_path / "data.csv"
+    data.write_text("id,label,prob\n0,0,0.1\n1,1,0.8\n2,1,1.5\n3,0,0.3\n4,1,0.9\n")
+    assert main([argv[0], "--input", str(data), *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    want = f"error: SchemaError: {data}: row 3: probabilities must be finite and lie in [0, 1], got [1.5]\n"
+    assert err == want
 
 
 def test_unknown_method_is_rejected_at_zero_budget(tmp_path, capsys):
@@ -426,7 +456,9 @@ def test_unknown_method_is_rejected_at_zero_budget(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     _write_spec(spec, ["bogus"], [0.0])
     assert main(["experiment", "--spec", str(spec)]) == 1
-    _single_error_line(capsys, "ValueError")
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1, err
+    assert err.startswith(f"error: SchemaError: {spec}: ValueError: unknown method 'bogus'"), err
     assert not (tmp_path / "exp" / "results.csv").exists()
 
 
@@ -456,7 +488,8 @@ def test_evaluate_rejects_nan_probability(tmp_path, capsys):
     data.write_text("id,label,prob\n0,0,0.1\n1,1,nan\n2,0,0.3\n3,1,0.9\n")
     code = main(["evaluate", "--input", str(data), "--metric", "sens_at_spec"])
     assert code == 1
-    _single_error_line(capsys, "ValueError")
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: SchemaError: {data}: row 2: probabilities "), err
 
 
 @pytest.mark.parametrize(

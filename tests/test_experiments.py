@@ -9,7 +9,7 @@ import pytest
 
 from abstainkit import experiments
 from abstainkit.calibration import PriorEstimate, adapt_label_shift_em
-from abstainkit.errors import BudgetTooLarge, DidNotConverge, InputNotFound, SchemaError
+from abstainkit.errors import BudgetTooLarge, DidNotConverge, InputNotFound, InvalidSpecificity, SchemaError
 from abstainkit.experiments import (
     ExperimentSpec,
     MethodSpec,
@@ -228,6 +228,12 @@ class TestOtherTasks:
         })
         with pytest.raises(InputNotFound):
             run_experiment(spec)
+
+    def test_metric_target_specificity_lies_in_the_open_unit_interval(self):
+        for target in (0.0, 1.0, 1.5, -0.1, float("nan")):
+            with pytest.raises(InvalidSpecificity):
+                MetricSpec("auroc", target)
+        assert MetricSpec("auroc", 0.5).target_specificity == 0.5
 
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="at least one"):
