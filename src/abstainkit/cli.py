@@ -185,6 +185,15 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+def _cell(path, number: int, row: dict, column: str, kind):
+    """``kind(row[column])``, or a SchemaError naming the file, the row (from 1) and the column."""
+    try:
+        return kind(row[column])
+    except (TypeError, ValueError):  # TypeError: a short row leaves the cell None
+        what = "an integer" if kind is int else "a number"
+        raise SchemaError(f"{path}: row {number}: {column} cell is not {what}: {row[column]!r}") from None
+
+
 def _cmd_compare(args) -> int:
     with _open_input(args.input) as fh:
         rows = list(csv.DictReader(fh))
@@ -195,14 +204,16 @@ def _cmd_compare(args) -> int:
         raise SchemaError(f"{args.input}: missing columns {', '.join(sorted(missing))}")
     # Runs pair up by (seed, budget, adapted); `adapted` is 0 where the column is absent.
     by_method: dict[str, dict] = {}
-    for row in rows:
-        if args.budget is not None and float(row["budget"]) != args.budget:
+    for number, row in enumerate(rows, 1):
+        budget = _cell(args.input, number, row, "budget", float)
+        if args.budget is not None and budget != args.budget:
             continue
-        key = (int(row["seed"]), float(row["budget"]), int(row.get("adapted") or 0))
+        adapted = _cell(args.input, number, row, "adapted", int) if row.get("adapted") else 0
+        key = (_cell(args.input, number, row, "seed", int), budget, adapted)
         entries = by_method.setdefault(row["method"], {})
         if key in entries:
             raise SchemaError(f"{args.input}: method {row['method']} repeats (seed, budget, adapted) {key}")
-        entries[key] = float(row[args.column])
+        entries[key] = _cell(args.input, number, row, args.column, float)
     keys = sorted(next(iter(by_method.values()), {}))
     if any(sorted(entries) != keys for entries in by_method.values()):
         raise SchemaError(f"{args.input}: methods do not cover the same (seed, budget, adapted) rows")

@@ -352,8 +352,8 @@ def _read_value_csv(path, binary_column: str, class_prefix: str):
         raise SchemaError(f"{path}: labels must be all present or all empty")
     try:
         label_arr = labels.astype(np.int64) if present.any() else None
-    except ValueError as exc:
-        raise SchemaError(f"{path}: label cell is not an integer: {exc}") from None
+    except (ValueError, OverflowError):  # OverflowError: an integer beyond int64
+        raise _label_error(path, labels) from None
     values = np.ascontiguousarray(table["values"][:, 0] if binary else table["values"])
     class_count = 2 if binary else values.shape[1]
     if label_arr is not None and not (label_arr.min() >= 0 and label_arr.max() < class_count):
@@ -371,6 +371,16 @@ def _parse_error(path, cells: int, exc: ValueError) -> SchemaError:
     if number:
         return SchemaError(f"{path}: value cell is not a number: {number[1]} (row {int(number[2]) + 1})")
     return SchemaError(f"{path}: {text}")
+
+
+def _label_error(path, labels) -> SchemaError:
+    """The SchemaError for the first label cell that is not a 64-bit integer; rows are numbered from 1."""
+    for row, cell in enumerate(labels.tolist(), 1):
+        try:
+            np.int64(int(cell))
+        except (ValueError, OverflowError):
+            break
+    return SchemaError(f"{path}: label cell is not a 64-bit integer: {cell!r} (row {row})")
 
 
 def read_predictions(path):

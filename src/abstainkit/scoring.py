@@ -137,8 +137,8 @@ def _monte_carlo_mean(mc: MonteCarloConfig, size: int, draw, score) -> np.ndarra
     valid_counts = np.zeros(size)
     for seq in np.random.SeedSequence(mc.seed).spawn(mc.samples):
         values, valid = score(draw(np.random.default_rng(seq)))
-        sums[valid] += values[valid]
-        valid_counts[valid] += 1.0
+        np.add(sums, values, out=sums, where=valid)
+        valid_counts += valid
     return np.divide(sums, valid_counts, out=np.full_like(sums, np.nan), where=valid_counts > 0)
 
 
@@ -164,20 +164,24 @@ def _sens_window_sample(labels, d: int, target_specificity: float):
     valid = (w_pos < n_pos) & (w_neg < n_neg)
     if not valid.any():
         return np.zeros(w_pos.size), valid
-    # Thresholds after j = 0..max_removed abstained negatives below (left) or
-    # above (right) it; right[j] <= left[0] <= left[j]. At least one negative
-    # always remains.
-    max_removed = int(min(d, n_neg - 1))
-    j = np.arange(max_removed + 1, dtype=float)
+    # Windows remove `removed` negatives, capped so that at least one remains
+    # (windows at the cap are invalid). Thresholds are searched only for the
+    # counts j in [lo, hi] some window removes: after j abstained negatives
+    # below (left) or above (right) it, so right[j] <= the unabstained
+    # threshold <= left[j]. Each threshold depends only on its own j, so
+    # searching fewer counts changes none of them.
+    removed = np.minimum(w_neg.astype(np.int64), int(min(d, n_neg - 1)))
+    lo, hi = int(removed.min()), int(removed.max())
+    j = np.arange(lo, hi + 1, dtype=float)
     left = specificity_threshold_index(counts.neg_suffix, n_neg - j, target_specificity)
     right = specificity_threshold_index(counts.neg_suffix, n_neg - j, target_specificity, removed_above=j)
-    removed = np.minimum(w_neg.astype(np.int64), max_removed)  # windows at the cap are invalid
-    t_right, t_left = right[removed], left[removed]
+    t_right, t_left = right[removed - lo], left[removed - lo]
     starts = np.arange(w_pos.size)
     # The adjusted threshold either sits at or below the window start (all
     # removed negatives were above it) or is pushed past the window end.
-    t_new = np.where(t_right <= starts, t_right, np.maximum(t_left, starts + d))
-    numer = counts.pos_suffix[t_new] - (t_new <= starts) * w_pos
+    above = t_right <= starts
+    t_new = np.where(above, t_right, np.maximum(t_left, starts + d))
+    numer = counts.pos_suffix[t_new] - above * w_pos
     denom = np.where(valid, n_pos - w_pos, 1.0)
     return np.where(valid, numer / denom, 0.0), valid
 
@@ -195,7 +199,7 @@ def score_windows_sens_at_spec(
     by running sums, and every window's surviving-positive fraction above its
     adjusted threshold is accumulated. Runs in O(N) per sample.
     """
-    if not 0.0 < target_specificity < 1.0:
+    if target_specificity is None or not 0.0 < target_specificity < 1.0:
         raise InvalidSpecificity(f"target specificity must be in (0, 1), got {target_specificity}")
     n = preds.n
     d = _window_count(budget, n)
@@ -312,11 +316,11 @@ def score_examples_kappa(
         raise ValueError(f"unknown mode {mode!r}")
     if mc is None:
         raise ValueError("monte_carlo mode needs a MonteCarloConfig")
-    cum = p.cumsum(axis=1)
+    bounds = np.ascontiguousarray(p.cumsum(axis=1)[:, :-1].T)
     every_example = np.ones(n, dtype=bool)
 
     def draw(rng):
-        return np.minimum((rng.random(n)[:, None] >= cum).sum(axis=1), n_classes - 1)
+        return _draw_classes(rng.random(n), bounds)
 
     def score(sampled):
         true_counts = np.bincount(sampled, minlength=n_classes).astype(float)
@@ -333,6 +337,20 @@ def score_examples_kappa(
         return 1.0 - (float(penalties.sum()) - penalties) / denom, every_example
 
     return MarginalScoreVector(_monte_carlo_mean(mc, n, draw, score))
+
+
+def _draw_classes(u, bounds) -> np.ndarray:
+    """Per row x, the first class c whose cumulative probability exceeds u[x].
+
+    ``bounds[c]`` holds every row's cumulative probability up to class c, for
+    c < C - 1 only: a row whose draw passes every bound takes the last
+    class, even where rounding leaves its full cumsum just below u[x].
+    Cumsums are non-decreasing, so the class is the count of bounds <= u[x].
+    """
+    sampled = np.zeros(u.size, dtype=np.int64)
+    for bound in bounds:
+        sampled += u >= bound
+    return sampled
 
 
 def _center_fit_weights(half: int, polyorder: int) -> np.ndarray:

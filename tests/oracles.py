@@ -11,7 +11,8 @@ import itertools
 import numpy as np
 
 from abstainkit import SortedPredictionSet, auroc, sensitivity_at_specificity, weighted_kappa
-from abstainkit.errors import NoNegatives, NoPositives, SchemaError
+from abstainkit.errors import DegenerateDenominator, NoNegatives, NoPositives, SchemaError
+from abstainkit.metrics import kappa_aggregates, running_counts, specificity_threshold_index
 
 
 def pairwise_auroc(probs, labels):
@@ -163,6 +164,85 @@ def same_stream_kappa_means(P, weights, samples, seed):
         for x in range(n):
             total[x] += kappa_without_example(pred, true, weights, x)
     return total / samples
+
+
+def masked_monte_carlo_mean(samples, seed, size, draw, score):
+    """The scorers' accumulate loop with boolean-mask updates: each entry is
+    the mean of ``score(draw(rng))`` values over the samples where it was valid."""
+    sums = np.zeros(size)
+    valid_counts = np.zeros(size)
+    for rng in sample_streams(seed, samples):
+        values, valid = score(draw(rng))
+        sums[valid] += values[valid]
+        valid_counts[valid] += 1.0
+    return np.divide(sums, valid_counts, out=np.full_like(sums, np.nan), where=valid_counts > 0)
+
+
+def full_range_sens_window_sample(labels, d, target_specificity):
+    """One-sample window sensitivities with thresholds for every removed count.
+
+    Left and right thresholds are searched for each j = 0..max_removed, not
+    only for the counts the windows remove, then gathered per window.
+    """
+    counts = running_counts(labels, d)
+    n_pos, n_neg = counts.total_pos, counts.total_neg
+    w_pos, w_neg = counts.window_pos, counts.window_neg
+    valid = (w_pos < n_pos) & (w_neg < n_neg)
+    if not valid.any():
+        return np.zeros(w_pos.size), valid
+    max_removed = int(min(d, n_neg - 1))
+    j = np.arange(max_removed + 1, dtype=float)
+    left = specificity_threshold_index(counts.neg_suffix, n_neg - j, target_specificity)
+    right = specificity_threshold_index(counts.neg_suffix, n_neg - j, target_specificity, removed_above=j)
+    removed = np.minimum(w_neg.astype(np.int64), max_removed)
+    t_right, t_left = right[removed], left[removed]
+    starts = np.arange(w_pos.size)
+    t_new = np.where(t_right <= starts, t_right, np.maximum(t_left, starts + d))
+    numer = counts.pos_suffix[t_new] - (t_new <= starts) * w_pos
+    denom = np.where(valid, n_pos - w_pos, 1.0)
+    return np.where(valid, numer / denom, 0.0), valid
+
+
+def full_range_sens_window_scores(p, d, target_specificity, samples, seed):
+    """Unsmoothed MC sens-at-spec window scores from the full-range sample."""
+    p = np.asarray(p, dtype=float)
+    return masked_monte_carlo_mean(
+        samples, seed, p.size + 1 - d,
+        lambda rng: (rng.random(p.size) < p).astype(float),
+        lambda labels: full_range_sens_window_sample(labels, d, target_specificity),
+    )
+
+
+def clamped_class_draw(u, cum):
+    """Per row, the count of cumulative probabilities <= u over all C
+    columns, clamped to the last class."""
+    return np.minimum((u[:, None] >= cum).sum(axis=1), cum.shape[1] - 1)
+
+
+def clamped_kappa_scores(P, weights, samples, seed):
+    """MC leave-one-out kappa scores drawing labels with ``clamped_class_draw``."""
+    P = np.asarray(P, dtype=float)
+    n, c = P.shape
+    w = weights.weights
+    pred = P.argmax(axis=1)
+    scale = 1.0 / (n - 1)
+    cum = P.cumsum(axis=1)
+
+    def score(sampled):
+        true_counts = np.bincount(sampled, minlength=c).astype(float)
+        penalties = w[sampled, pred]
+        agg = kappa_aggregates(weights, true_counts, pred)
+        denom = (
+            agg.denom_base
+            - agg.denom_row_adjust[sampled]
+            - agg.denom_col_adjust[pred]
+            + penalties * scale
+        )
+        if np.abs(denom).min() < 1e-12:
+            raise DegenerateDenominator("leave-one-out chance penalty is ~0")
+        return 1.0 - (float(penalties.sum()) - penalties) / denom, np.ones(n, dtype=bool)
+
+    return masked_monte_carlo_mean(samples, seed, n, lambda rng: clamped_class_draw(rng.random(n), cum), score)
 
 
 def naive_kappa_marginals(P, w):
@@ -318,8 +398,8 @@ def read_value_csv(path, binary_column, class_prefix):
         raise SchemaError(f"{path}: labels must be all present or all empty")
     try:
         label_arr = np.array([int(v) for v in labels], dtype=np.int64) if have_labels else None
-    except ValueError as exc:
-        raise SchemaError(f"{path}: label cell is not an integer: {exc}") from None
+    except (ValueError, OverflowError) as exc:
+        raise SchemaError(f"{path}: label cell is not a 64-bit integer: {exc}") from None
     value_arr = np.asarray(values, dtype=float)
     class_count = 2 if binary else value_arr.shape[1]
     if label_arr is not None and not (label_arr.min() >= 0 and label_arr.max() < class_count):

@@ -505,6 +505,14 @@ def test_unparseable_cell_is_named(tmp_path, capsys, content, kind):
     assert err.count("\n") == 1 and err.startswith(f"error: SchemaError: {data}: {kind} cell"), err
 
 
+def test_label_beyond_int64_is_named_with_its_row(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text("id,label,prob\n0,0,0.5\n1,99999999999999999999,0.2\n")
+    assert main(["evaluate", "--input", str(data), "--metric", "auroc"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: SchemaError: {data}: label cell is not a 64-bit integer: '99999999999999999999' (row 2)\n"
+
+
 def _write_results(path, rows):
     header = ["seed", "method", "budget", "metric", "adapted", "base", "post", "abstained", "n"]
     lines = [",".join(header)]
@@ -531,6 +539,22 @@ def test_compare_pairs_rows_by_seed_budget_and_adapted(tmp_path, capsys):
     assert payload["methods"] == ["a", "b"]
     np.testing.assert_array_equal(payload["p_values"], want.p_values)
     assert payload["significant"] == want.significant.tolist()
+
+
+@pytest.mark.parametrize(
+    "column, cell, what",
+    [("seed", "abc", "an integer"), ("seed", "1.5", "an integer"), ("budget", "abc", "a number"),
+     ("adapted", "abc", "an integer"), ("post", "abc", "a number")],
+)
+def test_compare_names_a_cell_that_is_not_a_number(tmp_path, capsys, column, cell, what):
+    results = tmp_path / "results.csv"
+    _write_results(results, [(seed, method, 0, 0.5 + 0.01 * seed) for seed in range(6) for method in "ab"])
+    rows = [line.split(",") for line in results.read_text().splitlines()]
+    rows[3][rows[0].index(column)] = cell
+    results.write_text("".join(",".join(row) + "\n" for row in rows))
+    assert main(["compare", "--input", str(results)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: SchemaError: {results}: row 3: {column} cell is not {what}: {cell!r}\n"
 
 
 def test_compare_rejects_methods_on_different_rows(tmp_path, capsys):

@@ -255,6 +255,11 @@ class TestAbstainIndices:
         positions = np.searchsorted(probs[order], probs[idx])
         assert positions.max() - positions.min() < 40 + 1
 
+    def test_sens_window_needs_a_target_specificity(self):
+        probs = np.linspace(0.01, 0.99, 50)
+        with pytest.raises(InvalidSpecificity, match="got None"):
+            abstain_indices(MethodSpec("sens_window"), probs, 0.2, MetricSpec("auroc"), MonteCarloConfig(samples=2))
+
     def test_fumera_respects_budget(self):
         rng = np.random.default_rng(2)
         probs = rng.uniform(0, 1, 120)

@@ -2,14 +2,20 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from abstainkit import PenaltyWeightMatrix, ProbabilityMatrix, score_examples_kappa
 from abstainkit.errors import DegenerateDenominator
-from abstainkit.scoring import MonteCarloConfig
+from abstainkit.scoring import MonteCarloConfig, _draw_classes
 
-from oracles import kappa_without_example, naive_kappa_marginals, same_stream_kappa_means
+from oracles import (
+    clamped_class_draw,
+    clamped_kappa_scores,
+    kappa_without_example,
+    naive_kappa_marginals,
+    same_stream_kappa_means,
+)
 
 
 def _random_simplex_rows(rng, n, c):
@@ -156,3 +162,54 @@ def test_deterministic_equals_naive_loop_evaluation(p):
     except DegenerateDenominator:
         reject()
     np.testing.assert_allclose(got, naive_kappa_marginals(p, weights.weights), rtol=0, atol=1e-10)
+
+
+@st.composite
+def _edge_simplex_rows(draw):
+    """Rows with zero-probability columns: tenths k/10, whose cumsum may end
+    just below 1 (0.2, 0.7, 0.1 ends at 0.9999999999999999), or normalized
+    soft mass with some columns zeroed."""
+    n = draw(st.integers(2, 10))
+    c = draw(st.integers(2, 5))
+    rows = []
+    for _ in range(n):
+        if draw(st.booleans()):
+            cuts = sorted(draw(st.lists(st.integers(0, 10), min_size=c - 1, max_size=c - 1)))
+            rows.append(np.diff([0, *cuts, 10]) / 10)
+        else:
+            mass = np.array(draw(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1.0)), min_size=c, max_size=c)))
+            mass[draw(st.integers(0, c - 1))] += 0.5  # never an all-zero row
+            rows.append(mass / mass.sum())
+    return np.array(rows)
+
+
+@settings(derandomize=True, deadline=None)
+@given(_edge_simplex_rows(), st.integers(0, 2**32 - 1))
+def test_monte_carlo_scores_are_bytes_of_the_clamped_draw_reference(p, seed):
+    # C - 1 column passes over the cumsum against the N x C comparison and its clamp
+    weights = PenaltyWeightMatrix.quadratic(p.shape[1])
+    mc = MonteCarloConfig(samples=6, seed=seed)
+    try:
+        want = clamped_kappa_scores(p, weights, 6, seed)
+    except DegenerateDenominator:
+        with pytest.raises(DegenerateDenominator):
+            score_examples_kappa(ProbabilityMatrix(p), weights, mode="monte_carlo", mc=mc)
+        return
+    got = score_examples_kappa(ProbabilityMatrix(p), weights, mode="monte_carlo", mc=mc).scores
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(derandomize=True, deadline=None)
+@given(_edge_simplex_rows())
+@example(np.array([[0.2, 0.7, 0.1], [0.0, 1.0, 0.0]]))  # the first cumsum ends below 1
+def test_class_draw_equals_the_clamped_draw_at_every_bound(p):
+    # uniforms on, just below and just above every cumulative bound, and at
+    # the ends of [0, 1): a draw past a cumsum that ends below 1 takes the last class
+    cum = p.cumsum(axis=1)
+    bounds = np.ascontiguousarray(cum[:, :-1].T)
+    top = np.nextafter(1.0, 0.0)
+    ends = np.tile([0.0, top], (p.shape[0], 1))
+    candidates = np.concatenate([np.nextafter(cum, -np.inf), cum, np.nextafter(cum, np.inf), ends], axis=1)
+    for u in np.clip(candidates, 0.0, top).T:
+        u = np.ascontiguousarray(u)
+        np.testing.assert_array_equal(_draw_classes(u, bounds), clamped_class_draw(u, cum))

@@ -25,6 +25,7 @@ from abstainkit.metrics import specificity_threshold_index
 from abstainkit.scoring import MonteCarloConfig, auroc_rank_sums
 
 from oracles import (
+    full_range_sens_window_scores,
     metric_without_window,
     naive_auroc_window_scores,
     naive_mc_sens_windows,
@@ -157,6 +158,33 @@ class TestSameStreamOracle:
 
 
 @st.composite
+def _edge_window_instances(draw):
+    """Sorted probabilities that are often exactly 0.0 or 1.0, so samples lose
+    a class and windows hold every negative, plus a target near 0, near 1 or
+    between, and a seed."""
+    n = draw(st.integers(2, 12))
+    cell = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    p = np.sort(np.array(draw(st.lists(cell, min_size=n, max_size=n))))
+    s = draw(st.one_of(
+        st.floats(0.0, 0.05, exclude_min=True), st.floats(0.05, 0.95), st.floats(0.95, 1.0, exclude_max=True)
+    ))
+    return p, s, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(derandomize=True, deadline=None)
+@given(_edge_window_instances())
+def test_sens_scores_are_bytes_of_the_full_range_reference(instance):
+    # the scorer searches thresholds only for the negative counts its windows
+    # remove; the reference searches every count from 0 to the cap
+    p, s, seed = instance
+    mc = MonteCarloConfig(samples=8, seed=seed, smooth=False)
+    for d in range(1, p.size):
+        got = score_windows_sens_at_spec(SortedPredictionSet(p), s, d, mc).scores
+        want = full_range_sens_window_scores(p, d, s, 8, seed)
+        assert got.tobytes() == want.tobytes(), (d, got, want)
+
+
+@st.composite
 def _lattice_window_instances(draw):
     """Sorted probabilities k/steps (steps 1 gives hard 0/1 values), so values
     tie, with their integer numerators and a window size."""
@@ -238,6 +266,8 @@ class TestSensWindowScorer:
             score_windows_sens_at_spec(preds, 0.9, 0, mc)
         with pytest.raises(InvalidSpecificity):
             score_windows_sens_at_spec(preds, 1.0, 3, mc)
+        with pytest.raises(InvalidSpecificity):
+            score_windows_sens_at_spec(preds, None, 3, mc)
 
 
 class TestAurocRankSums:
