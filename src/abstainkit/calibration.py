@@ -58,7 +58,7 @@ class PriorEstimate:
         priors = np.asarray(self.priors, dtype=float)
         if priors.ndim != 1:
             raise ValueError("priors must be a vector")
-        if priors.size and (priors.min() < 0 or abs(priors.sum() - 1.0) > 1e-9):
+        if priors.size and not (priors.min() >= 0 and abs(priors.sum() - 1.0) <= 1e-9):  # NaN fails too
             raise ValueError("priors must be nonnegative and sum to 1 within 1e-9")
         object.__setattr__(self, "priors", priors)
 
@@ -128,11 +128,23 @@ def _temp_nll(logits, labels, scale, offset):
     return nll, grad_scale, grad_offset
 
 
-def _minimize(fun, x0, bounds):
+def _fit(objective, starts, bounds, what):
+    """The parameters L-BFGS-B reaches from the start with the lowest final NLL.
+
+    A fit that stops without success and with a gradient norm above the
+    tolerance is DidNotConverge, named by ``what``.
+    """
     from scipy.optimize import minimize
 
-    return minimize(fun, x0=np.asarray(x0, dtype=float), jac=True, method="L-BFGS-B",
-                    bounds=bounds, options={"maxiter": _MAX_ITER})
+    best = None
+    for start in starts:
+        res = minimize(objective, x0=np.asarray(start, dtype=float), jac=True, method="L-BFGS-B",
+                       bounds=bounds, options={"maxiter": _MAX_ITER})
+        if best is None or res.fun < best.fun:
+            best = res
+    if not best.success and np.linalg.norm(best.jac) > _GRAD_TOL:
+        raise DidNotConverge(f"{what} fit stopped with gradient norm {np.linalg.norm(best.jac):.2e}")
+    return best.x
 
 
 def fit_calibrator(kind: str, raw_scores, labels) -> Calibrator:
@@ -156,10 +168,8 @@ def fit_calibrator(kind: str, raw_scores, labels) -> Calibrator:
         if not np.isin(labels, (0, 1)).all():
             raise ValueError("platt labels must be binary 0/1")
         y = labels.astype(float)
-        res = _minimize(lambda p: _platt_nll(p, scores, y), [1.0, 0.0], bounds=None)
-        if not res.success and np.linalg.norm(res.jac) > _GRAD_TOL:
-            raise DidNotConverge(f"platt fit stopped with gradient norm {np.linalg.norm(res.jac):.2e}")
-        return Calibrator(kind="platt", scale=float(res.x[0]), offset=[float(res.x[1])])
+        x = _fit(lambda p: _platt_nll(p, scores, y), [[1.0, 0.0]], None, "platt")
+        return Calibrator(kind="platt", scale=float(x[0]), offset=[float(x[1])])
 
     if scores.ndim != 2 or scores.shape[0] != labels.size:
         raise DimensionMismatch("temperature kinds expect an N x C logit matrix")
@@ -176,28 +186,18 @@ def fit_calibrator(kind: str, raw_scores, labels) -> Calibrator:
             nll, grad_scale, _ = _temp_nll(scores, labels, params[0], zeros)
             return nll, np.array([grad_scale])
 
-        candidates = [1.0]
         grid = np.logspace(-3.0, 3.0, 61)
-        candidates.append(float(grid[np.argmin([objective([s])[0] for s in grid])]))
-        best = None
-        for start in candidates:
-            res = _minimize(objective, [start], bounds=[(1e-6, 1e6)])
-            if best is None or res.fun < best.fun:
-                best = res
-        if not best.success and np.linalg.norm(best.jac) > _GRAD_TOL:
-            raise DidNotConverge(f"temperature fit stopped with gradient norm {np.linalg.norm(best.jac):.2e}")
-        return Calibrator(kind="temperature", scale=float(best.x[0]), offset=zeros)
+        starts = [[1.0], [float(grid[np.argmin([objective([s])[0] for s in grid])])]]
+        x = _fit(objective, starts, [(1e-6, 1e6)], "temperature")
+        return Calibrator(kind="temperature", scale=float(x[0]), offset=zeros)
 
     def objective(params):
         nll, grad_scale, grad_offset = _temp_nll(scores, labels, params[0], params[1:])
         return nll, np.concatenate([[grad_scale], grad_offset])
 
     x0 = np.concatenate([[1.0], np.zeros(n_classes)])
-    bounds = [(1e-6, 1e6)] + [(None, None)] * n_classes
-    res = _minimize(objective, x0, bounds=bounds)
-    if not res.success and np.linalg.norm(res.jac) > _GRAD_TOL:
-        raise DidNotConverge(f"bias-corrected fit stopped with gradient norm {np.linalg.norm(res.jac):.2e}")
-    return Calibrator(kind="bias_corrected_temperature", scale=float(res.x[0]), offset=res.x[1:])
+    x = _fit(objective, [x0], [(1e-6, 1e6)] + [(None, None)] * n_classes, "bias-corrected")
+    return Calibrator(kind="bias_corrected_temperature", scale=float(x[0]), offset=x[1:])
 
 
 def apply_calibrator(cal: Calibrator, raw_scores):

@@ -23,7 +23,7 @@ import numpy as np
 from .calibration import (
     CALIBRATOR_KINDS, Calibrator, PriorEstimate, adapt_label_shift_em, apply_calibrator, fit_calibrator,
 )
-from .errors import AbstainkitError, DidNotConverge, SchemaError
+from .errors import AbstainkitError, DidNotConverge, InvalidConfig, SchemaError
 from .experiments import (
     _METRIC_LAYOUT,
     ExperimentSpec,
@@ -46,8 +46,16 @@ from .simulate import BinarySimConfig, MulticlassSimConfig, simulate_binary, sim
 from .stats import compare_methods
 
 
-def _parse_priors(text: str) -> PriorEstimate:
-    return PriorEstimate(np.array([float(v) for v in text.split(",")]))
+def _parse_priors(text: str, flag: str) -> PriorEstimate:
+    """The comma-separated class priors given as ``flag``.
+
+    A cell that is not a number, or priors that are not a distribution, is
+    InvalidConfig naming the flag.
+    """
+    try:
+        return PriorEstimate(np.array([float(v) for v in text.split(",")]))
+    except ValueError as exc:
+        raise InvalidConfig(f"{flag}: {exc}") from None
 
 
 def _metric_spec(args) -> MetricSpec:
@@ -110,10 +118,10 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_adapt(args) -> int:
+    train_priors = _parse_priors(args.train_priors, "--train-priors")
     ids, labels, probs = read_predictions(args.input)
     result = adapt_label_shift_em(
-        _shaped(probs, "lifted", "adapt"), _parse_priors(args.train_priors),
-        tol=args.tol, max_iter=args.max_iter,
+        _shaped(probs, "lifted", "adapt"), train_priors, tol=args.tol, max_iter=args.max_iter,
     )
     if not result.converged:
         raise DidNotConverge(f"label-shift EM did not converge in {result.iterations} iterations")
@@ -133,7 +141,7 @@ def _cmd_abstain(args) -> int:
     _check_budget(args.budget)
     mc = MonteCarloConfig(samples=args.mc_samples, seed=args.seed, smooth=args.smooth)
     metric = _metric_spec(args)
-    priors = _parse_priors(args.priors) if args.priors else None
+    priors = _parse_priors(args.priors, "--priors") if args.priors else None
     _, labels, probs = read_predictions(args.input)
     if priors is None and labels is not None:
         count = 2 if probs.ndim == 1 else probs.shape[1]

@@ -35,7 +35,7 @@ class DegenerateLabels(AbstainkitError, ValueError):
 
 
 class DimensionMismatch(AbstainkitError, ValueError):
-    """Input shape is incompatible with the fitted calibrator."""
+    """Input shape is incompatible with the fitted calibrator, or priors with the class count."""
 
 
 class NonpositiveTrainPrior(AbstainkitError, ValueError):

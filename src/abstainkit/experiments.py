@@ -14,9 +14,10 @@ from __future__ import annotations
 import csv
 import datetime
 import json
+import numbers
 import os
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -89,16 +90,9 @@ LABEL_SHIFT_CONFIG = dict(positive_prior=0.5, mu_pos=1.0, mu_neg=-1.0, sigma_pos
 LABEL_SHIFT_TEST_SIZE = 10000
 LABEL_SHIFT_TARGET = (2.0 / 3.0, 1.0 / 3.0)
 
-# every task, with the `sim` keys it reads: its simulation config's fields but
-# the seed, which comes from `seeds`, and its own knobs
-_BINARY_SIM_KEYS = frozenset(f.name for f in fields(BinarySimConfig)) - {"seed"}
-_SIM_KEYS = {
-    "figure1": _BINARY_SIM_KEYS,
-    "auroc_correlation": frozenset({"abstain_count"}),
-    "kappa_convergence": frozenset(f.name for f in fields(MulticlassSimConfig)) - {"seed"} | {"repeats"},
-    "label_shift": _BINARY_SIM_KEYS,
-    "custom": frozenset(),
-}
+def _is_number(value) -> bool:
+    """Whether ``value`` is a JSON number: an int or a float, not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 # the metric names, each with the layout it reads: kappa needs the class count, the others a positive column
@@ -124,100 +118,102 @@ class MetricSpec:
         if self.target_specificity is not None and not 0.0 < self.target_specificity < 1.0:  # NaN fails too
             raise InvalidSpecificity(f"target specificity must be in (0, 1), got {self.target_specificity}")
 
-    @classmethod
-    def from_dict(cls, payload) -> "MetricSpec":
-        if isinstance(payload, str):
-            payload = {"name": payload}
-        return cls(name=payload["name"], target_specificity=payload.get("target_specificity"))
-
-    def to_dict(self) -> dict:
-        out = {"name": self.name}
-        if self.target_specificity is not None:
-            out["target_specificity"] = self.target_specificity
-        return out
-
 
 @dataclass(frozen=True)
 class MethodSpec:
+    """An abstention method; only ``fumera`` takes a param, its integer ``grid``."""
+
     name: str
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.name not in METHODS:
             raise ValueError(f"unknown method {self.name!r}; expected one of {', '.join(METHODS)}")
-
-    @classmethod
-    def from_dict(cls, payload) -> "MethodSpec":
-        if isinstance(payload, str):
-            return cls(name=payload)
-        return cls(name=payload["name"], params=dict(payload.get("params", {})))
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "params": dict(self.params)}
+        takes = {"grid"} if self.name == "fumera" else set()
+        if not isinstance(self.params, dict) or not takes.issuperset(self.params):
+            raise ValueError(f"method {self.name} takes params {sorted(takes)}, got {self.params!r}")
+        if "grid" in self.params:
+            _check_integers(grid=self.params["grid"])
 
 
-# the top-level keys of a spec JSON object
-_SPEC_KEYS = frozenset({"task", "methods", "budgets", "seeds", "metric", "mc_samples", "smooth", "output", "input", "sim"})
+def _spec_of(cls, entry):
+    """A MethodSpec or MetricSpec from a spec entry: one already built, a bare name or an object of its fields."""
+    return entry if isinstance(entry, cls) else cls(entry) if isinstance(entry, str) else cls(**entry)
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Resolved grid: task x methods x budgets x seeds."""
+    """Resolved grid: task x methods x budgets x seeds.
+
+    The fields are the keys of a spec JSON object; every value is checked
+    here, so a bad spec fails when it is built, before anything runs.
+    """
 
     task: str
-    methods: tuple
-    budgets: tuple
-    seeds: tuple
-    metric: MetricSpec
+    methods: tuple = ("sens_window",)
+    budgets: tuple = (0.3,)
+    seeds: tuple = (0,)
+    metric: MetricSpec = MetricSpec("sens_at_spec", 0.9)
     mc_samples: int = 100
     smooth: bool = True
     output: str = "results"
-    input_path: str | None = None
-    sim_overrides: dict = field(default_factory=dict)
+    input: str | None = None
+    sim: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.task not in _SIM_KEYS:
+        if self.task not in _TASKS:  # the task table follows the task runners, below
             raise ValueError(f"unknown task {self.task!r}")
+        for name, kind, what in (("smooth", bool, "true or false"), ("output", str, "a string"),
+                                 ("input", (str, type(None)), "a string or null"), ("sim", dict, "an object")):
+            if not isinstance(getattr(self, name), kind):
+                raise TypeError(f"{name} must be {what}, got {getattr(self, name)!r}")
+        if not all(_is_number(b) for b in self.budgets):
+            raise TypeError(f"budgets must be numbers, got {list(self.budgets)!r}")
+        object.__setattr__(self, "methods", tuple(_spec_of(MethodSpec, m) for m in self.methods))
+        object.__setattr__(self, "budgets", tuple(float(b) for b in self.budgets))
+        object.__setattr__(self, "seeds", tuple(self.seeds))
+        object.__setattr__(self, "metric", _spec_of(MetricSpec, self.metric))
         if not self.methods or not self.budgets or not self.seeds:
             raise ValueError("need at least one method, one budget and one seed")
-        unknown = set(self.sim_overrides) - _SIM_KEYS[self.task]
-        if unknown:
-            raise ValueError(f"task {self.task} takes no sim keys {', '.join(sorted(unknown))}")
+        for budget in self.budgets:
+            _check_budget(budget)
         if self.metric.target_specificity is None and any(m.name == "sens_window" for m in self.methods):
             raise InvalidConfig("sens_window needs a metric with a target_specificity")
         _check_integers(mc_samples=self.mc_samples, **{f"seeds[{i}]": s for i, s in enumerate(self.seeds)})
+        MonteCarloConfig(samples=self.mc_samples)
+        if self.task == "custom" and self.input is None:
+            raise ValueError("custom task needs an input file")
+        _, config, defaults, settings = _TASKS[self.task]
+        known = {**defaults, **settings}
+        for key, value in self.sim.items():
+            if key not in known:
+                raise ValueError(f"task {self.task} takes no sim key {key!r}")
+            kind = type(known[key])  # a value has the type of its default
+            cells = value if kind is tuple and isinstance(value, (list, tuple)) else [value]
+            if kind is int:
+                _check_integers(**{f"sim {key}": value})
+                if value < 1:
+                    raise InvalidConfig(f"sim {key} must be >= 1, got {value}")
+            elif not all(map(_is_number, cells)):
+                raise TypeError(f"sim {key} must be {'numbers' if kind is tuple else 'a number'}, got {value!r}")
+        if config is not None:
+            _task_config(self, self.seeds[0])
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentSpec":
-        unknown = set(payload) - _SPEC_KEYS
-        if unknown:
-            raise ValueError(f"unknown spec keys {', '.join(sorted(unknown))}")
-        return cls(
-            task=payload["task"],
-            methods=tuple(MethodSpec.from_dict(m) for m in payload.get("methods", ["sens_window"])),
-            budgets=tuple(float(b) for b in payload.get("budgets", [0.3])),
-            seeds=tuple(payload.get("seeds", [0])),
-            metric=MetricSpec.from_dict(payload.get("metric", {"name": "sens_at_spec", "target_specificity": 0.9})),
-            mc_samples=payload.get("mc_samples", 100),
-            smooth=bool(payload.get("smooth", True)),
-            output=payload.get("output", "results"),
-            input_path=payload.get("input"),
-            sim_overrides=dict(payload.get("sim", {})),
-        )
+        """The spec of a JSON object whose keys are the field names."""
+        return cls(**payload)
 
-    def to_dict(self) -> dict:
-        return {
-            "task": self.task,
-            "methods": [m.to_dict() for m in self.methods],
-            "budgets": list(self.budgets),
-            "seeds": list(self.seeds),
-            "metric": self.metric.to_dict(),
-            "mc_samples": self.mc_samples,
-            "smooth": self.smooth,
-            "output": self.output,
-            "input": self.input_path,
-            "sim": dict(self.sim_overrides),
-        }
+
+def _task_config(spec: ExperimentSpec, seed: int):
+    """The task's simulation config at ``seed``: its defaults, overridden by the spec's `sim` values."""
+    _, config, defaults, settings = _TASKS[spec.task]
+    return config(seed=seed, **{**defaults, **{k: v for k, v in spec.sim.items() if k not in settings}})
+
+
+def _setting(spec: ExperimentSpec, name: str) -> int:
+    """One of the task's own integer settings: the spec's `sim` value, else the default."""
+    return spec.sim.get(name, _TASKS[spec.task][3][name])
 
 
 # ---------------------------------------------------------------------------
@@ -236,14 +232,17 @@ def _open_input(path):
 def _load_json(path, build):
     """Return ``build(payload)`` for the JSON file at ``path``.
 
-    A file that is not JSON, or a payload ``build`` cannot read (a missing
-    field, a wrong type, a top level that is not an object, a value it
-    rejects with a plain ValueError), is a SchemaError naming the file. An
+    A file that is not JSON, a top level that is not an object, or a payload
+    ``build`` cannot read (a missing or unknown field, a wrong type, a value
+    it rejects with a plain ValueError) is a SchemaError naming the file. An
     AbstainkitError from ``build`` passes through unchanged.
     """
     with _open_input(path) as fh:
         try:
-            return build(json.load(fh))
+            payload = json.load(fh)
+            if not isinstance(payload, dict):
+                raise SchemaError(f"{path}: top level must be a JSON object, got {type(payload).__name__}")
+            return build(payload)
         except AbstainkitError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
@@ -506,13 +505,12 @@ def abstain_indices(
     # the search skips tuples the metric rejects, so a wrong shape would abstain on nothing
     _shaped(probs, _METRIC_LAYOUT[metric.name], metric.name)
     matrix = _shaped(probs, "lifted", name)
-    grid = int(method.params.get("grid", 51))
     thresholds = fumera_threshold_search(
         matrix,
         np.asarray(labels),
         lambda keep_p, keep_y: evaluate_metric(metric, keep_p, keep_y),
         d,
-        grid=grid,
+        grid=method.params.get("grid", 51),
     )
     entries = matrix.entries
     top = entries.argmax(axis=1)
@@ -551,9 +549,8 @@ _GRID_HEADER = ["seed", "method", "budget", "metric", "adapted", "base", "post",
 
 def _run_figure1(spec: ExperimentSpec):
     rows = []
-    cfg_base = dict(FIGURE1_CONFIG, **spec.sim_overrides)
     for seed in spec.seeds:
-        cfg = BinarySimConfig(seed=seed, **cfg_base)
+        cfg = _task_config(spec, seed)
         probs, labels, _ = simulate_binary(cfg)
         priors = PriorEstimate(np.array([1.0 - cfg.positive_prior, cfg.positive_prior]))
         rows.extend(_grid_rows(spec, probs, labels, seed, priors))
@@ -561,9 +558,7 @@ def _run_figure1(spec: ExperimentSpec):
 
 
 def _run_custom(spec: ExperimentSpec):
-    if spec.input_path is None:
-        raise ValueError("custom task needs an input file")
-    _, labels, probs = read_predictions(spec.input_path)
+    _, labels, probs = read_predictions(spec.input)
     if labels is None:
         raise SchemaError("custom task needs labeled predictions for evaluation")
     if probs.ndim == 1:
@@ -579,12 +574,9 @@ def _run_custom(spec: ExperimentSpec):
 
 def _run_label_shift(spec: ExperimentSpec):
     rows = []
-    cfg_base = dict(LABEL_SHIFT_CONFIG, **spec.sim_overrides)
-    train_priors = PriorEstimate(
-        np.array([1.0 - cfg_base["positive_prior"], cfg_base["positive_prior"]])
-    )
     for seed in spec.seeds:
-        cfg = BinarySimConfig(seed=seed, **cfg_base)
+        cfg = _task_config(spec, seed)
+        train_priors = PriorEstimate(np.array([1.0 - cfg.positive_prior, cfg.positive_prior]))
         probs, labels, _ = simulate_binary(cfg)
         shifted_probs, shifted_labels, _ = resample_with_shift(
             probs, labels, LABEL_SHIFT_TARGET, LABEL_SHIFT_TEST_SIZE, seed=seed + 1
@@ -600,7 +592,7 @@ def _run_label_shift(spec: ExperimentSpec):
 
 def _run_auroc_correlation(spec: ExperimentSpec):
     header = ["config_index", "seed", "q", "mu_pos", "mu_neg", "sigma_pos", "sigma_neg", "spearman", "pearson"]
-    abst = int(spec.sim_overrides.get("abstain_count", 100))
+    abst = _setting(spec, "abstain_count")
     rows = []
     for index, seed in enumerate(spec.seeds):
         cfg = sample_random_binary_config(seed)
@@ -622,14 +614,12 @@ def _run_auroc_correlation(spec: ExperimentSpec):
 
 def _run_kappa_convergence(spec: ExperimentSpec):
     header = ["seed", "mc_samples", "mean_abs_diff"]
-    cfg_base = dict(KAPPA_CONVERGENCE_CONFIG, **spec.sim_overrides)
     # the mean-abs gap at one sample count is itself noisy (errors are shared
     # across examples), so each rung averages `repeats` independent runs
-    repeats = int(cfg_base.pop("repeats", 1))
+    repeats = _setting(spec, "repeats")
     rows = []
     for seed in spec.seeds:
-        cfg = MulticlassSimConfig(seed=seed, **cfg_base)
-        probs, _ = simulate_multiclass(cfg)
+        probs, _ = simulate_multiclass(_task_config(spec, seed))
         weights = PenaltyWeightMatrix.quadratic(probs.class_count)
         det = score_examples_kappa(probs, weights, mode="deterministic")
         for m in KAPPA_SAMPLE_LADDER:
@@ -646,25 +636,31 @@ def _run_kappa_convergence(spec: ExperimentSpec):
     return header, sorted(rows, key=lambda r: (r[0], r[1]))
 
 
+# every task: its runner, its simulation config class (None for a task that
+# simulates none), that config's defaults but the seed, which comes from
+# `seeds`, and the task's own integer settings with theirs; a spec's `sim`
+# overrides any of the last two
+_TASKS = {
+    "figure1": (_run_figure1, BinarySimConfig, FIGURE1_CONFIG, {}),
+    "auroc_correlation": (_run_auroc_correlation, None, {}, {"abstain_count": 100}),
+    "kappa_convergence": (_run_kappa_convergence, MulticlassSimConfig, KAPPA_CONVERGENCE_CONFIG, {"repeats": 1}),
+    "label_shift": (_run_label_shift, BinarySimConfig, LABEL_SHIFT_CONFIG, {}),
+    "custom": (_run_custom, None, {}, {}),
+}
+
+
 def run_experiment(spec: ExperimentSpec) -> dict:
     """Execute a grid and write ``results.csv`` + ``manifest.json``.
 
     Returns the paths of both files.
     """
-    runners = {
-        "figure1": _run_figure1,
-        "custom": _run_custom,
-        "label_shift": _run_label_shift,
-        "auroc_correlation": _run_auroc_correlation,
-        "kappa_convergence": _run_kappa_convergence,
-    }
-    header, rows = runners[spec.task](spec)
+    header, rows = _TASKS[spec.task][0](spec)
     os.makedirs(spec.output, exist_ok=True)
     results_path = os.path.join(spec.output, "results.csv")
     manifest_path = os.path.join(spec.output, "manifest.json")
     _write_rows(results_path, header, rows)
     manifest = {
-        "spec": spec.to_dict(),
+        "spec": asdict(spec),
         "version": __version__,
         "rows": len(rows),
         "written_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),

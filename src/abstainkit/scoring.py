@@ -28,6 +28,7 @@ from .errors import (
     BudgetTooLarge,
     DegenerateDenominator,
     DegenerateExpectedCounts,
+    DimensionMismatch,
     EvenWindow,
     InvalidConfig,
     InvalidSpecificity,
@@ -428,6 +429,8 @@ def baseline_scores(
         if priors is None:
             raise MissingPriors("js_divergence_from_priors needs class priors")
         prior_row = np.asarray(getattr(priors, "priors", priors), dtype=float)[None, :]
+        if prior_row.shape[1] != p.shape[1]:
+            raise DimensionMismatch(f"{prior_row.shape[1]} priors for {p.shape[1]} classes")
         return -_js_divergence_rows(p, np.broadcast_to(prior_row, p.shape))
     if method == "external_variance":
         if variance is None:

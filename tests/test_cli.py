@@ -200,7 +200,12 @@ _JSON_CASES += [(name, case) for name in ("simulate_binary", "simulate_multiclas
 _JSON_CASES += [("simulate_binary", "no_prior"), ("experiment", "seed_float"), ("experiment", "mc_float")]
 _JSON_CASES += [("experiment", case) for case in ("unknown_key", "method_key", "sim_key", "text_budget")]
 _JSON_CASES += [("apply_calibrator", "text_scale")]
-_NOT_INTEGER = ("n_float", "seed_float", "mc_float")
+# spec values checked where the spec is built, before anything is simulated or written
+_JSON_CASES += [("experiment", case) for case in (
+    "smooth_text", "output_number", "input_number", "method_param_key", "metric_key", "grid_text",
+    "params_not_fumera", "sim_text_prior", "sim_text_abstain_count", "sim_text_repeats",
+)]
+_NOT_INTEGER = ("n_float", "seed_float", "mc_float", "grid_text", "sim_text_abstain_count", "sim_text_repeats")
 
 
 @pytest.mark.parametrize("name, case", _JSON_CASES, ids=[f"{name}-{case}" for name, case in _JSON_CASES])
@@ -220,6 +225,16 @@ def test_malformed_json_input_is_one_named_error(tmp_path, capsys, name, case):
         "sim_key": json.dumps({**payload, "sim": {"bogus": 3}}),
         "text_budget": json.dumps({**payload, "budgets": ["a"]}),
         "text_scale": json.dumps({**payload, "scale": "abc"}),
+        "smooth_text": json.dumps({**payload, "smooth": "false"}),
+        "output_number": json.dumps({**payload, "output": 5}),
+        "input_number": json.dumps({**payload, "input": 7}),
+        "method_param_key": json.dumps({**payload, "methods": [{"name": "fumera", "parms": {"grid": 5}}]}),
+        "metric_key": json.dumps({**payload, "metric": {"name": "auroc", "target_specifity": 0.9}}),
+        "grid_text": json.dumps({**payload, "methods": [{"name": "fumera", "params": {"grid": "abc"}}]}),
+        "params_not_fumera": json.dumps({**payload, "methods": [{"name": "entropy", "params": {"grid": 5}}]}),
+        "sim_text_prior": json.dumps({**payload, "sim": {"positive_prior": "0.1"}}),
+        "sim_text_abstain_count": json.dumps({**payload, "task": "auroc_correlation", "sim": {"abstain_count": "x"}}),
+        "sim_text_repeats": json.dumps({**payload, "task": "kappa_convergence", "sim": {"repeats": "x"}}),
     }[case]
     path = tmp_path / "input.json"
     path.write_text(text)
@@ -266,12 +281,38 @@ def test_abstain_file_indices_must_be_distinct_rows(tmp_path, capsys, indices):
         (["--method", "sens_window", "--budget", "1.5"], "BudgetTooLarge"),
         (["--method", "sens_window", "--budget", "0.3", "--mc-samples", "0"], "InvalidConfig"),
         (["--method", "sens_window", "--budget", "0.3", "--target-specificity", "1.5"], "InvalidSpecificity"),
+        (["--method", "js_divergence", "--budget", "0.3", "--priors", "0.5,abc"], "InvalidConfig"),
+        (["--method", "js_divergence", "--budget", "0.3", "--priors", "0.5,0.6"], "InvalidConfig"),
+        (["--method", "js_divergence", "--budget", "0.3", "--priors", "0.5,nan"], "InvalidConfig"),
     ],
-    ids=["method", "budget", "mc_samples", "target_specificity"],
+    ids=["method", "budget", "mc_samples", "target_specificity", "priors_text", "priors_sum", "priors_nan"],
 )
 def test_abstain_checks_arguments_before_reading(tmp_path, capsys, argv, error_type):
     assert main(["abstain", "--input", str(tmp_path / "missing.csv"), *argv]) == 1
     _single_error_line(capsys, error_type)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["abstain", "--method", "js_divergence", "--budget", "0.3", "--priors", "0.5,abc"],
+         "--priors: could not convert string to float: 'abc'"),
+        (["adapt", "--train-priors", "0.5,0.6", "--output", "out.csv"],
+         "--train-priors: priors must be nonnegative and sum to 1 within 1e-9"),
+    ],
+    ids=["abstain", "adapt"],
+)
+def test_priors_errors_name_the_flag_before_reading(tmp_path, capsys, argv, message):
+    assert main([argv[0], "--input", str(tmp_path / "missing.csv"), *argv[1:]]) == 1
+    assert capsys.readouterr().err == f"error: InvalidConfig: {message}\n"
+
+
+def test_priors_must_match_the_class_count(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    write_predictions(data, np.array([0.1, 0.8, 0.3, 0.9]), np.array([0, 1, 0, 1]))
+    argv = ["abstain", "--input", str(data), "--method", "js_divergence", "--budget", "0.5", "--priors", "0.2,0.3,0.5"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: DimensionMismatch: 3 priors for 2 classes\n"
 
 
 @pytest.mark.parametrize(

@@ -235,6 +235,43 @@ class TestOtherTasks:
                 MetricSpec("auroc", target)
         assert MetricSpec("auroc", 0.5).target_specificity == 0.5
 
+    @pytest.mark.parametrize("task", ["figure1", "label_shift", "kappa_convergence", "auroc_correlation", "custom"])
+    def test_manifest_spec_loads_back_as_an_equal_spec(self, tmp_path, task):
+        data = tmp_path / "preds.csv"
+        rng = np.random.default_rng(0)
+        probs = rng.uniform(0, 1, 200)
+        write_predictions(data, probs, (rng.random(200) < probs).astype(int))
+        payload = {
+            "task": task,
+            "methods": ["max_class_prob", {"name": "fumera", "params": {"grid": 5}}],
+            "budgets": [0.1],
+            "seeds": [0],
+            "metric": "auroc",
+            "mc_samples": 5,
+            "smooth": False,
+            "output": str(tmp_path / "out"),
+            "sim": {
+                "figure1": {"n": 300, "mu_pos": 1.5},
+                "label_shift": {"n": 3000},
+                "kappa_convergence": {"n": 300, "priors": [0.25, 0.25, 0.25, 0.25]},
+                "auroc_correlation": {"abstain_count": 50},
+                "custom": {},
+            }[task],
+        }
+        if task == "custom":
+            payload["input"] = str(data)
+        spec = ExperimentSpec.from_dict(payload)
+        manifest = json.loads(open(run_experiment(spec)["manifest"]).read())
+        assert manifest["spec"]["metric"] == {"name": "auroc", "target_specificity": None}
+        assert ExperimentSpec.from_dict(manifest["spec"]) == spec
+
+    def test_spec_defaults_are_the_fields(self):
+        spec = ExperimentSpec("figure1")
+        assert ExperimentSpec.from_dict({"task": "figure1"}) == spec
+        assert spec.methods == (MethodSpec("sens_window"),) and spec.budgets == (0.3,) and spec.seeds == (0,)
+        assert spec.metric == MetricSpec("sens_at_spec", 0.9)
+        assert (spec.mc_samples, spec.smooth, spec.output, spec.input, spec.sim) == (100, True, "results", None, {})
+
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="at least one"):
             ExperimentSpec.from_dict({"task": "figure1", "methods": [], "budgets": [0.1], "seeds": [0]})
