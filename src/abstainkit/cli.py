@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -33,10 +34,10 @@ from .experiments import (
     _load_json,
     _open_input,
     _read_value_csv,
+    _retained_metric,
     _shaped,
     _write_json,
     abstain_indices,
-    evaluate_metric,
     read_predictions,
     run_experiment,
     write_predictions,
@@ -144,8 +145,7 @@ def _cmd_abstain(args) -> int:
     priors = _parse_priors(args.priors, "--priors") if args.priors else None
     _, labels, probs = read_predictions(args.input)
     if priors is None and labels is not None:
-        count = 2 if probs.ndim == 1 else probs.shape[1]
-        priors = PriorEstimate.from_labels(labels, count)
+        priors = PriorEstimate.from_labels(labels, 2 if probs.ndim == 1 else probs.shape[1])
     indices, estimate = abstain_indices(method, probs, args.budget, metric, mc, labels=labels, priors=priors)
     payload = {
         "method": args.method,
@@ -172,15 +172,10 @@ def _cmd_evaluate(args) -> int:
     _, labels, probs = read_predictions(args.input)
     if labels is None:
         raise SchemaError("evaluate needs labeled predictions")
-    keep = np.arange(labels.size)
-    abstained = 0
-    if args.abstain_file:
-        dropped = _abstained_rows(args.abstain_file, labels.size)
-        keep = np.setdiff1d(keep, dropped)
-        abstained = int(dropped.size)
-    probs_arr = probs[keep]
-    value = evaluate_metric(metric, probs_arr, labels[keep])
-    print(json.dumps({"metric": args.metric, "value": value, "n": int(keep.size), "abstained": abstained}))
+    dropped = _abstained_rows(args.abstain_file, labels.size) if args.abstain_file else np.empty(0, dtype=np.int64)
+    value = _retained_metric(metric, probs, labels, dropped)
+    print(json.dumps({"metric": args.metric, "value": value, "n": labels.size - dropped.size,
+                      "abstained": dropped.size}))
     return 0
 
 
@@ -194,12 +189,15 @@ def _cmd_experiment(args) -> int:
 
 
 def _cell(path, number: int, row: dict, column: str, kind):
-    """``kind(row[column])``, or a SchemaError naming the file, the row (from 1) and the column."""
+    """``kind(row[column])``, finite, or a SchemaError naming the file, the row (from 1) and the column."""
     try:
-        return kind(row[column])
+        value = kind(row[column])
     except (TypeError, ValueError):  # TypeError: a short row leaves the cell None
         what = "an integer" if kind is int else "a number"
         raise SchemaError(f"{path}: row {number}: {column} cell is not {what}: {row[column]!r}") from None
+    if kind is float and not math.isfinite(value):
+        raise SchemaError(f"{path}: row {number}: {column} cell is not finite: {row[column]!r}")
+    return value
 
 
 def _cmd_compare(args) -> int:

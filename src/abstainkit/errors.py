@@ -51,7 +51,7 @@ class BudgetMismatch(AbstainkitError, ValueError):
 
 
 class DegenerateExpectedCounts(AbstainkitError, ValueError):
-    """Expected class mass left after abstention is numerically zero."""
+    """Class mass left after abstention is ~0: expected, or in every Monte-Carlo sample of some window."""
 
 
 class WindowTooLarge(AbstainkitError, ValueError):

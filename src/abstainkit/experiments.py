@@ -37,6 +37,7 @@ from .metrics import (
 from .scoring import (
     MarginalScoreVector,
     MonteCarloConfig,
+    _fumera_abstained,
     baseline_scores,
     fumera_threshold_search,
     score_examples_kappa,
@@ -121,7 +122,7 @@ class MetricSpec:
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """An abstention method; only ``fumera`` takes a param, its integer ``grid``."""
+    """An abstention method; only ``fumera`` takes a param, its integer ``grid`` of at least 2."""
 
     name: str
     params: dict = field(default_factory=dict)
@@ -134,6 +135,8 @@ class MethodSpec:
             raise ValueError(f"method {self.name} takes params {sorted(takes)}, got {self.params!r}")
         if "grid" in self.params:
             _check_integers(grid=self.params["grid"])
+            if self.params["grid"] < 2:
+                raise InvalidConfig(f"fumera grid needs at least 2 points per class, got {self.params['grid']}")
 
 
 def _spec_of(cls, entry):
@@ -180,7 +183,8 @@ class ExperimentSpec:
         if self.metric.target_specificity is None and any(m.name == "sens_window" for m in self.methods):
             raise InvalidConfig("sens_window needs a metric with a target_specificity")
         _check_integers(mc_samples=self.mc_samples, **{f"seeds[{i}]": s for i, s in enumerate(self.seeds)})
-        MonteCarloConfig(samples=self.mc_samples)
+        for seed in self.seeds:
+            MonteCarloConfig(samples=self.mc_samples, seed=seed)
         if self.task == "custom" and self.input is None:
             raise ValueError("custom task needs an input file")
         _, config, defaults, settings = _TASKS[self.task]
@@ -252,8 +256,7 @@ def _load_json(path, build):
 def _write_json(path, payload, indent) -> None:
     """The one JSON file writer: the payload, then a newline."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=indent)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=indent) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +281,7 @@ def write_predictions(path, probs, labels=None, ids=None) -> None:
     table = probs[:, None] if binary else probs
     # rows stream one at a time: a whole-table list would raise the peak memory
     rows = (
-        [row_id, "" if labels is None else int(labels[i]), *map(repr, table[i].tolist())]
+        [row_id, "" if labels is None else int(labels[i]), *table[i].tolist()]
         for i, row_id in zip(range(n), range(n) if ids is None else ids)
     )
     _write_rows(path, header, rows)
@@ -440,6 +443,12 @@ def evaluate_metric(metric: MetricSpec, probs, labels) -> float:
     return auroc(preds)
 
 
+def _retained_metric(metric: MetricSpec, probs, labels, dropped) -> float:
+    """The metric on the rows not in ``dropped``, an array of distinct row indices."""
+    keep = np.setdiff1d(np.arange(labels.size), dropped)
+    return evaluate_metric(metric, probs[keep], labels[keep])
+
+
 def _check_budget(fraction: float) -> None:
     """A budget fraction must lie in [0, 1) (NaN fails); else BudgetTooLarge."""
     if not 0.0 <= fraction < 1.0:
@@ -512,82 +521,64 @@ def abstain_indices(
         d,
         grid=method.params.get("grid", 51),
     )
-    entries = matrix.entries
-    top = entries.argmax(axis=1)
-    abstain = entries[np.arange(n), top] < thresholds[top]
-    return np.flatnonzero(abstain), None
+    return np.flatnonzero(_fumera_abstained(matrix.entries, thresholds)), None
 
 
 # ---------------------------------------------------------------------------
 # Tasks
 # ---------------------------------------------------------------------------
 
-def _float_cell(value) -> str:
-    return repr(float(value))
+def _run_grid(spec: ExperimentSpec, cases):
+    """Every method at every budget on each case; rows sorted by (seed, method, budget, adapted).
 
-
-def _grid_rows(spec: ExperimentSpec, probs, labels, seed: int, priors, adapted: int = 0):
-    probs = np.asarray(getattr(probs, "entries", probs), dtype=float)
-    labels = np.asarray(labels)
-    base = evaluate_metric(spec.metric, probs, labels)
+    ``cases`` yields ``(seed, probs, labels, priors, adapted)``: the labelled
+    predictions of one seed, the class priors the JS baseline compares rows
+    with, and whether label-shift EM adapted the predictions (1) or not (0).
+    """
     rows = []
-    for method in spec.methods:
-        for budget in spec.budgets:
-            mc = MonteCarloConfig(samples=spec.mc_samples, seed=seed, smooth=spec.smooth)
-            indices, _ = abstain_indices(method, probs, budget, spec.metric, mc, labels=labels, priors=priors)
-            keep = np.setdiff1d(np.arange(probs.shape[0]), indices)
-            post = evaluate_metric(spec.metric, probs[keep], labels[keep])
-            rows.append(
-                (seed, method.name, budget, spec.metric.name, adapted,
-                 _float_cell(base), _float_cell(post), indices.size, probs.shape[0])
-            )
-    return rows
+    for seed, probs, labels, priors, adapted in cases:
+        mc = MonteCarloConfig(samples=spec.mc_samples, seed=seed, smooth=spec.smooth)
+        base = evaluate_metric(spec.metric, probs, labels)
+        for method in spec.methods:
+            for budget in spec.budgets:
+                indices, _ = abstain_indices(method, probs, budget, spec.metric, mc, labels=labels, priors=priors)
+                post = _retained_metric(spec.metric, probs, labels, indices)
+                rows.append(
+                    (seed, method.name, budget, spec.metric.name, adapted, base, post, indices.size, labels.size)
+                )
+    header = ["seed", "method", "budget", "metric", "adapted", "base", "post", "abstained", "n"]
+    return header, sorted(rows, key=lambda r: (r[0], r[1], r[2], r[4]))
 
 
-_GRID_HEADER = ["seed", "method", "budget", "metric", "adapted", "base", "post", "abstained", "n"]
-
-
-def _run_figure1(spec: ExperimentSpec):
-    rows = []
+def _simulated_cases(spec: ExperimentSpec):
+    """Each seed's simulated binary predictions, with the priors they were drawn at."""
     for seed in spec.seeds:
         cfg = _task_config(spec, seed)
         probs, labels, _ = simulate_binary(cfg)
-        priors = PriorEstimate(np.array([1.0 - cfg.positive_prior, cfg.positive_prior]))
-        rows.extend(_grid_rows(spec, probs, labels, seed, priors))
-    return _GRID_HEADER, sorted(rows, key=lambda r: (r[0], r[1], r[2]))
+        yield seed, probs, labels, PriorEstimate(np.array([1.0 - cfg.positive_prior, cfg.positive_prior])), 0
 
 
-def _run_custom(spec: ExperimentSpec):
-    _, labels, probs = read_predictions(spec.input)
-    if labels is None:
-        raise SchemaError("custom task needs labeled predictions for evaluation")
-    if probs.ndim == 1:
-        empirical = np.array([1.0 - labels.mean(), labels.mean()])
-    else:
-        empirical = np.bincount(labels, minlength=probs.shape[1]) / labels.size
-    priors = PriorEstimate(empirical)
-    rows = []
-    for seed in spec.seeds:
-        rows.extend(_grid_rows(spec, probs, labels, seed, priors))
-    return _GRID_HEADER, sorted(rows, key=lambda r: (r[0], r[1], r[2]))
-
-
-def _run_label_shift(spec: ExperimentSpec):
-    rows = []
-    for seed in spec.seeds:
-        cfg = _task_config(spec, seed)
-        train_priors = PriorEstimate(np.array([1.0 - cfg.positive_prior, cfg.positive_prior]))
-        probs, labels, _ = simulate_binary(cfg)
+def _label_shift_cases(spec: ExperimentSpec):
+    """Each seed's simulated predictions resampled at the shifted priors, before and after EM."""
+    for seed, probs, labels, train_priors, _ in _simulated_cases(spec):
         shifted_probs, shifted_labels, _ = resample_with_shift(
             probs, labels, LABEL_SHIFT_TARGET, LABEL_SHIFT_TEST_SIZE, seed=seed + 1
         )
         result = adapt_label_shift_em(ProbabilityMatrix.from_binary(shifted_probs), train_priors)
         if not result.converged:
             raise DidNotConverge(f"label-shift EM did not converge for seed {seed}")
-        adapted_probs = result.adapted_probs.entries[:, 1]
-        rows.extend(_grid_rows(spec, shifted_probs, shifted_labels, seed, train_priors, adapted=0))
-        rows.extend(_grid_rows(spec, adapted_probs, shifted_labels, seed, result.test_priors, adapted=1))
-    return _GRID_HEADER, sorted(rows, key=lambda r: (r[0], r[1], r[2], r[4]))
+        yield seed, shifted_probs, shifted_labels, train_priors, 0
+        yield seed, result.adapted_probs.entries[:, 1], shifted_labels, result.test_priors, 1
+
+
+def _custom_cases(spec: ExperimentSpec):
+    """The spec's prediction file, read once, at every seed, with its label frequencies as priors."""
+    _, labels, probs = read_predictions(spec.input)
+    if labels is None:
+        raise SchemaError("custom task needs labeled predictions for evaluation")
+    priors = PriorEstimate.from_labels(labels, 2 if probs.ndim == 1 else probs.shape[1])
+    for seed in spec.seeds:
+        yield seed, probs, labels, priors, 0
 
 
 def _run_auroc_correlation(spec: ExperimentSpec):
@@ -605,9 +596,7 @@ def _run_auroc_correlation(spec: ExperimentSpec):
         det_scores = score_windows_auroc(preds, abst, mode="deterministic")
         spearman, pearson = rank_correlations(mc_scores.scores, det_scores.scores)
         rows.append(
-            (index, seed, _float_cell(cfg.positive_prior), _float_cell(cfg.mu_pos),
-             _float_cell(cfg.mu_neg), _float_cell(cfg.sigma_pos), _float_cell(cfg.sigma_neg),
-             _float_cell(spearman), _float_cell(pearson))
+            (index, seed, cfg.positive_prior, cfg.mu_pos, cfg.mu_neg, cfg.sigma_pos, cfg.sigma_neg, spearman, pearson)
         )
     return header, rows
 
@@ -632,7 +621,7 @@ def _run_kappa_convergence(spec: ExperimentSpec):
                     mc=MonteCarloConfig(samples=m, seed=(seed * 4099 + m) * 101 + r),
                 )
                 diff += float(np.abs(mc.scores - det.scores).mean())
-            rows.append((seed, m, _float_cell(diff / repeats)))
+            rows.append((seed, m, diff / repeats))
     return header, sorted(rows, key=lambda r: (r[0], r[1]))
 
 
@@ -641,11 +630,11 @@ def _run_kappa_convergence(spec: ExperimentSpec):
 # `seeds`, and the task's own integer settings with theirs; a spec's `sim`
 # overrides any of the last two
 _TASKS = {
-    "figure1": (_run_figure1, BinarySimConfig, FIGURE1_CONFIG, {}),
+    "figure1": (lambda spec: _run_grid(spec, _simulated_cases(spec)), BinarySimConfig, FIGURE1_CONFIG, {}),
     "auroc_correlation": (_run_auroc_correlation, None, {}, {"abstain_count": 100}),
     "kappa_convergence": (_run_kappa_convergence, MulticlassSimConfig, KAPPA_CONVERGENCE_CONFIG, {"repeats": 1}),
-    "label_shift": (_run_label_shift, BinarySimConfig, LABEL_SHIFT_CONFIG, {}),
-    "custom": (_run_custom, None, {}, {}),
+    "label_shift": (lambda spec: _run_grid(spec, _label_shift_cases(spec)), BinarySimConfig, LABEL_SHIFT_CONFIG, {}),
+    "custom": (lambda spec: _run_grid(spec, _custom_cases(spec)), None, {}, {}),
 }
 
 

@@ -80,6 +80,8 @@ class MonteCarloConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise InvalidConfig("samples must be >= 1")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -146,9 +148,7 @@ def _monte_carlo_mean(mc: MonteCarloConfig, size: int, draw, score) -> np.ndarra
 def _finalize_window_scores(scores, smooth: bool, window_size: int):
     if smooth:
         if not np.isfinite(scores).all():
-            raise ValueError(
-                "cannot smooth scores: some windows never had a valid sample"
-            )
+            raise DegenerateExpectedCounts("cannot smooth scores: some windows never had a valid sample")
         scores = smooth_savitzky_golay(scores, SMOOTH_WINDOW, SMOOTH_POLYORDER)
     return WindowScoreVector(scores=scores, window_size=window_size)
 
@@ -493,7 +493,7 @@ def fumera_threshold_search(
         if count > budget:
             continue
         if key not in scores:
-            keep = ~(top_prob < grid_values[list(index)][top_class])
+            keep = ~_fumera_abstained(p, grid_values[list(index)])
             try:
                 scores[key] = float(metric(p[keep], labels[keep]))
             except (AbstainkitError, ValueError):
@@ -506,6 +506,12 @@ def fumera_threshold_search(
     if best_index is None:
         return np.zeros(n_classes)
     return grid_values[list(best_index)]
+
+
+def _fumera_abstained(p: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """Fumera's rule as a row mask: abstain where the top-class probability is below that class's threshold."""
+    top = p.argmax(axis=1)
+    return p[np.arange(p.shape[0]), top] < thresholds[top]
 
 
 def select_abstentions(scores, count: int) -> np.ndarray:

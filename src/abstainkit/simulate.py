@@ -38,6 +38,8 @@ def _check_size_and_seed(n, seed) -> None:
     _check_integers(n=n, seed=seed)
     if n < 1:
         raise InvalidConfig("n must be >= 1")
+    if seed < 0:
+        raise InvalidConfig(f"seed must be >= 0, got {seed}")
 
 
 @dataclass(frozen=True)

@@ -197,15 +197,17 @@ _JSON_INPUTS = {
 }
 _JSON_CASES = [(name, case) for name in _JSON_INPUTS for case in ("valid", "not_json", "list", "missing")]
 _JSON_CASES += [(name, case) for name in ("simulate_binary", "simulate_multiclass") for case in ("unknown_key", "n_float")]
-_JSON_CASES += [("simulate_binary", "no_prior"), ("experiment", "seed_float"), ("experiment", "mc_float")]
+_JSON_CASES += [("simulate_binary", "no_prior"), ("simulate_binary", "seed_negative")]
+_JSON_CASES += [("experiment", "seed_float"), ("experiment", "mc_float")]
 _JSON_CASES += [("experiment", case) for case in ("unknown_key", "method_key", "sim_key", "text_budget")]
 _JSON_CASES += [("apply_calibrator", "text_scale")]
 # spec values checked where the spec is built, before anything is simulated or written
 _JSON_CASES += [("experiment", case) for case in (
     "smooth_text", "output_number", "input_number", "method_param_key", "metric_key", "grid_text",
-    "params_not_fumera", "sim_text_prior", "sim_text_abstain_count", "sim_text_repeats",
+    "params_not_fumera", "sim_text_prior", "sim_text_abstain_count", "sim_text_repeats", "grid_one", "seeds_negative",
 )]
-_NOT_INTEGER = ("n_float", "seed_float", "mc_float", "grid_text", "sim_text_abstain_count", "sim_text_repeats")
+_INVALID_CONFIG = ("n_float", "seed_float", "mc_float", "grid_text", "sim_text_abstain_count", "sim_text_repeats",
+                   "grid_one", "seed_negative", "seeds_negative")
 
 
 @pytest.mark.parametrize("name, case", _JSON_CASES, ids=[f"{name}-{case}" for name, case in _JSON_CASES])
@@ -231,6 +233,9 @@ def test_malformed_json_input_is_one_named_error(tmp_path, capsys, name, case):
         "method_param_key": json.dumps({**payload, "methods": [{"name": "fumera", "parms": {"grid": 5}}]}),
         "metric_key": json.dumps({**payload, "metric": {"name": "auroc", "target_specifity": 0.9}}),
         "grid_text": json.dumps({**payload, "methods": [{"name": "fumera", "params": {"grid": "abc"}}]}),
+        "grid_one": json.dumps({**payload, "methods": ["entropy", {"name": "fumera", "params": {"grid": 1}}]}),
+        "seed_negative": json.dumps({**payload, "seed": -1}),
+        "seeds_negative": json.dumps({**payload, "seeds": [-1]}),
         "params_not_fumera": json.dumps({**payload, "methods": [{"name": "entropy", "params": {"grid": 5}}]}),
         "sim_text_prior": json.dumps({**payload, "sim": {"positive_prior": "0.1"}}),
         "sim_text_abstain_count": json.dumps({**payload, "task": "auroc_correlation", "sim": {"abstain_count": "x"}}),
@@ -255,7 +260,7 @@ def test_malformed_json_input_is_one_named_error(tmp_path, capsys, name, case):
     assert code == 1
     out_text, err = capsys.readouterr()
     assert out_text == "" and not out.exists()
-    error_type = "InvalidConfig" if case in _NOT_INTEGER else "SchemaError"
+    error_type = "InvalidConfig" if case in _INVALID_CONFIG else "SchemaError"
     assert err.count("\n") == 1 and err.startswith(f"error: {error_type}:"), err
     if case == "no_prior":
         assert "positive_prior" in err, err
@@ -280,12 +285,13 @@ def test_abstain_file_indices_must_be_distinct_rows(tmp_path, capsys, indices):
         (["--method", "bogus", "--budget", "0.3"], "ValueError"),
         (["--method", "sens_window", "--budget", "1.5"], "BudgetTooLarge"),
         (["--method", "sens_window", "--budget", "0.3", "--mc-samples", "0"], "InvalidConfig"),
+        (["--method", "sens_window", "--budget", "0.3", "--seed", "-1"], "InvalidConfig"),
         (["--method", "sens_window", "--budget", "0.3", "--target-specificity", "1.5"], "InvalidSpecificity"),
         (["--method", "js_divergence", "--budget", "0.3", "--priors", "0.5,abc"], "InvalidConfig"),
         (["--method", "js_divergence", "--budget", "0.3", "--priors", "0.5,0.6"], "InvalidConfig"),
         (["--method", "js_divergence", "--budget", "0.3", "--priors", "0.5,nan"], "InvalidConfig"),
     ],
-    ids=["method", "budget", "mc_samples", "target_specificity", "priors_text", "priors_sum", "priors_nan"],
+    ids=["method", "budget", "mc_samples", "seed", "target_specificity", "priors_text", "priors_sum", "priors_nan"],
 )
 def test_abstain_checks_arguments_before_reading(tmp_path, capsys, argv, error_type):
     assert main(["abstain", "--input", str(tmp_path / "missing.csv"), *argv]) == 1
@@ -516,6 +522,17 @@ def test_budget_outside_unit_interval_is_named(tmp_path, capsys, budget):
     assert not (tmp_path / "exp" / "results.csv").exists()
 
 
+def test_window_with_no_valid_sample_is_named(tmp_path, capsys):
+    # 3 rows survive a 57-row window, and 3 samples leave some window's complement without a class
+    data, out = tmp_path / "preds.csv", tmp_path / "abstain.json"
+    probs = np.linspace(0.01, 0.99, 60)
+    write_predictions(data, probs, (probs > 0.5).astype(int))
+    argv = ["abstain", "--input", str(data), "--method", "sens_window", "--budget", "0.95", "--mc-samples", "3"]
+    assert main([*argv, "--output", str(out)]) == 1
+    _single_error_line(capsys, "DegenerateExpectedCounts")
+    assert not out.exists()
+
+
 def test_calibrate_needs_labels(tmp_path, capsys):
     raw = tmp_path / "raw.csv"
     raw.write_text("id,label,score\n0,,0.5\n1,,-0.3\n")
@@ -585,7 +602,8 @@ def test_compare_pairs_rows_by_seed_budget_and_adapted(tmp_path, capsys):
 @pytest.mark.parametrize(
     "column, cell, what",
     [("seed", "abc", "an integer"), ("seed", "1.5", "an integer"), ("budget", "abc", "a number"),
-     ("adapted", "abc", "an integer"), ("post", "abc", "a number")],
+     ("adapted", "abc", "an integer"), ("post", "abc", "a number"), ("post", "nan", "finite"),
+     ("budget", "inf", "finite")],
 )
 def test_compare_names_a_cell_that_is_not_a_number(tmp_path, capsys, column, cell, what):
     results = tmp_path / "results.csv"
