@@ -115,16 +115,53 @@ def _platt_nll(params, scores, labels):
     resid = 1.0 / (1.0 + np.exp(-z)) - labels
     return nll, np.array([np.mean(resid * scores), np.mean(resid)])
 
-def _temp_nll(logits, labels, scale, offset):
-    z = (logits + offset) * scale
-    shifted = z - z.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=1))
-    picked = shifted[np.arange(labels.size), labels]
-    nll = float(np.mean(log_norm - picked))
-    q = _softmax(z)
-    q[np.arange(labels.size), labels] -= 1.0
-    grad_scale = float(np.mean(np.sum(q * (logits + offset), axis=1)))
-    grad_offset = scale * q.mean(axis=0)
+
+def _row_sums(cols):
+    """The row sums of the N x C matrix whose class-major copy is ``cols``,
+    bit-equal to its ``sum(axis=1)``.
+
+    Below 8 classes numpy adds each row left to right onto 0.0, so the class
+    rows are added in order; from 8 it sums in 8 pairwise lanes, which only
+    the row-major layout reproduces.
+    """
+    if cols.shape[0] >= 8:
+        return np.ascontiguousarray(cols.T).sum(axis=1)
+    total = np.zeros(cols.shape[1])
+    for row in cols:
+        total += row
+    return total
+
+
+def _class_means(cols):
+    """The class means of the N x C matrix whose class-major copy is ``cols``,
+    bit-equal to its ``mean(axis=0)``: numpy adds the rows in order onto 0.0,
+    as a running sum does (``+ 0.0`` turns an all-``-0.0`` class into 0.0)."""
+    return (np.cumsum(cols, axis=1)[:, -1] + 0.0) / cols.shape[1]
+
+
+def _temp_nll(cols, labels, scale, offset):
+    """NLL of softmax((logits + offset) * scale) and its gradient; ``cols`` is
+    the C x N class-major copy of the logits.
+
+    One C x N buffer becomes in turn z, z minus its row maxima, their exp and
+    the softmax minus the label indicator: each step is elementwise, so the
+    values are those of fresh arrays, and a fit holds fewer N x C arrays at
+    once.
+    """
+    z = cols + offset[:, None]
+    z *= scale
+    z -= z.max(axis=0)
+    rows = np.arange(labels.size)
+    picked = z[labels, rows]
+    np.exp(z, out=z)
+    norm = _row_sums(z)
+    nll = float(np.mean(np.log(norm) - picked))
+    z /= norm
+    z[labels, rows] -= 1.0
+    moved = cols + offset[:, None]
+    moved *= z
+    grad_scale = float(np.mean(_row_sums(moved)))
+    grad_offset = scale * _class_means(z)
     return nll, grad_scale, grad_offset
 
 
@@ -179,11 +216,12 @@ def fit_calibrator(kind: str, raw_scores, labels) -> Calibrator:
     if np.unique(labels).size < n_classes:
         raise DegenerateLabels("every class must appear at least once")
 
+    cols = np.ascontiguousarray(scores.T)  # class-major: every NLL pass reads whole class rows
     if kind == "temperature":
         zeros = np.zeros(n_classes)
 
         def objective(params):
-            nll, grad_scale, _ = _temp_nll(scores, labels, params[0], zeros)
+            nll, grad_scale, _ = _temp_nll(cols, labels, params[0], zeros)
             return nll, np.array([grad_scale])
 
         grid = np.logspace(-3.0, 3.0, 61)
@@ -192,7 +230,7 @@ def fit_calibrator(kind: str, raw_scores, labels) -> Calibrator:
         return Calibrator(kind="temperature", scale=float(x[0]), offset=zeros)
 
     def objective(params):
-        nll, grad_scale, grad_offset = _temp_nll(scores, labels, params[0], params[1:])
+        nll, grad_scale, grad_offset = _temp_nll(cols, labels, params[0], params[1:])
         return nll, np.concatenate([[grad_scale], grad_offset])
 
     x0 = np.concatenate([[1.0], np.zeros(n_classes)])
@@ -246,25 +284,28 @@ def adapt_label_shift_em(
     probs = test_probs.entries
     if probs.shape[1] != train.size:
         raise DimensionMismatch("test_probs and train_priors disagree on class count")
+    if probs.shape[0] == 0:
+        raise ValueError("need at least one row to adapt")
 
+    cols = np.ascontiguousarray(probs.T)  # class-major: every pass reads whole class rows
     priors = train.copy()
-    adapted = probs
+    adapted = cols
     iterations = 0
     converged = False
     for iterations in range(1, max_iter + 1):
-        weighted = probs * (priors / train)
-        row_sums = weighted.sum(axis=1, keepdims=True)
+        weighted = cols * (priors / train)[:, None]
+        row_sums = _row_sums(weighted)
         if np.any(row_sums <= 0):
             raise ValueError("a row lost all probability mass during adaptation")
         adapted = weighted / row_sums
-        new_priors = adapted.mean(axis=0)
+        new_priors = _class_means(adapted)
         delta = float(np.abs(new_priors - priors).max())
         priors = new_priors
         if delta < tol:
             converged = True
             break
     return LabelShiftResult(
-        adapted_probs=ProbabilityMatrix(adapted),
+        adapted_probs=ProbabilityMatrix(np.ascontiguousarray(adapted.T)),
         test_priors=PriorEstimate(priors / priors.sum()),
         iterations=iterations,
         converged=converged,

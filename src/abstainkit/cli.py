@@ -143,7 +143,7 @@ def _cmd_abstain(args) -> int:
     mc = MonteCarloConfig(samples=args.mc_samples, seed=args.seed, smooth=args.smooth)
     metric = _metric_spec(args)
     priors = _parse_priors(args.priors, "--priors") if args.priors else None
-    _, labels, probs = read_predictions(args.input)
+    labels, probs = read_predictions(args.input)[1:]  # the ids are not held while scoring
     if priors is None and labels is not None:
         priors = PriorEstimate.from_labels(labels, 2 if probs.ndim == 1 else probs.shape[1])
     indices, estimate = abstain_indices(method, probs, args.budget, metric, mc, labels=labels, priors=priors)
@@ -169,7 +169,7 @@ def _abstained_rows(path, n: int) -> np.ndarray:
 
 def _cmd_evaluate(args) -> int:
     metric = _metric_spec(args)
-    _, labels, probs = read_predictions(args.input)
+    labels, probs = read_predictions(args.input)[1:]
     if labels is None:
         raise SchemaError("evaluate needs labeled predictions")
     dropped = _abstained_rows(args.abstain_file, labels.size) if args.abstain_file else np.empty(0, dtype=np.int64)
@@ -220,7 +220,9 @@ def _cmd_compare(args) -> int:
         if key in entries:
             raise SchemaError(f"{args.input}: method {row['method']} repeats (seed, budget, adapted) {key}")
         entries[key] = _cell(args.input, number, row, args.column, float)
-    keys = sorted(next(iter(by_method.values()), {}))
+    if not by_method:  # only a --budget filter can keep no row
+        raise SchemaError(f"{args.input}: no row has budget {args.budget!r}")
+    keys = sorted(next(iter(by_method.values())))
     if any(sorted(entries) != keys for entries in by_method.values()):
         raise SchemaError(f"{args.input}: methods do not cover the same (seed, budget, adapted) rows")
     values = {name: np.array([entries[k] for k in keys]) for name, entries in sorted(by_method.items())}

@@ -24,7 +24,8 @@ import numpy as np
 from . import __version__
 from .calibration import PriorEstimate, adapt_label_shift_em
 from .errors import (
-    AbstainkitError, BudgetTooLarge, DidNotConverge, InputNotFound, InvalidConfig, InvalidSpecificity, SchemaError,
+    AbstainkitError, BudgetTooLarge, DidNotConverge, DimensionMismatch, InputNotFound, InvalidConfig, InvalidSpecificity,
+    SchemaError,
 )
 from .metrics import (
     PenaltyWeightMatrix,
@@ -273,18 +274,31 @@ def _write_rows(path, header, rows) -> None:
         writer.writerows(rows)
 
 
+_WRITE_BLOCK = 4096
+
+
 def write_predictions(path, probs, labels=None, ids=None) -> None:
     probs = np.asarray(getattr(probs, "entries", probs), dtype=float)
     n = probs.shape[0]
     binary = probs.ndim == 1
     header = ["id", "label", "prob"] if binary else ["id", "label"] + [f"p_{c}" for c in range(probs.shape[1])]
     table = probs[:, None] if binary else probs
-    # rows stream one at a time: a whole-table list would raise the peak memory
-    rows = (
-        [row_id, "" if labels is None else int(labels[i]), *table[i].tolist()]
-        for i, row_id in zip(range(n), range(n) if ids is None else ids)
-    )
-    _write_rows(path, header, rows)
+    for name, column in (("labels", labels), ("ids", ids)):
+        if column is not None and len(column) != n:
+            raise DimensionMismatch(f"{len(column)} {name} for {n} rows")
+
+    # Rows become Python values one block at a time: one `tolist` per block is
+    # cheaper than a numpy scalar per cell, and a whole-table list would raise
+    # the peak memory.
+    def rows():
+        row_ids = range(n) if ids is None else ids
+        for start in range(0, n, _WRITE_BLOCK):
+            stop = min(start + _WRITE_BLOCK, n)
+            marks = [""] * (stop - start) if labels is None else np.asarray(labels[start:stop], dtype=np.int64).tolist()
+            for row_id, label, values in zip(row_ids[start:stop], marks, table[start:stop].tolist()):
+                yield [row_id, label, *values]
+
+    _write_rows(path, header, rows())
 
 
 def _line_breaks(data: bytes) -> int:
@@ -445,7 +459,9 @@ def evaluate_metric(metric: MetricSpec, probs, labels) -> float:
 
 def _retained_metric(metric: MetricSpec, probs, labels, dropped) -> float:
     """The metric on the rows not in ``dropped``, an array of distinct row indices."""
-    keep = np.setdiff1d(np.arange(labels.size), dropped)
+    keep_mask = np.ones(labels.size, dtype=bool)
+    keep_mask[dropped] = False
+    keep = np.flatnonzero(keep_mask)
     return evaluate_metric(metric, probs[keep], labels[keep])
 
 

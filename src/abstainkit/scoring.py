@@ -319,13 +319,14 @@ def score_examples_kappa(
         raise ValueError("monte_carlo mode needs a MonteCarloConfig")
     bounds = np.ascontiguousarray(p.cumsum(axis=1)[:, :-1].T)
     every_example = np.ones(n, dtype=bool)
+    flat_w = w.ravel()  # w[i, j] at i * C + j: a flat take is cheaper than a 2-D fancy index
 
     def draw(rng):
         return _draw_classes(rng.random(n), bounds)
 
     def score(sampled):
         true_counts = np.bincount(sampled, minlength=n_classes).astype(float)
-        penalties = w[sampled, pred]
+        penalties = flat_w.take(sampled * n_classes + pred)
         agg = kappa_aggregates(weights, true_counts, pred)
         denom = (
             agg.denom_base

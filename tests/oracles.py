@@ -405,3 +405,41 @@ def read_value_csv(path, binary_column, class_prefix):
     if label_arr is not None and not (label_arr.min() >= 0 and label_arr.max() < class_count):
         raise SchemaError(f"{path}: labels must lie in [0, {class_count})")
     return ids, label_arr, value_arr[:, 0] if binary else value_arr
+
+
+def row_major_label_shift_em(probs, train, tol=1e-6, max_iter=1000):
+    """Label-shift EM on the row-major N x C matrix, as first written: returns
+    ``(adapted, test_priors, iterations, converged)``."""
+    priors = train.copy()
+    adapted = probs
+    iterations = 0
+    converged = False
+    for iterations in range(1, max_iter + 1):
+        weighted = probs * (priors / train)
+        row_sums = weighted.sum(axis=1, keepdims=True)
+        if np.any(row_sums <= 0):
+            raise ValueError("a row lost all probability mass during adaptation")
+        adapted = weighted / row_sums
+        new_priors = adapted.mean(axis=0)
+        delta = float(np.abs(new_priors - priors).max())
+        priors = new_priors
+        if delta < tol:
+            converged = True
+            break
+    return adapted, priors / priors.sum(), iterations, converged
+
+
+def row_major_temp_nll(logits, labels, scale, offset):
+    """NLL of softmax((logits + offset) * scale) and its gradient (scale,
+    offset) from the row-major N x C logits, as first written."""
+    z = (logits + offset) * scale
+    shifted = z - z.max(axis=1, keepdims=True)
+    log_norm = np.log(np.exp(shifted).sum(axis=1))
+    picked = shifted[np.arange(labels.size), labels]
+    nll = float(np.mean(log_norm - picked))
+    expz = np.exp(shifted)
+    q = expz / expz.sum(axis=1, keepdims=True)
+    q[np.arange(labels.size), labels] -= 1.0
+    grad_scale = float(np.mean(np.sum(q * (logits + offset), axis=1)))
+    grad_offset = scale * q.mean(axis=0)
+    return nll, grad_scale, grad_offset

@@ -1,9 +1,12 @@
 """Calibrator fitting/application and label-shift EM behavior."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abstainkit import (
     Calibrator,
@@ -13,11 +16,15 @@ from abstainkit import (
     apply_calibrator,
     fit_calibrator,
 )
+from abstainkit import calibration
 from abstainkit.errors import (
     DegenerateLabels,
+    DidNotConverge,
     DimensionMismatch,
     NonpositiveTrainPrior,
 )
+
+from oracles import row_major_label_shift_em, row_major_temp_nll
 
 
 def _softmax(z):
@@ -218,3 +225,104 @@ class TestLabelShiftEM:
         probs = ProbabilityMatrix(np.array([[0.5, 0.5]]))
         with pytest.raises(NonpositiveTrainPrior):
             adapt_label_shift_em(probs, PriorEstimate(np.array([1.0, 0.0])))
+
+    def test_no_rows_rejected(self):
+        with pytest.raises(ValueError, match="at least one row"):
+            adapt_label_shift_em(ProbabilityMatrix(np.empty((0, 2))), PriorEstimate(np.array([0.5, 0.5])))
+
+
+# The class-major EM and NLL passes must give the bytes of the row-major
+# references: numpy's row sums switch to 8-lane pairwise sums at 8 classes,
+# and its class means add rows in order, so C runs over 2..12 and N past 8.
+_ROW_COUNTS = st.sampled_from([1, 2, 9, 17, 130, 400])
+
+
+def _outcome(run):
+    """``run()``'s result, or the type and message of the error it raised."""
+    try:
+        return run()
+    except (ValueError, DidNotConverge) as exc:
+        return type(exc), str(exc)
+
+
+def _simplex(rng, n, n_classes, zero_share):
+    """Rows on the simplex; about ``zero_share`` of the entries are exact
+    zeros, half of them ``-0.0``, and one entry per row keeps its mass."""
+    rows = np.arange(n)
+    keeper = rng.integers(0, n_classes, n)
+    mass = rng.random((n, n_classes)) ** 3
+    mass[rows, keeper] += 0.5
+    zeros = rng.random((n, n_classes)) < zero_share
+    zeros[rows, keeper] = False
+    mass[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+    return mass / mass.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("n_classes", range(2, 13))
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(n=_ROW_COUNTS, zero_share=st.sampled_from([0.0, 0.5, 1.0]), seed=st.integers(0, 2**32 - 1))
+def test_class_major_sums_give_numpys_bytes(n_classes, n, zero_share, seed):
+    rng = np.random.default_rng(seed)
+    table = rng.normal(0.0, 1.0, (n, n_classes)) * 10.0 ** rng.uniform(-3.0, 3.0, (n, n_classes))
+    zeros = rng.random((n, n_classes)) < zero_share
+    table[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+    cols = np.ascontiguousarray(table.T)
+    assert calibration._row_sums(cols).tobytes() == table.sum(axis=1).tobytes()
+    assert calibration._class_means(cols).tobytes() == table.mean(axis=0).tobytes()
+
+
+@pytest.mark.parametrize("n_classes", range(2, 13))
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(n=_ROW_COUNTS, zero_share=st.sampled_from([0.0, 0.3, 0.7]), max_iter=st.sampled_from([0, 1, 1000]),
+       seed=st.integers(0, 2**32 - 1))
+def test_em_gives_the_row_major_bytes(n_classes, n, zero_share, max_iter, seed):
+    rng = np.random.default_rng(seed)
+    probs = _simplex(rng, n, n_classes, zero_share)
+    train = rng.random(n_classes) + 0.05
+    train /= train.sum()
+    got = _outcome(lambda: adapt_label_shift_em(ProbabilityMatrix(probs), PriorEstimate(train), max_iter=max_iter))
+    want = _outcome(lambda: row_major_label_shift_em(probs, train, max_iter=max_iter))
+    if isinstance(want, tuple) and isinstance(want[0], type):
+        assert got == want
+        return
+    adapted, priors, iterations, converged = want
+    assert got.adapted_probs.entries.tobytes() == adapted.tobytes()
+    assert got.adapted_probs.entries.flags.c_contiguous
+    assert got.test_priors.priors.tobytes() == priors.tobytes()
+    assert (got.iterations, got.converged) == (iterations, converged)
+
+
+def _logits(rng, n, n_classes):
+    # a wide spread underflows exp to exact zeros, so products of 0 and
+    # negative logits give -0.0 cells
+    return rng.normal(0.0, 1.0, (n, n_classes)) * 10.0 ** rng.uniform(-1.0, 2.5)
+
+
+@pytest.mark.parametrize("n_classes", range(2, 13))
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(n=_ROW_COUNTS, scale=st.floats(1e-3, 1e3), offset=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_temperature_nll_gives_the_row_major_bytes(n_classes, n, scale, offset, seed):
+    rng = np.random.default_rng(seed)
+    logits = _logits(rng, n, n_classes)
+    labels = rng.integers(0, n_classes, n)
+    shift = rng.normal(0.0, 1.0, n_classes) if offset else np.zeros(n_classes)
+    nll, grad_scale, grad_offset = calibration._temp_nll(np.ascontiguousarray(logits.T), labels, scale, shift)
+    want_nll, want_scale, want_offset = row_major_temp_nll(logits, labels, scale, shift)
+    assert repr((nll, grad_scale)) == repr((want_nll, want_scale))
+    assert grad_offset.tobytes() == want_offset.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["temperature", "bias_corrected_temperature"])
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(n_classes=st.integers(2, 12), n=st.sampled_from([12, 40, 300]), seed=st.integers(0, 2**32 - 1))
+def test_temperature_fits_give_the_row_major_bytes(kind, n_classes, n, seed):
+    rng = np.random.default_rng(seed)
+    logits = _logits(rng, n, n_classes)
+    labels = rng.integers(0, n_classes, n)
+    labels[:n_classes] = np.arange(n_classes)
+    got = _outcome(lambda: fit_calibrator(kind, logits, labels).to_dict())
+    # the same fit with every NLL pass taken on the row-major logits
+    row_major = lambda cols, y, scale, offset: row_major_temp_nll(np.ascontiguousarray(cols.T), y, scale, offset)
+    with mock.patch.object(calibration, "_temp_nll", row_major):
+        want = _outcome(lambda: fit_calibrator(kind, logits, labels).to_dict())
+    assert repr(got) == repr(want)

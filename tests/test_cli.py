@@ -625,6 +625,15 @@ def test_compare_rejects_methods_on_different_rows(tmp_path, capsys):
     _single_error_line(capsys, "SchemaError")
 
 
+@pytest.mark.parametrize("budget", ["0.5", "nan"])
+def test_compare_names_a_budget_no_row_has(tmp_path, capsys, budget):
+    results = tmp_path / "results.csv"
+    _write_results(results, [(seed, method, 0, 0.5 + 0.01 * seed) for seed in range(6) for method in "ab"])
+    assert main(["compare", "--input", str(results), "--budget", budget]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: SchemaError: {results}: no row has budget {float(budget)!r}\n"
+
+
 def test_console_script_help():
     proc = subprocess.run(
         [sys.executable, "-m", "abstainkit.cli", "--help"], capture_output=True, text=True

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abstainkit.errors import SchemaError
+from abstainkit import experiments
+from abstainkit.errors import DimensionMismatch, SchemaError
 from abstainkit.experiments import _read_value_csv, read_predictions, write_predictions
 from oracles import read_value_csv
 
@@ -112,6 +113,32 @@ def test_write_then_read_round_trips(tmp_path_factory, table, labeled, data):
     assert got_ids == ids
     assert (got_labels is None) if labels is None else np.array_equal(got_labels, labels)
     assert got_probs.tobytes() == probs.tobytes()
+
+
+def test_write_round_trips_across_row_blocks(tmp_path):
+    # rows are converted a block at a time; no id, label or value may slip at a block's edge
+    n = 2 * experiments._WRITE_BLOCK + 3
+    rng = np.random.default_rng(3)
+    probs = rng.dirichlet(np.ones(3), n)
+    labels = rng.integers(0, 3, n)
+    ids = [f"row,{i}" for i in range(n)]
+    path = tmp_path / "blocks.csv"
+    write_predictions(path, probs, labels, ids)
+    got_ids, got_labels, got_probs = read_predictions(path)
+    assert got_ids == ids
+    assert np.array_equal(got_labels, labels)
+    assert got_probs.tobytes() == probs.tobytes()
+
+
+@pytest.mark.parametrize("column", ["labels", "ids"])
+@pytest.mark.parametrize("count", [4, 6])
+def test_write_rejects_a_column_that_does_not_match_the_rows(tmp_path, column, count):
+    given = {"labels": np.zeros(5, dtype=int), "ids": [str(i) for i in range(5)]}
+    given[column] = given[column][:1].repeat(count) if column == "labels" else ["x"] * count
+    path = tmp_path / "preds.csv"
+    with pytest.raises(DimensionMismatch, match=f"^{count} {column} for 5 rows$"):
+        write_predictions(path, np.full(5, 0.5), **given)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize(
