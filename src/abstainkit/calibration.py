@@ -30,6 +30,7 @@ from .errors import (
     DidNotConverge,
     DimensionMismatch,
     NonpositiveTrainPrior,
+    check_numbers,
 )
 from .metrics import ProbabilityMatrix
 
@@ -83,9 +84,13 @@ class Calibrator:
     def __post_init__(self):
         if self.kind not in CALIBRATOR_KINDS:
             raise ValueError(f"unknown calibrator kind {self.kind!r}")
+        check_numbers(scale=self.scale, offset=self.offset)
+        object.__setattr__(self, "scale", float(self.scale))  # a list passes the number rule but is no scalar
         if self.kind != "platt" and self.scale <= 0:
             raise ValueError("temperature kinds require scale > 0")
         object.__setattr__(self, "offset", np.asarray(self.offset, dtype=float).reshape(-1))
+        if self.kind == "platt" and self.offset.size != 1:
+            raise ValueError(f"a platt calibrator takes one offset, got {self.offset.size}")
 
     @property
     def temperature(self) -> float:
@@ -95,11 +100,11 @@ class Calibrator:
         return 1.0 / self.scale
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "scale": float(self.scale), "offset": self.offset.tolist()}
+        return {"kind": self.kind, "scale": self.scale, "offset": self.offset.tolist()}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "Calibrator":
-        return cls(kind=payload["kind"], scale=float(payload["scale"]), offset=payload["offset"])
+        return cls(kind=payload["kind"], scale=payload["scale"], offset=payload["offset"])
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 from .calibration import (
     CALIBRATOR_KINDS, Calibrator, PriorEstimate, adapt_label_shift_em, apply_calibrator, fit_calibrator,
 )
-from .errors import AbstainkitError, DidNotConverge, InvalidConfig, SchemaError
+from .errors import AbstainkitError, DidNotConverge, InvalidConfig, SchemaError, check_counts
 from .experiments import (
     _METRIC_LAYOUT,
     ExperimentSpec,
@@ -119,7 +119,11 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_adapt(args) -> int:
+    # the flags are checked before the prediction file is read
     train_priors = _parse_priors(args.train_priors, "--train-priors")
+    check_counts(**{"--max-iter": (args.max_iter, 1)})
+    if not 0.0 < args.tol < math.inf:  # NaN fails too
+        raise InvalidConfig(f"--tol must be finite and > 0, got {args.tol}")
     ids, labels, probs = read_predictions(args.input)
     result = adapt_label_shift_em(
         _shaped(probs, "lifted", "adapt"), train_priors, tol=args.tol, max_iter=args.max_iter,

@@ -2,8 +2,15 @@
 
 Every failure mode that callers are expected to handle has a named class;
 pipelines should catch :class:`AbstainkitError` at the boundary and let
-anything else propagate as a bug.
+anything else propagate as a bug. The two value rules every config type
+applies to its own fields, :func:`check_counts` and :func:`check_numbers`,
+live here beside :class:`InvalidConfig`.
 """
+
+import numbers
+import sys
+
+import numpy as np
 
 
 class AbstainkitError(Exception):
@@ -72,6 +79,36 @@ class MissingVariance(AbstainkitError, ValueError):
 
 class InvalidConfig(AbstainkitError, ValueError):
     """A configuration violates its parameter constraints."""
+
+
+def check_counts(**counts) -> None:
+    """Each ``name=(value, minimum)`` must be an integer of at least ``minimum``, else InvalidConfig.
+
+    An int or numpy integer counts; a bool, a float (even a whole one) or a
+    string does not.
+    """
+    if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for v, _ in counts.values()):
+        got = ", ".join(f"{name}={v!r}" for name, (v, _) in counts.items())
+        raise InvalidConfig(f"{' and '.join(counts)} must be integers, got {got}")
+    for name, (value, minimum) in counts.items():
+        if value < minimum:
+            raise InvalidConfig(f"{name} must be >= {minimum}, got {value}")
+
+
+def check_numbers(**values) -> None:
+    """Each value must be a finite real number, or a list, tuple or array of them.
+
+    A bool, a string or None where a number belongs is a TypeError (a JSON
+    reader reports it as a SchemaError naming the file); NaN, +-inf or an
+    integer beyond the float range is InvalidConfig.
+    """
+    for name, value in values.items():
+        many = isinstance(value, (list, tuple, np.ndarray))
+        cells = value if many else [value]
+        if any(isinstance(c, bool) or not isinstance(c, numbers.Real) for c in cells):
+            raise TypeError(f"{name} must be {'numbers' if many else 'a number'}, got {value!r}")
+        if not all(abs(c) <= sys.float_info.max for c in cells):  # NaN fails too
+            raise InvalidConfig(f"{name} must be finite, got {value!r}")
 
 
 class EmptyClass(AbstainkitError, ValueError):

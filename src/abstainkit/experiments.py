@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import datetime
 import json
-import numbers
 import os
 import re
 from dataclasses import asdict, dataclass, field
@@ -25,7 +24,7 @@ from . import __version__
 from .calibration import PriorEstimate, adapt_label_shift_em
 from .errors import (
     AbstainkitError, BudgetTooLarge, DidNotConverge, DimensionMismatch, InputNotFound, InvalidConfig, InvalidSpecificity,
-    SchemaError,
+    SchemaError, check_counts, check_numbers,
 )
 from .metrics import (
     PenaltyWeightMatrix,
@@ -49,7 +48,6 @@ from .scoring import (
 from .simulate import (
     BinarySimConfig,
     MulticlassSimConfig,
-    _check_integers,
     resample_with_shift,
     sample_random_binary_config,
     simulate_binary,
@@ -92,11 +90,6 @@ LABEL_SHIFT_CONFIG = dict(positive_prior=0.5, mu_pos=1.0, mu_neg=-1.0, sigma_pos
 LABEL_SHIFT_TEST_SIZE = 10000
 LABEL_SHIFT_TARGET = (2.0 / 3.0, 1.0 / 3.0)
 
-def _is_number(value) -> bool:
-    """Whether ``value`` is a JSON number: an int or a float, not a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 # the metric names, each with the layout it reads: kappa needs the class count, the others a positive column
 _METRIC_LAYOUT = {"sens_at_spec": "binary", "auroc": "binary", "weighted_kappa": "classes"}
 
@@ -135,9 +128,7 @@ class MethodSpec:
         if not isinstance(self.params, dict) or not takes.issuperset(self.params):
             raise ValueError(f"method {self.name} takes params {sorted(takes)}, got {self.params!r}")
         if "grid" in self.params:
-            _check_integers(grid=self.params["grid"])
-            if self.params["grid"] < 2:
-                raise InvalidConfig(f"fumera grid needs at least 2 points per class, got {self.params['grid']}")
+            check_counts(grid=(self.params["grid"], 2))
 
 
 def _spec_of(cls, entry):
@@ -171,8 +162,7 @@ class ExperimentSpec:
                                  ("input", (str, type(None)), "a string or null"), ("sim", dict, "an object")):
             if not isinstance(getattr(self, name), kind):
                 raise TypeError(f"{name} must be {what}, got {getattr(self, name)!r}")
-        if not all(_is_number(b) for b in self.budgets):
-            raise TypeError(f"budgets must be numbers, got {list(self.budgets)!r}")
+        check_numbers(budgets=self.budgets)
         object.__setattr__(self, "methods", tuple(_spec_of(MethodSpec, m) for m in self.methods))
         object.__setattr__(self, "budgets", tuple(float(b) for b in self.budgets))
         object.__setattr__(self, "seeds", tuple(self.seeds))
@@ -183,24 +173,16 @@ class ExperimentSpec:
             _check_budget(budget)
         if self.metric.target_specificity is None and any(m.name == "sens_window" for m in self.methods):
             raise InvalidConfig("sens_window needs a metric with a target_specificity")
-        _check_integers(mc_samples=self.mc_samples, **{f"seeds[{i}]": s for i, s in enumerate(self.seeds)})
         for seed in self.seeds:
             MonteCarloConfig(samples=self.mc_samples, seed=seed)
         if self.task == "custom" and self.input is None:
             raise ValueError("custom task needs an input file")
         _, config, defaults, settings = _TASKS[self.task]
-        known = {**defaults, **settings}
-        for key, value in self.sim.items():
-            if key not in known:
+        for key in self.sim:
+            if key not in defaults and key not in settings:
                 raise ValueError(f"task {self.task} takes no sim key {key!r}")
-            kind = type(known[key])  # a value has the type of its default
-            cells = value if kind is tuple and isinstance(value, (list, tuple)) else [value]
-            if kind is int:
-                _check_integers(**{f"sim {key}": value})
-                if value < 1:
-                    raise InvalidConfig(f"sim {key} must be >= 1, got {value}")
-            elif not all(map(_is_number, cells)):
-                raise TypeError(f"sim {key} must be {'numbers' if kind is tuple else 'a number'}, got {value!r}")
+        # the task's own settings are counts; the sim config checks the rest of `sim` as it is built
+        check_counts(**{f"sim {key}": (value, 1) for key, value in self.sim.items() if key in settings})
         if config is not None:
             _task_config(self, self.seeds[0])
 

@@ -30,11 +30,11 @@ from .errors import (
     DegenerateExpectedCounts,
     DimensionMismatch,
     EvenWindow,
-    InvalidConfig,
     InvalidSpecificity,
     MissingPriors,
     MissingVariance,
     WindowTooLarge,
+    check_counts,
 )
 from .metrics import (
     PenaltyWeightMatrix,
@@ -78,10 +78,7 @@ class MonteCarloConfig:
     smooth: bool = False
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise InvalidConfig("samples must be >= 1")
-        if self.seed < 0:
-            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
+        check_counts(samples=(self.samples, 1), seed=(self.seed, 0))
 
 
 @dataclass(frozen=True)
@@ -460,12 +457,14 @@ def fumera_threshold_search(
     retained set leaves the metric undefined are skipped, and if nothing is
     feasible the all-zero tuple (abstain nothing) is returned.
 
-    The search visits ``grid ** class_count`` tuples but calls ``metric`` once
-    per distinct feasible abstained set: within a class the abstained rows are
-    the ones with the smallest top-class probabilities, so the per-class counts
-    identify the set, and tuples sharing it reuse its score (or its skip).
-    ``metric`` must therefore be a pure function of the retained rows. Keep the
-    grid coarse beyond a few classes.
+    Within a class the abstained rows are the ones with the smallest top-class
+    probabilities, so the per-class abstained counts identify the set. The
+    search therefore walks the distinct abstained sets, each class's counts
+    taken at the first grid index that gives them, and calls ``metric`` once
+    per distinct feasible set: at most the product over classes of each
+    class's distinct counts, never more than ``grid ** class_count``.
+    ``metric`` must be a pure function of the retained rows. Keep the grid
+    coarse beyond a few classes.
     """
     p = val_probs.entries
     labels = np.asarray(val_labels)
@@ -480,33 +479,31 @@ def fumera_threshold_search(
 
     top_class = p.argmax(axis=1)
     top_prob = p[np.arange(n), top_class]
-    # counts[c][g]: class-c rows with top_prob < grid_values[g], the rows a
-    # tuple with grid index g for class c abstains on.
-    counts = [
-        np.searchsorted(np.sort(top_prob[top_class == c]), grid_values, side="left").tolist()
-        for c in range(n_classes)
-    ]
-    scores = {}  # per-class counts -> metric score, or None where it raised
+    # choices[c]: one (count, g) per distinct count of class-c rows with
+    # top_prob < grid_values[g], at the first g giving it, in index order; the
+    # first indices of a set make its lexicographically first tuple, the one
+    # the tie rule would pick among the tuples sharing the set
+    choices = []
+    for c in range(n_classes):
+        counts = np.searchsorted(np.sort(top_prob[top_class == c]), grid_values, side="left")
+        first = np.sort(np.unique(counts, return_index=True)[1])
+        choices.append(list(zip(counts[first].tolist(), first.tolist())))
     best_score = best_count = best_index = None
-    for index in itertools.product(range(grid_values.size), repeat=n_classes):
-        key = tuple(class_counts[g] for class_counts, g in zip(counts, index))
-        count = sum(key)
+    for choice in itertools.product(*choices):
+        count = sum(k for k, _ in choice)
         if count > budget:
             continue
-        if key not in scores:
-            keep = ~_fumera_abstained(p, grid_values[list(index)])
-            try:
-                scores[key] = float(metric(p[keep], labels[keep]))
-            except (AbstainkitError, ValueError):
-                scores[key] = None
-        score = scores[key]
-        if score is None:
+        index = [g for _, g in choice]
+        keep = ~_fumera_abstained(p, grid_values[index])
+        try:
+            score = float(metric(p[keep], labels[keep]))
+        except (AbstainkitError, ValueError):
             continue
         if best_index is None or score > best_score or (score == best_score and count < best_count):
             best_score, best_count, best_index = score, count, index
     if best_index is None:
         return np.zeros(n_classes)
-    return grid_values[list(best_index)]
+    return grid_values[best_index]
 
 
 def _fumera_abstained(p: np.ndarray, thresholds: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyClass, InvalidConfig
+from .errors import EmptyClass, InvalidConfig, check_counts, check_numbers
 from .metrics import ProbabilityMatrix
 
 __all__ = [
@@ -25,21 +25,6 @@ __all__ = [
     "sample_random_binary_config",
     "resample_with_shift",
 ]
-
-
-def _check_integers(**values) -> None:
-    """Raise InvalidConfig unless every value is an int; a bool, float or string is not."""
-    if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in values.values()):
-        got = ", ".join(f"{k}={v!r}" for k, v in values.items())
-        raise InvalidConfig(f"{' and '.join(values)} must be integers, got {got}")
-
-
-def _check_size_and_seed(n, seed) -> None:
-    _check_integers(n=n, seed=seed)
-    if n < 1:
-        raise InvalidConfig("n must be >= 1")
-    if seed < 0:
-        raise InvalidConfig(f"seed must be >= 0, got {seed}")
 
 
 @dataclass(frozen=True)
@@ -55,11 +40,15 @@ class BinarySimConfig:
     seed: int
 
     def __post_init__(self):
+        floats = ("positive_prior", "mu_pos", "mu_neg", "sigma_pos", "sigma_neg")
+        check_numbers(**{name: getattr(self, name) for name in floats})
+        for name in floats:  # a list passes the number rule but is no scalar: float() rejects it
+            object.__setattr__(self, name, float(getattr(self, name)))
         if not 0.0 < self.positive_prior < 1.0:
             raise InvalidConfig("positive_prior must be in (0, 1)")
         if self.sigma_pos <= 0 or self.sigma_neg <= 0:
             raise InvalidConfig("sigmas must be positive")
-        _check_size_and_seed(self.n, self.seed)
+        check_counts(n=(self.n, 1), seed=(self.seed, 0))
 
 
 @dataclass(frozen=True)
@@ -73,6 +62,7 @@ class MulticlassSimConfig:
     seed: int
 
     def __post_init__(self):
+        check_numbers(priors=self.priors, means=self.means, sigmas=self.sigmas)
         priors = np.asarray(self.priors, dtype=float)
         means = np.asarray(self.means, dtype=float)
         sigmas = np.asarray(self.sigmas, dtype=float)
@@ -84,7 +74,7 @@ class MulticlassSimConfig:
             raise InvalidConfig("priors must be nonnegative and sum to 1")
         if sigmas.min() <= 0:
             raise InvalidConfig("sigmas must be positive")
-        _check_size_and_seed(self.n, self.seed)
+        check_counts(n=(self.n, 1), seed=(self.seed, 0))
         object.__setattr__(self, "priors", tuple(float(p) for p in priors))
         object.__setattr__(self, "means", tuple(float(m) for m in means))
         object.__setattr__(self, "sigmas", tuple(float(s) for s in sigmas))

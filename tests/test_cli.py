@@ -206,8 +206,12 @@ _JSON_CASES += [("experiment", case) for case in (
     "smooth_text", "output_number", "input_number", "method_param_key", "metric_key", "grid_text",
     "params_not_fumera", "sim_text_prior", "sim_text_abstain_count", "sim_text_repeats", "grid_one", "seeds_negative",
 )]
+# a number field holding text, null, a list or a non-finite value, and a platt calibrator without its offset
+_JSON_CASES += [("simulate_binary", case) for case in ("mu_text", "mu_null", "mu_nan", "mu_list")]
+_JSON_CASES += [("simulate_multiclass", "means_infinity"), ("experiment", "sim_infinite_sigma"),
+                ("apply_calibrator", "number_text_scale"), ("apply_calibrator", "no_offset")]
 _INVALID_CONFIG = ("n_float", "seed_float", "mc_float", "grid_text", "sim_text_abstain_count", "sim_text_repeats",
-                   "grid_one", "seed_negative", "seeds_negative")
+                   "grid_one", "seed_negative", "seeds_negative", "mu_nan", "means_infinity", "sim_infinite_sigma")
 
 
 @pytest.mark.parametrize("name, case", _JSON_CASES, ids=[f"{name}-{case}" for name, case in _JSON_CASES])
@@ -240,6 +244,14 @@ def test_malformed_json_input_is_one_named_error(tmp_path, capsys, name, case):
         "sim_text_prior": json.dumps({**payload, "sim": {"positive_prior": "0.1"}}),
         "sim_text_abstain_count": json.dumps({**payload, "task": "auroc_correlation", "sim": {"abstain_count": "x"}}),
         "sim_text_repeats": json.dumps({**payload, "task": "kappa_convergence", "sim": {"repeats": "x"}}),
+        "mu_text": json.dumps({**payload, "mu_pos": "1"}),
+        "mu_null": json.dumps({**payload, "mu_pos": None}),
+        "mu_nan": json.dumps({**payload, "mu_pos": float("nan")}),
+        "mu_list": json.dumps({**payload, "mu_pos": [1.0]}),
+        "means_infinity": json.dumps({**payload, "means": [float("-inf"), 1.0]}),
+        "sim_infinite_sigma": json.dumps({**payload, "sim": {"sigma_pos": float("inf")}}),
+        "number_text_scale": json.dumps({**payload, "scale": "2.0"}),
+        "no_offset": json.dumps({**payload, "offset": []}),
     }[case]
     path = tmp_path / "input.json"
     path.write_text(text)
@@ -313,6 +325,16 @@ def test_priors_errors_name_the_flag_before_reading(tmp_path, capsys, argv, mess
     assert capsys.readouterr().err == f"error: InvalidConfig: {message}\n"
 
 
+@pytest.mark.parametrize("flags", [["--max-iter", "0"], ["--max-iter", "-3"], ["--tol", "-1"], ["--tol", "nan"],
+                                   ["--tol", "inf"], ["--tol", "0"]],
+                         ids=["max_iter_zero", "max_iter_negative", "tol_negative", "tol_nan", "tol_inf", "tol_zero"])
+def test_adapt_checks_flags_before_reading(tmp_path, capsys, flags):
+    argv = ["adapt", "--input", str(tmp_path / "missing.csv"), "--train-priors", "0.5,0.5", "--output", "out.csv"]
+    assert main([*argv, *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: InvalidConfig: {flags[0]} must be "), err
+
+
 def test_priors_must_match_the_class_count(tmp_path, capsys):
     data = tmp_path / "data.csv"
     write_predictions(data, np.array([0.1, 0.8, 0.3, 0.9]), np.array([0, 1, 0, 1]))
@@ -384,6 +406,21 @@ def test_non_finite_logit_is_named_before_the_fit(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == f"error: SchemaError: {raw}: value cell is not finite\n"
     assert not cal.exists()
+
+
+@pytest.mark.parametrize("calibrator, header", [
+    ('{"kind": "platt", "scale": NaN, "offset": [0.0]}', "score"),
+    ('{"kind": "temperature", "scale": Infinity, "offset": [0.0, 0.0]}', "z_0,z_1"),
+], ids=["platt_nan", "temperature_infinity"])
+def test_non_finite_calibrator_scale_is_named(tmp_path, capsys, calibrator, header):
+    # both used to exit 0 and write a file of nan probabilities
+    raw, cal, out = tmp_path / "raw.csv", tmp_path / "cal.json", tmp_path / "out.csv"
+    cells = ",".join(["0.5"] * len(header.split(",")))
+    raw.write_text(f"id,label,{header}\n" + "".join(f"{i},{i % 2},{cells}\n" for i in range(4)))
+    cal.write_text(calibrator)
+    assert main(["apply-calibrator", "--input", str(raw), "--calibrator", str(cal), "--output", str(out)]) == 1
+    _single_error_line(capsys, "InvalidConfig")
+    assert not out.exists()
 
 
 def test_ids_survive_apply_calibrator_and_adapt(tmp_path):

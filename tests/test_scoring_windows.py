@@ -20,7 +20,9 @@ from abstainkit import (
     score_windows_sens_at_spec,
     sensitivity_at_specificity,
 )
-from abstainkit.errors import BudgetTooLarge, DegenerateExpectedCounts, InvalidSpecificity, NoNegatives
+from abstainkit.errors import (
+    BudgetTooLarge, DegenerateExpectedCounts, InvalidConfig, InvalidSpecificity, NoNegatives,
+)
 from abstainkit.metrics import specificity_threshold_index
 from abstainkit.scoring import MonteCarloConfig, auroc_rank_sums
 
@@ -380,3 +382,16 @@ class TestDegenerateSamples:
         mc = MonteCarloConfig(samples=3, seed=0, smooth=True)
         with pytest.raises(ValueError, match="valid sample"):
             score_windows_sens_at_spec(preds, 0.5, 1, mc)
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(samples=2.5), "samples and seed must be integers"),
+    (dict(samples=True), "samples and seed must be integers"),
+    (dict(samples=2, seed=1.5), "samples and seed must be integers"),
+    (dict(samples=0), "samples must be >= 1, got 0"),
+    (dict(samples=2, seed=-1), "seed must be >= 0, got -1"),
+])
+def test_monte_carlo_config_checks_its_counts(fields, message):
+    with pytest.raises(InvalidConfig, match=message):
+        MonteCarloConfig(**fields)
+    assert MonteCarloConfig(samples=np.int64(2), seed=np.int64(3)).samples == 2

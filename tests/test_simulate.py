@@ -82,6 +82,18 @@ class TestBinarySimulation:
                 config(n=n, seed=seed, **fields)
             assert config(n=np.int64(10), seed=np.int64(3), **fields).n == 10
 
+    @pytest.mark.parametrize("value, error", [(float("nan"), InvalidConfig), (float("inf"), InvalidConfig),
+                                              ("1", TypeError), (None, TypeError), (True, TypeError)])
+    def test_float_fields_must_be_finite_numbers(self, value, error):
+        binary = dict(positive_prior=0.5, mu_pos=1.0, mu_neg=0.0, sigma_pos=1.0, sigma_neg=1.0, n=10, seed=0)
+        for name in ("positive_prior", "mu_pos", "mu_neg", "sigma_pos", "sigma_neg"):
+            with pytest.raises(error, match=name):
+                BinarySimConfig(**{**binary, name: value})
+        multiclass = dict(priors=(0.5, 0.5), means=(0.0, 1.0), sigmas=(1.0, 1.0), n=10, seed=0)
+        for name in ("priors", "means", "sigmas"):
+            with pytest.raises(error, match=name):
+                MulticlassSimConfig(**{**multiclass, name: (multiclass[name][0], value)})
+
 
 class TestMulticlassSimulation:
     def test_identical_components_give_prior_rows(self):
