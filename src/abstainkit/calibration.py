@@ -113,11 +113,17 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return expz / expz.sum(axis=1, keepdims=True)
 
 
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-z)); where exp overflows to inf the result is exactly 0.0, so no warning is raised."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
+
+
 def _platt_nll(params, scores, labels):
     a, b = params
     z = a * scores + b
     nll = float(np.mean(np.logaddexp(0.0, z) - labels * z))
-    resid = 1.0 / (1.0 + np.exp(-z)) - labels
+    resid = _sigmoid(z) - labels
     return nll, np.array([np.mean(resid * scores), np.mean(resid)])
 
 
@@ -253,8 +259,7 @@ def apply_calibrator(cal: Calibrator, raw_scores):
     if cal.kind == "platt":
         if scores.ndim != 1:
             raise DimensionMismatch("platt calibrators apply to 1-D score vectors")
-        z = cal.scale * scores + cal.offset[0]
-        return 1.0 / (1.0 + np.exp(-z))
+        return _sigmoid(cal.scale * scores + cal.offset[0])
     if scores.ndim != 2 or scores.shape[1] != cal.offset.size:
         raise DimensionMismatch(
             f"expected an N x {cal.offset.size} logit matrix, got shape {scores.shape}"

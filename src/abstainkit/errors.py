@@ -73,10 +73,6 @@ class MissingPriors(AbstainkitError, ValueError):
     """The requested baseline needs class priors but none were given."""
 
 
-class MissingVariance(AbstainkitError, ValueError):
-    """The external-variance baseline needs a variance vector."""
-
-
 class InvalidConfig(AbstainkitError, ValueError):
     """A configuration violates its parameter constraints."""
 

@@ -479,6 +479,8 @@ def abstain_indices(
     if d == 0:
         return np.empty(0, dtype=np.int64), None
     name = method.name
+    # `sens_window` and the `_mc` methods sample; the `_det` ones use expected counts
+    sampled = None if name.endswith("_det") else mc
 
     if name in WINDOW_METHODS:
         probs = _shaped(probs, "binary", name)
@@ -486,24 +488,20 @@ def abstain_indices(
         preds = SortedPredictionSet(probs[order])
         if name == "sens_window":
             scores = score_windows_sens_at_spec(preds, metric.target_specificity, d, mc)
-        elif name == "auroc_window_det":
-            scores = score_windows_auroc(preds, d, mode="deterministic")
         else:
-            scores = score_windows_auroc(preds, d, mode="monte_carlo", mc=mc)
+            scores = score_windows_auroc(preds, d, mc=sampled)
         selected = select_abstentions(scores, d)
         return np.sort(order[selected]), float(scores.scores[selected[0]])
 
     if name in KAPPA_METHODS:
         matrix = _shaped(probs, "classes", name)
         weights = PenaltyWeightMatrix.quadratic(matrix.class_count)
-        mode = "deterministic" if name == "kappa_marginal_det" else "monte_carlo"
-        scores = score_examples_kappa(matrix, weights, mode=mode, mc=mc)
+        scores = score_examples_kappa(matrix, weights, mc=sampled)
         selected = select_abstentions(scores, d)
         return selected, float(np.mean(scores.scores[selected]))
 
     if name in PRIORITY_METHODS:
-        rule = "js_divergence_from_priors" if name == "js_divergence" else name
-        priorities = baseline_scores(_shaped(probs, "lifted", name), priors=priors, method=rule)
+        priorities = baseline_scores(_shaped(probs, "lifted", name), priors=priors, method=name)
         return select_abstentions(MarginalScoreVector(priorities), d), None
 
     # fumera, the one method left
@@ -588,10 +586,9 @@ def _run_auroc_correlation(spec: ExperimentSpec):
         probs, _, _ = simulate_binary(cfg)
         preds = SortedPredictionSet.from_unsorted(probs)
         mc_scores = score_windows_auroc(
-            preds, abst, mode="monte_carlo",
-            mc=MonteCarloConfig(samples=spec.mc_samples, seed=seed, smooth=spec.smooth),
+            preds, abst, mc=MonteCarloConfig(samples=spec.mc_samples, seed=seed, smooth=spec.smooth)
         )
-        det_scores = score_windows_auroc(preds, abst, mode="deterministic")
+        det_scores = score_windows_auroc(preds, abst)
         spearman, pearson = rank_correlations(mc_scores.scores, det_scores.scores)
         rows.append(
             (index, seed, cfg.positive_prior, cfg.mu_pos, cfg.mu_neg, cfg.sigma_pos, cfg.sigma_neg, spearman, pearson)
@@ -608,15 +605,14 @@ def _run_kappa_convergence(spec: ExperimentSpec):
     for seed in spec.seeds:
         probs, _ = simulate_multiclass(_task_config(spec, seed))
         weights = PenaltyWeightMatrix.quadratic(probs.class_count)
-        det = score_examples_kappa(probs, weights, mode="deterministic")
+        det = score_examples_kappa(probs, weights)
         for m in KAPPA_SAMPLE_LADDER:
             # distinct stream per (rung, repeat); a shared seed would make
             # small-M runs prefixes of large-M runs and couple the ladder
             diff = 0.0
             for r in range(repeats):
                 mc = score_examples_kappa(
-                    probs, weights, mode="monte_carlo",
-                    mc=MonteCarloConfig(samples=m, seed=(seed * 4099 + m) * 101 + r),
+                    probs, weights, mc=MonteCarloConfig(samples=m, seed=(seed * 4099 + m) * 101 + r)
                 )
                 diff += float(np.abs(mc.scores - det.scores).mean())
             rows.append((seed, m, diff / repeats))

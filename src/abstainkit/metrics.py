@@ -289,7 +289,7 @@ def weighted_kappa(pred_labels, true_labels, weights: PenaltyWeightMatrix) -> fl
         raise ValueError("pred_labels and true_labels must be aligned vectors")
     n = pred.size
     if n < 2:
-        raise ValueError("need at least 2 examples")
+        raise DegenerateDenominator("need at least 2 examples")
     c = weights.class_count
     if pred.min() < 0 or pred.max() >= c or true.min() < 0 or true.max() >= c:
         raise ValueError(f"labels must lie in [0, {c})")
@@ -331,7 +331,7 @@ def kappa_aggregates(weights: PenaltyWeightMatrix, true_counts, pred) -> KappaAg
     pred = np.asarray(pred, dtype=np.int64)
     n = pred.size
     if n < 2:
-        raise ValueError("need at least 2 examples")
+        raise DegenerateDenominator("need at least 2 examples")
     pred_counts = np.bincount(pred, minlength=weights.class_count).astype(float)
     scale = 1.0 / (n - 1)
     return KappaAggregates(

@@ -4,8 +4,9 @@ The window scorers estimate, for every contiguous interval [i, i+d) of the
 ascending-sorted predictions, the value a binary metric would take if that
 interval were abstained on. The marginal scorer does the analogous thing per
 example for weighted kappa. Estimates treat the calibrated probabilities as
-the distribution of the unknown labels, either by Monte-Carlo sampling of
-label vectors or by substituting expected counts directly into the same
+the distribution of the unknown labels: a scorer given a
+:class:`MonteCarloConfig` samples label vectors from them, and one given
+none (``mc=None``) substitutes expected counts directly into the same
 running-sum formulas.
 
 Monte-Carlo streams are keyed by (seed, sample index) through
@@ -32,7 +33,6 @@ from .errors import (
     EvenWindow,
     InvalidSpecificity,
     MissingPriors,
-    MissingVariance,
     WindowTooLarge,
     check_counts,
 )
@@ -234,19 +234,18 @@ def auroc_rank_sums(values, window: int) -> AurocSums:
 def score_windows_auroc(
     preds: SortedPredictionSet,
     budget: int,
-    mode: str = "deterministic",
     mc: MonteCarloConfig | None = None,
 ) -> WindowScoreVector:
     """Estimate post-abstention auROC per window.
 
-    ``monte_carlo`` draws label vectors and averages the windowed rank-sum
-    estimate over samples (optionally smoothing); ``deterministic`` runs the
-    identical formulas once with each probability substituted for its label,
-    in O(N) total, with no sampling and no smoothing (``mc`` is ignored).
+    With ``mc`` it draws label vectors and averages the windowed rank-sum
+    estimate over samples (smoothing if ``mc.smooth``); without it, it runs
+    the identical formulas once with each probability substituted for its
+    label, in O(N) total, with no sampling and no smoothing.
     """
     n = preds.n
     d = _window_count(budget, n)
-    if mode == "deterministic":
+    if mc is None:
         sums = auroc_rank_sums(preds.probs, d)
         rem_neg, rem_pos = sums.remaining_neg, sums.remaining_pos
         if rem_pos.min() <= _DEGENERATE_EPS or rem_neg.min() <= _DEGENERATE_EPS:
@@ -254,10 +253,6 @@ def score_windows_auroc(
                 "expected positive/negative mass left after abstention is ~0"
             )
         return WindowScoreVector(sums.post_sums / (rem_neg * rem_pos), d)
-    if mode != "monte_carlo":
-        raise ValueError(f"unknown mode {mode!r}")
-    if mc is None:
-        raise ValueError("monte_carlo mode needs a MonteCarloConfig")
 
     def score(labels):
         sums = auroc_rank_sums(labels, d)
@@ -274,27 +269,27 @@ def score_windows_auroc(
 def score_examples_kappa(
     probs: ProbabilityMatrix,
     weights: PenaltyWeightMatrix,
-    mode: str = "deterministic",
     mc: MonteCarloConfig | None = None,
 ) -> MarginalScoreVector:
     """Estimate weighted kappa after abstaining on each single example.
 
-    Predicted labels are the per-row argmax of ``probs`` throughout.
-    ``monte_carlo`` samples true-label vectors from the rows and averages the
-    leave-one-out kappa; ``deterministic`` substitutes each row's class
-    probabilities for its label indicator, running in O(NC).
+    Predicted labels are the per-row argmax of ``probs`` throughout. With
+    ``mc`` it samples true-label vectors from the rows and averages the
+    leave-one-out kappa; without it, it substitutes each row's class
+    probabilities for its label indicator, running in O(NC). Kappa needs 2
+    rows, so fewer than 3 is DegenerateDenominator.
     """
     p = probs.entries
     n, n_classes = p.shape
-    if n < 2:
-        raise ValueError("need at least 2 examples")
+    if n < 3:
+        raise DegenerateDenominator(f"need at least 2 examples left after abstaining on one, got {n}")
     if weights.class_count != n_classes:
         raise ValueError("weights dimension must equal the class count")
     w = weights.weights
     pred = p.argmax(axis=1)
     scale = 1.0 / (n - 1)
 
-    if mode == "deterministic":
+    if mc is None:
         expected_true = p.sum(axis=0)
         w_by_pred = w[:, pred].T  # [x, i] -> penalty if x's true class were i
         penalty_sum = float((p * w_by_pred).sum())
@@ -310,10 +305,6 @@ def score_examples_kappa(
         terms = 1.0 - (penalty_sum - w_by_pred) / denom
         return MarginalScoreVector((p * terms).sum(axis=1))
 
-    if mode != "monte_carlo":
-        raise ValueError(f"unknown mode {mode!r}")
-    if mc is None:
-        raise ValueError("monte_carlo mode needs a MonteCarloConfig")
     bounds = np.ascontiguousarray(p.cumsum(axis=1)[:, :-1].T)
     every_example = np.ones(n, dtype=bool)
     flat_w = w.ravel()  # w[i, j] at i * C + j: a flat take is cheaper than a 2-D fancy index
@@ -404,39 +395,25 @@ def _js_divergence_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return 0.5 * (half_kl(p) + half_kl(q))
 
 
-def baseline_scores(
-    probs: ProbabilityMatrix,
-    priors=None,
-    method: str = "max_class_prob",
-    variance=None,
-) -> np.ndarray:
+def baseline_scores(probs: ProbabilityMatrix, priors=None, method: str = "max_class_prob") -> np.ndarray:
     """Abstention priorities for the reference rules; higher = abstain first.
 
     - ``max_class_prob``: least-confident argmax first
     - ``entropy``: highest predictive entropy first
-    - ``js_divergence_from_priors``: rows closest (Jensen-Shannon) to the
-      class priors first
-    - ``external_variance``: highest externally supplied variance first
+    - ``js_divergence``: rows closest (Jensen-Shannon) to the class priors first
     """
     p = probs.entries
     if method == "max_class_prob":
         return -p.max(axis=1)
     if method == "entropy":
         return _entropy_rows(p)
-    if method == "js_divergence_from_priors":
+    if method == "js_divergence":
         if priors is None:
-            raise MissingPriors("js_divergence_from_priors needs class priors")
+            raise MissingPriors("js_divergence needs class priors")
         prior_row = np.asarray(getattr(priors, "priors", priors), dtype=float)[None, :]
         if prior_row.shape[1] != p.shape[1]:
             raise DimensionMismatch(f"{prior_row.shape[1]} priors for {p.shape[1]} classes")
         return -_js_divergence_rows(p, np.broadcast_to(prior_row, p.shape))
-    if method == "external_variance":
-        if variance is None:
-            raise MissingVariance("external_variance needs a variance vector")
-        variance = np.asarray(variance, dtype=float)
-        if variance.shape != (p.shape[0],):
-            raise ValueError("variance must align with the prediction rows")
-        return variance.copy()
     raise ValueError(f"unknown baseline method {method!r}")
 
 
@@ -522,6 +499,8 @@ def select_abstentions(scores, count: int) -> np.ndarray:
     if isinstance(scores, WindowScoreVector):
         if count != scores.window_size:
             raise BudgetMismatch(f"budget is {count} but scores use window {scores.window_size}")
+        if np.isnan(scores.scores).all():
+            raise DegenerateExpectedCounts("no window had a valid sample")
         start = int(np.nanargmax(scores.scores))
         return np.arange(start, start + scores.window_size)
     if isinstance(scores, MarginalScoreVector):

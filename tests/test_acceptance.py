@@ -57,10 +57,10 @@ def _abstain_sets(probs_sorted, seed, d, target_specificity, priors):
     preds = SortedPredictionSet(probs_sorted)
     mc = MonteCarloConfig(samples=100, seed=seed, smooth=True)
     sens = select_abstentions(score_windows_sens_at_spec(preds, target_specificity, d, mc), d)
-    roc = select_abstentions(score_windows_auroc(preds, d, mode="deterministic"), d)
+    roc = select_abstentions(score_windows_auroc(preds, d), d)
     priorities = baseline_scores(
         ProbabilityMatrix.from_binary(probs_sorted), priors=priors,
-        method="js_divergence_from_priors",
+        method="js_divergence",
     )
     js = select_abstentions(MarginalScoreVector(priorities), d)
     return {"sens": sens, "roc": roc, "js": js}
@@ -113,10 +113,10 @@ def test_criterion_2_auroc_scorer_correlation():
         probs, _, _ = simulate_binary(cfg)
         preds = SortedPredictionSet.from_unsorted(probs)
         sampled = score_windows_auroc(
-            preds, 100, mode="monte_carlo",
+            preds, 100,
             mc=MonteCarloConfig(samples=1000, seed=seed, smooth=True),
         )
-        exact = score_windows_auroc(preds, 100, mode="deterministic")
+        exact = score_windows_auroc(preds, 100)
         spearmans[seed], pearsons[seed] = rank_correlations(sampled.scores, exact.scores)
     _report(
         2,
@@ -172,7 +172,7 @@ def test_criterion_4_oracle_equivalence():
         s = float(rng.uniform(0.05, 0.95))
         mc = MonteCarloConfig(samples=1, seed=0, smooth=False)
         sens_scores = score_windows_sens_at_spec(preds, s, d, mc).scores
-        roc_scores = score_windows_auroc(preds, d, mode="deterministic").scores
+        roc_scores = score_windows_auroc(preds, d).scores
         for i in range(n + 1 - d):
             want_sens = metric_without_window(
                 p, labels, i, d, sensitivity_at_specificity, target_specificity=s
@@ -193,7 +193,7 @@ def test_criterion_4_oracle_equivalence():
             n = int(rng.integers(20, 41))
             d = int(rng.integers(2, n // 3))
             p = np.sort(rng.uniform(0.02, 0.98, n))
-            got = score_windows_auroc(SortedPredictionSet(p), d, mode="deterministic").scores
+            got = score_windows_auroc(SortedPredictionSet(p), d).scores
             want = naive_auroc_window_scores(p, d)
         else:
             n, c = int(rng.integers(10, 31)), int(rng.integers(2, 6))

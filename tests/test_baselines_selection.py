@@ -20,7 +20,7 @@ from abstainkit import (
     select_abstentions,
     weighted_kappa,
 )
-from abstainkit.errors import BudgetMismatch, MissingPriors, MissingVariance
+from abstainkit.errors import BudgetMismatch, DegenerateExpectedCounts, MissingPriors
 
 from oracles import direct_js_divergence, exhaustive_threshold_search
 
@@ -36,7 +36,7 @@ class TestBaselineScores:
         priors = PriorEstimate(np.array([0.6, 0.3, 0.1]))
         rows = np.array([[0.6, 0.3, 0.1], [0.3, 0.6, 0.1], [0.1, 0.1, 0.8]])
         priority = baseline_scores(
-            ProbabilityMatrix(rows), priors=priors, method="js_divergence_from_priors"
+            ProbabilityMatrix(rows), priors=priors, method="js_divergence"
         )
         assert priority.argmax() == 0
         assert priority[0] == pytest.approx(0.0, abs=1e-12)
@@ -45,7 +45,7 @@ class TestBaselineScores:
         priors = np.array([0.1, 0.9])
         rows = np.array([[0.5, 0.5], [0.9, 0.1], [0.05, 0.95]])
         priority = baseline_scores(
-            ProbabilityMatrix(rows), priors=priors, method="js_divergence_from_priors"
+            ProbabilityMatrix(rows), priors=priors, method="js_divergence"
         )
         for row, got in zip(rows, priority):
             assert got == pytest.approx(-direct_js_divergence(row, priors), abs=1e-12)
@@ -64,19 +64,10 @@ class TestBaselineScores:
         np.testing.assert_array_equal(by_conf, by_entropy)
         np.testing.assert_array_equal(by_conf, by_distance)
 
-    def test_external_variance_passthrough(self):
-        matrix = ProbabilityMatrix.from_binary(np.array([0.2, 0.8]))
-        var = np.array([0.3, 0.1])
-        np.testing.assert_array_equal(
-            baseline_scores(matrix, method="external_variance", variance=var), var
-        )
-
     def test_missing_inputs(self):
         matrix = ProbabilityMatrix.from_binary(np.array([0.2, 0.8]))
         with pytest.raises(MissingPriors):
-            baseline_scores(matrix, method="js_divergence_from_priors")
-        with pytest.raises(MissingVariance):
-            baseline_scores(matrix, method="external_variance")
+            baseline_scores(matrix, method="js_divergence")
 
     def test_entropy_handles_exact_zeros(self):
         matrix = ProbabilityMatrix(np.array([[1.0, 0.0], [0.5, 0.5]]))
@@ -227,6 +218,14 @@ class TestSelectAbstentions:
         assert chosen.size == 3
         with pytest.raises(BudgetMismatch):
             select_abstentions(scores, 4)
+
+    def test_window_scores_with_no_valid_window_are_named(self):
+        # an unsmoothed Monte-Carlo scorer returns NaN for a window that never had a valid sample
+        scores = WindowScoreVector(np.full(5, np.nan), window_size=2)
+        with pytest.raises(DegenerateExpectedCounts, match="no window"):
+            select_abstentions(scores, 2)
+        partly = WindowScoreVector(np.array([np.nan, 0.2, 0.7, np.nan]), window_size=2)
+        np.testing.assert_array_equal(select_abstentions(partly, 2), [2, 3])
 
     def test_top_k_selects_highest_with_low_index_ties(self):
         scores = MarginalScoreVector(np.array([0.3, 0.9, 0.1, 0.9]))

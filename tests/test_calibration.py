@@ -136,6 +136,14 @@ class TestApplyCalibrator:
         cal = Calibrator(kind="platt", scale=1.0, offset=[0.0])
         assert apply_calibrator(cal, np.array([0.0]))[0] == 0.5
 
+    def test_platt_sigmoid_reaches_zero_without_a_warning(self):
+        # exp(1.5e20) overflows to inf and 1 / (1 + inf) is exactly 0.0; no RuntimeWarning escapes
+        cal = Calibrator(kind="platt", scale=1.5, offset=[0.2])
+        got = apply_calibrator(cal, np.array([-1e20, -99999999999999999999, 0.5, 1e20]))
+        assert got.tolist() == [0.0, 0.0, 1.0 / (1.0 + np.exp(-0.95)), 1.0]
+        nll, grad = calibration._platt_nll([1.5, 0.2], np.array([-1e20, 0.5]), np.array([0.0, 1.0]))
+        assert np.isfinite(nll) and np.isfinite(grad).all()
+
     def test_large_temperature_flattens_rows(self):
         rng = np.random.default_rng(2)
         logits = rng.normal(0, 2, (20, 5))

@@ -570,6 +570,33 @@ def test_window_with_no_valid_sample_is_named(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("method", ["sens_window", "auroc_window_mc"])
+def test_unsmoothed_window_scores_with_no_valid_window_are_named(tmp_path, capsys, method):
+    # every sample of all-zero probabilities is all negative, so no window keeps both classes
+    data, out = tmp_path / "preds.csv", tmp_path / "abstain.json"
+    write_predictions(data, np.zeros(50))
+    argv = ["abstain", "--input", str(data), "--method", method, "--budget", "0.2", "--no-smooth",
+            "--mc-samples", "5", "--output", str(out)]
+    assert main(argv) == 1
+    _single_error_line(capsys, "DegenerateExpectedCounts")
+    assert not out.exists()
+
+
+def test_kappa_on_too_few_rows_is_named(tmp_path, capsys):
+    data, kept_one = tmp_path / "preds.csv", tmp_path / "abstain.json"
+    write_predictions(data, np.array([[0.3, 0.7], [0.6, 0.4], [0.2, 0.8]]), np.array([0, 1, 1]))
+    kept_one.write_text(json.dumps({"indices": [0, 1]}))
+    argv = ["evaluate", "--input", str(data), "--metric", "weighted_kappa", "--abstain-file", str(kept_one)]
+    assert main(argv) == 1
+    _single_error_line(capsys, "DegenerateDenominator")
+    # abstaining on one of 2 rows would leave a single row, whose kappa is undefined
+    write_predictions(data, np.array([[0.3, 0.7], [0.6, 0.4]]), np.array([0, 1]))
+    for method in ("kappa_marginal_det", "kappa_marginal_mc"):
+        assert main(["abstain", "--input", str(data), "--method", method, "--metric", "weighted_kappa",
+                     "--budget", "0.5"]) == 1
+        _single_error_line(capsys, "DegenerateDenominator")
+
+
 def test_calibrate_needs_labels(tmp_path, capsys):
     raw = tmp_path / "raw.csv"
     raw.write_text("id,label,score\n0,,0.5\n1,,-0.3\n")

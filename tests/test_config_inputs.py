@@ -1,24 +1,29 @@
-"""The JSON config inputs of the CLI under one bad field at a time.
+"""The JSON config and CSV inputs of the CLI under one bad field at a time.
 
-Each case starts from a valid `simulate` config, calibrator (with a small
-raw-score file it fits) or `experiment` spec, and sets one field to a value
-that is wrong for it, or at least unusual. Whatever the value, `main` must
-either succeed or exit 1 with one named `AbstainkitError` line and no
-output; no exception may escape it and no prediction file may hold `nan`.
+Each JSON case starts from a valid `simulate` config, calibrator (with a
+small raw-score file it fits) or `experiment` spec, and each CSV case from a
+small valid prediction file, raw-score file or abstain file, and sets one
+field or cell to a value that is wrong for it, or at least unusual. Whatever
+the value, `main` must either succeed or exit 1 with one named
+`AbstainkitError` line and no output; no exception may escape it and no
+written value may be `nan`.
 """
 
 import copy
+import csv
 import io
 import json
 import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abstainkit import errors
+from abstainkit.calibration import CALIBRATOR_KINDS
 from abstainkit.cli import main
+from abstainkit.experiments import _METRIC_LAYOUT, METHODS
 
 _BINARY_SIM = {"positive_prior": 0.1, "mu_pos": 2.0, "mu_neg": -1.0, "sigma_pos": 1.0, "sigma_neg": 2.0,
                "n": 40, "seed": 0}
@@ -90,3 +95,121 @@ def test_a_bad_config_field_is_one_named_error_or_a_clean_run(case, value):
         assert err.count("\n") == 1 and err.startswith("error: "), err
         name = err.split(":")[1].strip()
         assert issubclass(getattr(errors, name, type(None)), errors.AbstainkitError), err
+
+
+def _table(header, rows):
+    return [header.split(",")] + [[str(i), *map(str, row)] for i, row in enumerate(rows)]
+
+
+# 12 labelled rows each: enough for every method at budget 0.2 and for a calibrator fit
+_TABLES = {
+    "prob": _table("id,label,prob", [
+        (0, 0.05), (1, 0.9), (0, 0.2), (1, 0.7), (0, 0.35), (1, 0.6),
+        (0, 0.1), (1, 0.8), (1, 0.45), (0, 0.3), (1, 0.95), (0, 0.55),
+    ]),
+    "p": _table("id,label,p_0,p_1,p_2", [
+        (0, 0.6, 0.3, 0.1), (1, 0.2, 0.5, 0.3), (2, 0.1, 0.2, 0.7), (0, 0.5, 0.25, 0.25),
+        (1, 0.3, 0.4, 0.3), (2, 0.2, 0.2, 0.6), (0, 0.7, 0.2, 0.1), (1, 0.25, 0.5, 0.25),
+        (2, 0.3, 0.3, 0.4), (0, 0.4, 0.4, 0.2), (1, 0.1, 0.8, 0.1), (2, 0.05, 0.15, 0.8),
+    ]),
+    "score": _table("id,label,score", [
+        (0, -1.5), (1, 2.0), (0, -0.2), (1, 0.7), (0, 0.4), (1, -0.3),
+        (0, -2.0), (1, 1.1), (1, 0.1), (0, 0.9), (1, 1.6), (0, -0.8),
+    ]),
+    "z": _table("id,label,z_0,z_1,z_2", [
+        (0, 1.0, 0.0, -1.0), (1, 0.0, 2.0, 0.5), (2, -1.0, 0.0, 3.0), (0, 0.5, 0.2, 0.0),
+        (1, 0.2, 0.9, 0.4), (2, 0.1, 0.3, 1.2), (0, 2.0, 1.0, -0.5), (1, -0.5, 1.5, 0.0),
+        (2, 0.0, 0.4, 0.3), (0, 0.3, 0.6, -0.2), (1, 1.0, 1.2, 0.1), (2, -0.4, 0.5, 0.2),
+    ]),
+}
+_CALIBRATORS = {"platt": {"kind": "platt", "scale": 1.5, "offset": [0.2]},
+                **{kind: {"kind": kind, "scale": 0.5, "offset": [0.1, 0.0, -0.1]} for kind in CALIBRATOR_KINDS[1:]}}
+_DROP = object()  # the cell or field is removed
+_CELL_VALUES = ["", "nan", "inf", "-inf", "-0.1", "1.5", "1.0", "99999999999999999999",
+                "-99999999999999999999", "-1", "3", "x", _DROP]
+# the same values for the abstain file's `indices` and one of its entries, 12 being the first row past the end
+_FIELD_VALUES = ["", float("nan"), float("inf"), -0.1, 1.5, 1.0, 99999999999999999999, -99999999999999999999,
+                 -1, 12, "1", None, True, {}, _DROP]
+# (file, row, column): one cell of the first, a middle or the last data row; ("abstain", key, index): a field
+_CASES = [(name, row, column) for name, table in _TABLES.items()
+          for row in (1, 6, len(table) - 1) for column in range(len(table[0]))]
+_CASES += [("abstain", "indices", None), ("abstain", "indices", 0), ("abstain", "indices", 1)]
+
+
+@st.composite
+def _mutations(draw):
+    case = draw(st.sampled_from(_CASES))
+    return case, draw(st.sampled_from(_FIELD_VALUES if case[0] == "abstain" else _CELL_VALUES))
+
+
+def _runs(name, data, files):
+    """Every command that reads the mutated file ``name``, as argv lists; ``data`` is the CSV input."""
+    out = files["out"]
+    if name in ("score", "z"):
+        kinds = ("platt",) if name == "score" else CALIBRATOR_KINDS[1:]
+        return [["calibrate", "--input", data, "--kind", kind, "--output", out] for kind in CALIBRATOR_KINDS] + [
+            ["apply-calibrator", "--input", data, "--calibrator", files[kind], "--output", out] for kind in kinds]
+    runs = [["evaluate", "--input", data, "--metric", metric, "--abstain-file", files["abstain"]]
+            for metric in _METRIC_LAYOUT]
+    if name != "abstain":
+        runs += [["abstain", "--input", data, "--method", method, "--metric", metric, "--budget", "0.2",
+                  "--mc-samples", "4", "--output", out] for method in METHODS for metric in _METRIC_LAYOUT]
+        runs.append(["adapt", "--input", data, "--train-priors", "0.5,0.5" if name == "prob" else "0.4,0.3,0.3",
+                     "--output", out])
+    return runs
+
+
+def _written_values(command, out, stdout):
+    """The values a successful run wrote: its CSV cells but the ids, or the numbers of its JSON."""
+    if command in ("adapt", "apply-calibrator"):
+        with open(out, newline="") as fh:
+            return [cell for row in list(csv.reader(fh))[1:] for cell in row[1:]]
+    if command == "evaluate":
+        return [json.loads(stdout)["value"]]
+    with open(out) as fh:
+        payload = json.load(fh)
+    return [payload["estimated_metric"]] if command == "abstain" else [payload["scale"], *payload["offset"]]
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_mutations())
+@example((("score", 1, 2), "-99999999999999999999"))  # a Platt sigmoid whose exp overflows
+def test_a_bad_input_cell_is_one_named_error_or_a_clean_run(mutation):
+    (name, where, column), value = mutation
+    abstain = {"indices": [0, 3]}
+    tables = {"prob": _TABLES["prob"], "p": _TABLES["p"]} if name == "abstain" else {name: copy.deepcopy(_TABLES[name])}
+    # the field or cell that changes: `indices` itself or one entry, else row `where` of the table
+    if name == "abstain":
+        target, key = (abstain, where) if column is None else (abstain[where], column)
+    else:
+        target, key = tables[name][where], column
+    if value is _DROP:
+        del target[key]
+    else:
+        target[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {key: os.path.join(tmp, key) for key in ("abstain", "out", *_CALIBRATORS)}
+        for key, payload in [("abstain", abstain), *_CALIBRATORS.items()]:
+            with open(files[key], "w") as fh:
+                fh.write(json.dumps(payload))
+        runs = []
+        for table_name, table in tables.items():
+            data = os.path.join(tmp, f"{table_name}.csv")
+            with open(data, "w", newline="") as fh:
+                csv.writer(fh, lineterminator="\n").writerows(table)
+            runs += _runs(name, data, files)
+        for argv in runs:
+            if os.path.exists(files["out"]):
+                os.remove(files["out"])
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with redirect_stdout(stdout), redirect_stderr(stderr):
+                code = main(argv)
+            err = stderr.getvalue()
+            if code == 0:
+                values = _written_values(argv[0], files["out"], stdout.getvalue())
+                assert "nan" not in [str(v).lower() for v in values], (argv, values)
+                continue
+            assert code == 1 and not os.path.exists(files["out"]) and not stdout.getvalue(), argv
+            assert err.count("\n") == 1 and err.startswith("error: "), (argv, err)
+            error = err.split(":")[1].strip()
+            assert issubclass(getattr(errors, error, type(None)), errors.AbstainkitError), (argv, err)

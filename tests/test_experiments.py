@@ -345,10 +345,8 @@ class TestAbstainIndices:
         assert idx.size == 0 and estimate is None
 
     def test_unknown_method(self):
-        # external_variance needs a per-row variance that no pipeline input carries
-        for name in ("psychic", "external_variance"):
-            with pytest.raises(ValueError, match="unknown method"):
-                MethodSpec(name)
+        with pytest.raises(ValueError, match="unknown method"):
+            MethodSpec("psychic")
 
     def test_budget_fraction_outside_unit_interval(self):
         for fraction in (1.0, 1.5, -0.1, float("nan")):

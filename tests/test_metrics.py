@@ -18,6 +18,7 @@ from abstainkit.errors import (
     NoNegatives,
     NoPositives,
 )
+from abstainkit.metrics import kappa_aggregates
 
 from oracles import pairwise_auroc, scan_sensitivity
 
@@ -202,6 +203,15 @@ class TestWeightedKappa:
     def test_degenerate_denominator(self):
         with pytest.raises(DegenerateDenominator):
             weighted_kappa(np.zeros(4, dtype=int), np.zeros(4, dtype=int), self.quadratic)
+
+    def test_too_few_rows_is_a_degenerate_denominator(self):
+        # one row pairs its own classes, so kappa has no chance term to compare with
+        for n in (0, 1):
+            labels = np.zeros(n, dtype=int)
+            with pytest.raises(DegenerateDenominator, match="need at least 2 examples"):
+                weighted_kappa(labels, labels, self.quadratic)
+            with pytest.raises(DegenerateDenominator, match="need at least 2 examples"):
+                kappa_aggregates(self.quadratic, np.ones(5), labels)
 
     def test_can_be_negative(self):
         pred = np.array([0, 0, 4, 4])

@@ -75,7 +75,7 @@ class TestMonteCarloKappaScorer:
         gaps = []
         for m in (16, 256):
             mc = score_examples_kappa(
-                probs, weights, mode="monte_carlo", mc=MonteCarloConfig(samples=m, seed=100 + m)
+                probs, weights, mc=MonteCarloConfig(samples=m, seed=100 + m)
             ).scores
             gaps.append(np.abs(mc - det).mean())
         assert gaps[1] < gaps[0]
@@ -85,7 +85,7 @@ class TestMonteCarloKappaScorer:
         labels = rng.integers(0, 4, 20)
         probs = ProbabilityMatrix(np.eye(4)[labels])
         mc = score_examples_kappa(
-            probs, PenaltyWeightMatrix.quadratic(4), mode="monte_carlo",
+            probs, PenaltyWeightMatrix.quadratic(4),
             mc=MonteCarloConfig(samples=5, seed=0),
         ).scores
         np.testing.assert_array_equal(mc, np.ones(20))
@@ -95,14 +95,9 @@ class TestMonteCarloKappaScorer:
         probs = ProbabilityMatrix(_random_simplex_rows(rng, 50, 3))
         weights = PenaltyWeightMatrix.quadratic(3)
         cfg = MonteCarloConfig(samples=30, seed=7)
-        a = score_examples_kappa(probs, weights, mode="monte_carlo", mc=cfg).scores
-        b = score_examples_kappa(probs, weights, mode="monte_carlo", mc=cfg).scores
+        a = score_examples_kappa(probs, weights, mc=cfg).scores
+        b = score_examples_kappa(probs, weights, mc=cfg).scores
         np.testing.assert_array_equal(a, b)
-
-    def test_requires_config(self):
-        probs = ProbabilityMatrix(np.full((4, 2), 0.5))
-        with pytest.raises(ValueError, match="MonteCarloConfig"):
-            score_examples_kappa(probs, PenaltyWeightMatrix.quadratic(2), mode="monte_carlo")
 
     def test_dimension_checks(self):
         probs = ProbabilityMatrix(np.full((4, 2), 0.5))
@@ -111,6 +106,14 @@ class TestMonteCarloKappaScorer:
         one_row = ProbabilityMatrix(np.array([[0.5, 0.5]]))
         with pytest.raises(ValueError, match="at least 2"):
             score_examples_kappa(one_row, PenaltyWeightMatrix.quadratic(2))
+
+    def test_two_rows_leave_too_few_for_kappa(self):
+        # abstaining on one of 2 rows leaves a single row, where kappa is undefined
+        probs = ProbabilityMatrix(np.array([[0.3, 0.7], [0.6, 0.4]]))
+        for mc in (None, MonteCarloConfig(samples=4, seed=0)):
+            for rows in (probs, ProbabilityMatrix(probs.entries[:1])):
+                with pytest.raises(DegenerateDenominator, match="at least 2"):
+                    score_examples_kappa(rows, PenaltyWeightMatrix.quadratic(2), mc=mc)
 
 
 @st.composite
@@ -132,7 +135,7 @@ def test_monte_carlo_equals_same_stream_recompute_mean(instance):
     weights = PenaltyWeightMatrix.quadratic(p.shape[1])
     mc = MonteCarloConfig(samples=5, seed=seed)
     try:
-        got = score_examples_kappa(probs, weights, mode="monte_carlo", mc=mc).scores
+        got = score_examples_kappa(probs, weights, mc=mc).scores
     except DegenerateDenominator:
         reject()
     want = same_stream_kappa_means(p, weights, 5, seed)
@@ -193,9 +196,9 @@ def test_monte_carlo_scores_are_bytes_of_the_clamped_draw_reference(p, seed):
         want = clamped_kappa_scores(p, weights, 6, seed)
     except DegenerateDenominator:
         with pytest.raises(DegenerateDenominator):
-            score_examples_kappa(ProbabilityMatrix(p), weights, mode="monte_carlo", mc=mc)
+            score_examples_kappa(ProbabilityMatrix(p), weights, mc=mc)
         return
-    got = score_examples_kappa(ProbabilityMatrix(p), weights, mode="monte_carlo", mc=mc).scores
+    got = score_examples_kappa(ProbabilityMatrix(p), weights, mc=mc).scores
     assert got.tobytes() == want.tobytes()
 
 

@@ -155,7 +155,7 @@ class TestSameStreamOracle:
     def test_auroc_equals_remove_and_recompute_mean(self, instance):
         p, d, seed = instance
         mc = MonteCarloConfig(samples=6, seed=seed, smooth=False)
-        got = score_windows_auroc(SortedPredictionSet(p), d, mode="monte_carlo", mc=mc).scores
+        got = score_windows_auroc(SortedPredictionSet(p), d, mc=mc).scores
         np.testing.assert_array_equal(got, same_stream_window_means(p, d, 6, seed, auroc))
 
 
@@ -207,9 +207,9 @@ class TestDeterministicOracle:
         kept_neg = (p.size - d) * steps - kept_pos
         if min(kept_pos.min(), kept_neg.min()) == 0:
             with pytest.raises(DegenerateExpectedCounts):
-                score_windows_auroc(preds, d, mode="deterministic")
+                score_windows_auroc(preds, d)
             return
-        got = score_windows_auroc(preds, d, mode="deterministic").scores
+        got = score_windows_auroc(preds, d).scores
         np.testing.assert_allclose(got, naive_auroc_window_scores(p, d), rtol=0, atol=1e-10)
 
 
@@ -297,8 +297,8 @@ class TestAurocWindowScorer:
         for _ in range(15):
             p, d = _hard_instance(rng)
             preds = SortedPredictionSet(p)
-            det = score_windows_auroc(preds, d, mode="deterministic").scores
-            sampled = score_windows_auroc(preds, d, mode="monte_carlo", mc=mc).scores
+            det = score_windows_auroc(preds, d).scores
+            sampled = score_windows_auroc(preds, d, mc=mc).scores
             labels = p.astype(int)
             for i in range(p.size + 1 - d):
                 want = metric_without_window(p, labels, i, d, auroc)
@@ -309,26 +309,26 @@ class TestAurocWindowScorer:
         rng = np.random.default_rng(24)
         n, d = 40, 10
         p = np.sort(rng.uniform(0, 1, n))
-        got = score_windows_auroc(SortedPredictionSet(p), d, mode="deterministic").scores
+        got = score_windows_auroc(SortedPredictionSet(p), d).scores
         np.testing.assert_allclose(got, naive_auroc_window_scores(p, d), atol=1e-10)
 
     def test_monte_carlo_tracks_deterministic(self):
         rng = np.random.default_rng(25)
         p = np.sort(rng.uniform(0.02, 0.98, 400))
         preds = SortedPredictionSet(p)
-        det = score_windows_auroc(preds, 50, mode="deterministic").scores
+        det = score_windows_auroc(preds, 50).scores
         mc = score_windows_auroc(
-            preds, 50, mode="monte_carlo", mc=MonteCarloConfig(samples=400, seed=3, smooth=True)
+            preds, 50, mc=MonteCarloConfig(samples=400, seed=3, smooth=True)
         ).scores
         assert np.abs(mc - det).max() < 0.02
 
     def test_scores_in_unit_interval(self):
         rng = np.random.default_rng(26)
         p = np.sort(rng.uniform(0, 1, 150))
-        det = score_windows_auroc(SortedPredictionSet(p), 20, mode="deterministic")
+        det = score_windows_auroc(SortedPredictionSet(p), 20)
         assert det.scores.min() >= 0.0 and det.scores.max() <= 1.0
         mcs = score_windows_auroc(
-            SortedPredictionSet(p), 20, mode="monte_carlo", mc=MonteCarloConfig(40, seed=4, smooth=True)
+            SortedPredictionSet(p), 20, mc=MonteCarloConfig(40, seed=4, smooth=True)
         )
         assert mcs.scores.min() >= 0.0 and mcs.scores.max() <= 1.0
 
@@ -337,25 +337,20 @@ class TestAurocWindowScorer:
         p = np.sort(rng.uniform(0, 1, 120))
         preds = SortedPredictionSet(p)
         mc = MonteCarloConfig(samples=25, seed=8, smooth=False)
-        a = score_windows_auroc(preds, 15, mode="monte_carlo", mc=mc).scores
-        b = score_windows_auroc(preds, 15, mode="monte_carlo", mc=mc).scores
+        a = score_windows_auroc(preds, 15, mc=mc).scores
+        b = score_windows_auroc(preds, 15, mc=mc).scores
         np.testing.assert_array_equal(a, b)
 
     def test_deterministic_degenerate_counts(self):
         # every probability ~1: expected negative mass vanishes
         p = np.full(20, 1.0 - 1e-15)
         with pytest.raises(DegenerateExpectedCounts):
-            score_windows_auroc(SortedPredictionSet(p), 5, mode="deterministic")
+            score_windows_auroc(SortedPredictionSet(p), 5)
 
     def test_budget_validation(self):
         preds = SortedPredictionSet(np.linspace(0, 1, 8))
         with pytest.raises(BudgetTooLarge):
-            score_windows_auroc(preds, 8, mode="deterministic")
-
-    def test_unknown_mode(self):
-        preds = SortedPredictionSet(np.linspace(0, 1, 8))
-        with pytest.raises(ValueError, match="mode"):
-            score_windows_auroc(preds, 2, mode="exact")
+            score_windows_auroc(preds, 8)
 
 
 class TestDegenerateSamples:
@@ -365,7 +360,7 @@ class TestDegenerateSamples:
         preds = SortedPredictionSet(np.full(4, 0.5))
         mc = MonteCarloConfig(samples=200, seed=0, smooth=False)
         sens = score_windows_sens_at_spec(preds, 0.5, 1, mc)
-        roc = score_windows_auroc(preds, 1, mode="monte_carlo", mc=mc)
+        roc = score_windows_auroc(preds, 1, mc=mc)
         assert np.isfinite(sens.scores).all()
         assert np.isfinite(roc.scores).all()
         assert np.all(roc.scores >= 0.0) and np.all(roc.scores <= 1.0)
