@@ -30,6 +30,7 @@ from .errors import (
     DidNotConverge,
     DimensionMismatch,
     NonpositiveTrainPrior,
+    TooFewExamples,
     check_numbers,
 )
 from .metrics import ProbabilityMatrix
@@ -206,7 +207,7 @@ def fit_calibrator(kind: str, raw_scores, labels) -> Calibrator:
     labels = np.asarray(labels, dtype=np.int64)
     scores = np.asarray(raw_scores, dtype=float)
     if labels.size < 10:
-        raise ValueError("need at least 10 examples to fit a calibrator")
+        raise TooFewExamples("need at least 10 examples to fit a calibrator")
     if np.unique(labels).size < 2:
         raise DegenerateLabels("labels contain a single class")
 

@@ -41,6 +41,10 @@ class DegenerateLabels(AbstainkitError, ValueError):
     """Calibration labels contain a single class and cannot be fit."""
 
 
+class TooFewExamples(AbstainkitError, ValueError):
+    """A calibrator fit was given fewer than 10 labelled examples."""
+
+
 class DimensionMismatch(AbstainkitError, ValueError):
     """Input shape is incompatible with the fitted calibrator, or priors with the class count."""
 

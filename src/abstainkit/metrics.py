@@ -141,14 +141,19 @@ class PenaltyWeightMatrix:
 class SuffixCounts:
     """Running positive/negative counts over a sorted prediction vector.
 
-    All six arrays are derived from one pass of cumulative sums:
+    All six arrays are derived from cumulative sums:
 
     - ``pos_suffix[i]`` / ``neg_suffix[i]``: mass at indices >= i (length N+1)
     - ``pos_prefix[i]`` / ``neg_prefix[i]``: mass at indices < i (length N+1)
     - ``window_pos[i]`` / ``window_neg[i]``: mass inside [i, i+d) (length N+1-d)
 
     "Mass" is a 0/1 count when built from labels and an expected count when
-    built from probabilities.
+    built from probabilities. Counts of labels are exact integers, so for bool
+    labels the negative arrays are derived from the positive ones
+    (``neg_prefix[i] = i - pos_prefix[i]``, ``window_neg = d - window_pos``)
+    with the bits a second cumulative sum would give. Expected counts keep a
+    second cumulative sum, of ``1 - p``: ``i - cumsum(p)`` rounds differently,
+    and the deterministic scores would move with it.
     """
 
     pos_suffix: np.ndarray
@@ -170,25 +175,37 @@ class SuffixCounts:
 def running_counts(values, window: int) -> SuffixCounts:
     """Build :class:`SuffixCounts` from labels (0/1) or probabilities.
 
-    ``window`` is the abstention window size d with 1 <= d <= N.
+    ``window`` is the abstention window size d with 1 <= d <= N. Labels given
+    as a bool array take one cumulative sum, of the positives; any other
+    input is read as float mass and takes two, of ``p`` and of ``1 - p``.
+    Both give the same bits for 0/1 labels.
     """
-    v = np.asarray(values, dtype=float)
-    n = v.size
+    values = np.asarray(values)
+    labels = values.dtype == bool
+    n = values.size
     if not 1 <= window <= n:
         raise ValueError(f"window must satisfy 1 <= d <= {n}, got {window}")
-    pos_prefix = np.zeros(n + 1)
-    np.cumsum(v, out=pos_prefix[1:])
-    neg_prefix = np.zeros(n + 1)
-    np.cumsum(1.0 - v, out=neg_prefix[1:])
+    pos_prefix = np.empty(n + 1)
+    pos_prefix[0] = 0.0
+    if labels:
+        np.cumsum(values, dtype=float, out=pos_prefix[1:])
+        neg_prefix = np.arange(n + 1.0) - pos_prefix
+    else:
+        values = values.astype(float, copy=False)
+        np.cumsum(values, out=pos_prefix[1:])
+        neg_prefix = np.empty(n + 1)
+        neg_prefix[0] = 0.0
+        np.cumsum(1.0 - values, out=neg_prefix[1:])
     pos_suffix = pos_prefix[-1] - pos_prefix
     neg_suffix = neg_prefix[-1] - neg_prefix
+    window_pos = pos_suffix[: n + 1 - window] - pos_suffix[window:]
     return SuffixCounts(
         pos_suffix=pos_suffix,
         neg_suffix=neg_suffix,
         pos_prefix=pos_prefix,
         neg_prefix=neg_prefix,
-        window_pos=pos_suffix[: n + 1 - window] - pos_suffix[window:],
-        window_neg=neg_suffix[: n + 1 - window] - neg_suffix[window:],
+        window_pos=window_pos,
+        window_neg=window - window_pos if labels else neg_suffix[: n + 1 - window] - neg_suffix[window:],
     )
 
 
@@ -208,33 +225,34 @@ def specificity_threshold_index(neg_suffix, denom, target_specificity, removed_a
     if np.any(denom <= 0):
         raise NoNegatives("no negatives remain; specificity threshold undefined")
     shape = np.broadcast_shapes(denom.shape, removed_above.shape)
-    denom = np.broadcast_to(denom, shape).ravel()
-    removed_above = np.broadcast_to(removed_above, shape).ravel()
+    # flat views (a copy only where a matrix is broadcast), so a scalar is not repeated
+    denom = np.broadcast_to(denom, shape).reshape(-1)
+    removed_above = np.broadcast_to(removed_above, shape).reshape(-1)
     n = neg_suffix.size - 1
 
-    def holds(i, k):
+    def holds(i, k=slice(None)):
         return 1.0 - (neg_suffix[i] - removed_above[k]) / denom[k] >= target_specificity
 
     # The predicate depends on i only through neg_suffix[i] and is monotone in
     # it, so the answer is the first index of a run of equal values. Up to
     # rounding it holds where neg_suffix[i] <= removed_above + (1 - s) * denom:
     # one search in the ascending -neg_suffix finds that crossing, then the
-    # exact predicate moves each index by whole runs until it is the smallest
-    # index where it holds (or N where it never does, as a scan of [0, N) gives).
+    # exact predicate, checked at every crossing at once, moves the few indices
+    # it rejects by whole runs until each is the smallest index where it holds
+    # (or N where it never does, as a scan of [0, N) gives).
     # The clamps keep both loops finite should neg_suffix not be sorted.
     ascending = -neg_suffix
-    idx = np.searchsorted(ascending, -(removed_above + (1.0 - target_specificity) * denom))
-    idx = np.minimum(idx, n)
-    k = np.flatnonzero(idx < n)
+    idx = np.minimum(np.searchsorted(ascending, -(removed_above + (1.0 - target_specificity) * denom)), n)
+    k = np.flatnonzero((idx < n) & ~holds(idx))
     while k.size:  # up: where the predicate fails at idx, skip idx's run
-        k = k[~holds(idx[k], k)]
         idx[k] = np.minimum(np.maximum(np.searchsorted(ascending, ascending[idx[k]], "right"), idx[k] + 1), n)
         k = k[idx[k] < n]
-    k = np.flatnonzero(idx > 0)
+        k = k[~holds(idx[k], k)]
+    k = np.flatnonzero((idx > 0) & holds(idx - 1))
     while k.size:  # down: where it holds just below idx, go to that run's start
-        k = k[holds(idx[k] - 1, k)]
         idx[k] = np.minimum(np.searchsorted(ascending, ascending[idx[k] - 1], "left"), idx[k] - 1)
         k = k[idx[k] > 0]
+        k = k[holds(idx[k] - 1, k)]
     return idx.reshape(shape) if shape else int(idx[0])
 
 

@@ -14,10 +14,16 @@ Monte-Carlo streams are keyed by (seed, sample index) through
 never on scheduling. One label vector is shared by all windows within a
 sample; windows whose complement lost an entire class skip that sample and
 are normalized by their own valid-sample count.
+
+Sampled labels are bool arrays, for which :func:`running_counts` takes one
+cumulative sum and derives the negative counts exactly; the expected-count
+forms keep a second cumulative sum, of ``1 - p``, whose rounding their
+scores carry. A sample with every entry valid is added to the sums whole.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 
@@ -132,13 +138,21 @@ def _monte_carlo_mean(mc: MonteCarloConfig, size: int, draw, score) -> np.ndarra
 
     ``score`` returns ``(values, valid)``; each entry is the mean of its
     values over the samples where it was valid, and NaN if it never was.
+    ``valid`` is None when every entry is valid: that sample's values are
+    added whole, and it is counted once for every entry.
     """
     sums = np.zeros(size)
     valid_counts = np.zeros(size)
+    full = 0
     for seq in np.random.SeedSequence(mc.seed).spawn(mc.samples):
         values, valid = score(draw(np.random.default_rng(seq)))
-        np.add(sums, values, out=sums, where=valid)
-        valid_counts += valid
+        if valid is None:
+            sums += values
+            full += 1
+        else:
+            np.add(sums, values, out=sums, where=valid)
+            valid_counts += valid
+    valid_counts += full
     return np.divide(sums, valid_counts, out=np.full_like(sums, np.nan), where=valid_counts > 0)
 
 
@@ -150,36 +164,54 @@ def _finalize_window_scores(scores, smooth: bool, window_size: int):
     return WindowScoreVector(scores=scores, window_size=window_size)
 
 
-def _sens_window_sample(labels, d: int, target_specificity: float):
-    """One-sample window sensitivities as (values, valid).
+def _sens_window_sample(labels, d: int, target_specificity: float, ends):
+    """One-sample window sensitivities as (values, valid) for bool labels.
 
     A window is valid when its complement keeps both classes, so a sample
-    missing a class entirely has no valid window.
+    missing a class entirely has no valid window; ``valid`` is None when
+    every window is. ``ends[i]`` is the end ``i + d`` of window i.
     """
     counts = running_counts(labels, d)
     n_pos, n_neg = counts.total_pos, counts.total_neg
     w_pos, w_neg = counts.window_pos, counts.window_neg
-    valid = (w_pos < n_pos) & (w_neg < n_neg)
-    if not valid.any():
-        return np.zeros(w_pos.size), valid
     # Windows remove `removed` negatives, capped so that at least one remains
     # (windows at the cap are invalid). Thresholds are searched only for the
     # counts j in [lo, hi] some window removes: after j abstained negatives
     # below (left) or above (right) it, so right[j] <= the unabstained
     # threshold <= left[j]. Each threshold depends only on its own j, so
-    # searching fewer counts changes none of them.
-    removed = np.minimum(w_neg.astype(np.int64), int(min(d, n_neg - 1)))
-    lo, hi = int(removed.min()), int(removed.max())
+    # searching fewer counts changes none of them. `removed` holds each
+    # window's count less lo. When every window is valid (the largest
+    # window_pos is d - lo) no window reaches the cap.
+    lo, hi = int(w_neg.min()), int(w_neg.max())
+    if d - lo < n_pos and hi < n_neg:
+        valid = None
+        removed = np.subtract(w_neg, lo, out=np.empty(w_neg.size, dtype=np.intp), casting="unsafe")
+    else:
+        valid = (w_pos < n_pos) & (w_neg < n_neg)
+        if not valid.any():
+            return np.zeros(w_pos.size), valid
+        cap = int(min(d, n_neg - 1))
+        lo, hi = min(lo, cap), min(hi, cap)
+        removed = np.minimum(w_neg.astype(np.intp), cap) - lo
     j = np.arange(lo, hi + 1, dtype=float)
-    left = specificity_threshold_index(counts.neg_suffix, n_neg - j, target_specificity)
-    right = specificity_threshold_index(counts.neg_suffix, n_neg - j, target_specificity, removed_above=j)
-    t_right, t_left = right[removed - lo], left[removed - lo]
-    starts = np.arange(w_pos.size)
+    # one search for both: nothing removed above the threshold (left), j (right)
+    left, right = specificity_threshold_index(
+        counts.neg_suffix, n_neg - j, target_specificity, removed_above=np.stack((np.zeros_like(j), j))
+    )
     # The adjusted threshold either sits at or below the window start (all
-    # removed negatives were above it) or is pushed past the window end.
-    above = t_right <= starts
-    t_new = np.where(above, t_right, np.maximum(t_left, starts + d))
-    numer = counts.pos_suffix[t_new] - above * w_pos
+    # removed negatives were above it) or is pushed past the window end. The
+    # windows where it sits at or below the start come last: from one window
+    # to the next the removed count moves by at most one; right[j] does not
+    # rise as j grows, and where j falls by one the window dropped the
+    # negative at its start, so right[j - 1] is at most the next start. One
+    # bisection over the windows therefore finds the first of them.
+    m = w_pos.size
+    first = bisect.bisect_left(range(m), True, key=lambda i: right[removed[i]] <= i)
+    numer = np.empty(m)
+    numer[:first] = counts.pos_suffix.take(np.maximum(left.take(removed[:first]), ends[:first]))
+    numer[first:] = counts.pos_suffix.take(right.take(removed[first:])) - w_pos[first:]
+    if valid is None:
+        return numer / (n_pos - w_pos), None
     denom = np.where(valid, n_pos - w_pos, 1.0)
     return np.where(valid, numer / denom, 0.0), valid
 
@@ -201,10 +233,11 @@ def score_windows_sens_at_spec(
         raise InvalidSpecificity(f"target specificity must be in (0, 1), got {target_specificity}")
     n = preds.n
     d = _window_count(budget, n)
+    ends = np.arange(d, n + 1)
     scores = _monte_carlo_mean(
         mc, n + 1 - d,
-        lambda rng: (rng.random(n) < preds.probs).astype(float),
-        lambda labels: _sens_window_sample(labels, d, target_specificity),
+        lambda rng: rng.random(n) < preds.probs,
+        lambda labels: _sens_window_sample(labels, d, target_specificity, ends),
     )
     return _finalize_window_scores(scores, mc.smooth, d)
 
@@ -215,13 +248,15 @@ def auroc_rank_sums(values, window: int) -> AurocSums:
     ``post_sums[i]`` is the full rank sum minus the window's own rank sum
     minus (remaining positives above the window) * (negatives inside it),
     which equals the rank sum recomputed without the window exactly.
-    ``values`` may be 0/1 labels or probabilities standing in for them.
+    ``values`` may be 0/1 labels or probabilities standing in for them;
+    bool labels take :func:`running_counts`' one-cumsum form.
     """
-    v = np.asarray(values, dtype=float)
-    counts = running_counts(v, window)
-    n = v.size
-    contrib = v * counts.neg_prefix[:-1]
-    cum = np.concatenate([[0.0], np.cumsum(contrib)])
+    values = np.asarray(values)
+    counts = running_counts(values, window)
+    n = values.size
+    cum = np.empty(n + 1)
+    cum[0] = 0.0
+    np.cumsum(values * counts.neg_prefix[:-1], out=cum[1:])
     window_rank = cum[window:] - cum[: n + 1 - window]
     above_pos = counts.total_pos - counts.pos_prefix[window:]
     return AurocSums(
@@ -257,12 +292,12 @@ def score_windows_auroc(
     def score(labels):
         sums = auroc_rank_sums(labels, d)
         denom = sums.remaining_neg * sums.remaining_pos
+        if denom.min() > 0:
+            return sums.post_sums / denom, None
         valid = denom > 0
         return np.divide(sums.post_sums, denom, out=np.zeros(denom.size), where=valid), valid
 
-    scores = _monte_carlo_mean(
-        mc, n + 1 - d, lambda rng: (rng.random(n) < preds.probs).astype(float), score
-    )
+    scores = _monte_carlo_mean(mc, n + 1 - d, lambda rng: rng.random(n) < preds.probs, score)
     return _finalize_window_scores(scores, mc.smooth, d)
 
 
@@ -306,7 +341,6 @@ def score_examples_kappa(
         return MarginalScoreVector((p * terms).sum(axis=1))
 
     bounds = np.ascontiguousarray(p.cumsum(axis=1)[:, :-1].T)
-    every_example = np.ones(n, dtype=bool)
     flat_w = w.ravel()  # w[i, j] at i * C + j: a flat take is cheaper than a 2-D fancy index
 
     def draw(rng):
@@ -324,7 +358,7 @@ def score_examples_kappa(
         )
         if np.abs(denom).min() < _DEGENERATE_EPS:
             raise DegenerateDenominator("leave-one-out chance penalty is ~0")
-        return 1.0 - (float(penalties.sum()) - penalties) / denom, every_example
+        return 1.0 - (float(penalties.sum()) - penalties) / denom, None  # every example is valid
 
     return MarginalScoreVector(_monte_carlo_mean(mc, n, draw, score))
 

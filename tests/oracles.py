@@ -13,6 +13,7 @@ import numpy as np
 from abstainkit import SortedPredictionSet, auroc, sensitivity_at_specificity, weighted_kappa
 from abstainkit.errors import DegenerateDenominator, NoNegatives, NoPositives, SchemaError
 from abstainkit.metrics import kappa_aggregates, running_counts, specificity_threshold_index
+from abstainkit.scoring import auroc_rank_sums
 
 
 def pairwise_auroc(probs, labels):
@@ -210,6 +211,25 @@ def full_range_sens_window_scores(p, d, target_specificity, samples, seed):
         samples, seed, p.size + 1 - d,
         lambda rng: (rng.random(p.size) < p).astype(float),
         lambda labels: full_range_sens_window_sample(labels, d, target_specificity),
+    )
+
+
+def float_label_auroc_window_scores(p, d, samples, seed):
+    """Unsmoothed MC auROC window scores from 0.0/1.0 float labels.
+
+    The labels take ``running_counts``' two-cumsum path, and every sample is
+    masked by its valid windows, whether or not all of them are valid.
+    """
+    p = np.asarray(p, dtype=float)
+
+    def score(labels):
+        sums = auroc_rank_sums(labels, d)
+        denom = sums.remaining_neg * sums.remaining_pos
+        valid = denom > 0
+        return np.divide(sums.post_sums, denom, out=np.zeros(denom.size), where=valid), valid
+
+    return masked_monte_carlo_mean(
+        samples, seed, p.size + 1 - d, lambda rng: (rng.random(p.size) < p).astype(float), score
     )
 
 

@@ -605,6 +605,15 @@ def test_calibrate_needs_labels(tmp_path, capsys):
     _single_error_line(capsys, "SchemaError")
 
 
+def test_calibrate_on_too_few_rows_is_named(tmp_path, capsys):
+    raw = tmp_path / "raw.csv"
+    raw.write_text("id,label,score\n0,0,0.5\n1,1,-0.3\n2,0,1.2\n3,1,0.1\n")
+    code = main(["calibrate", "--input", str(raw), "--kind", "platt", "--output", str(tmp_path / "cal.json")])
+    assert code == 1
+    _single_error_line(capsys, "TooFewExamples")
+    assert not (tmp_path / "cal.json").exists()
+
+
 def test_evaluate_rejects_nan_probability(tmp_path, capsys):
     data = tmp_path / "data.csv"
     data.write_text("id,label,prob\n0,0,0.1\n1,1,nan\n2,0,0.3\n3,1,0.9\n")
