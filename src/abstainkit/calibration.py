@@ -29,6 +29,7 @@ from .errors import (
     DegenerateLabels,
     DidNotConverge,
     DimensionMismatch,
+    InvalidConfig,
     NonpositiveTrainPrior,
     TooFewExamples,
     check_numbers,
@@ -84,14 +85,14 @@ class Calibrator:
 
     def __post_init__(self):
         if self.kind not in CALIBRATOR_KINDS:
-            raise ValueError(f"unknown calibrator kind {self.kind!r}")
+            raise InvalidConfig(f"unknown calibrator kind {self.kind!r}")
         check_numbers(scale=self.scale, offset=self.offset)
         object.__setattr__(self, "scale", float(self.scale))  # a list passes the number rule but is no scalar
         if self.kind != "platt" and self.scale <= 0:
-            raise ValueError("temperature kinds require scale > 0")
+            raise InvalidConfig("temperature kinds require scale > 0")
         object.__setattr__(self, "offset", np.asarray(self.offset, dtype=float).reshape(-1))
-        if self.kind == "platt" and self.offset.size != 1:
-            raise ValueError(f"a platt calibrator takes one offset, got {self.offset.size}")
+        if self.kind == "platt" and self.offset.size != 1:  # the wrong shape, so the wrong type
+            raise TypeError(f"a platt calibrator takes one offset, got {self.offset.size}")
 
     @property
     def temperature(self) -> float:
@@ -203,7 +204,7 @@ def fit_calibrator(kind: str, raw_scores, labels) -> Calibrator:
     matrix for the temperature kinds; ``labels`` are class indices.
     """
     if kind not in CALIBRATOR_KINDS:
-        raise ValueError(f"unknown calibrator kind {kind!r}")
+        raise InvalidConfig(f"unknown calibrator kind {kind!r}")
     labels = np.asarray(labels, dtype=np.int64)
     scores = np.asarray(raw_scores, dtype=float)
     if labels.size < 10:

@@ -11,6 +11,7 @@ carries the only timestamp).
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import datetime
 import json
@@ -23,7 +24,7 @@ import numpy as np
 from . import __version__
 from .calibration import PriorEstimate, adapt_label_shift_em
 from .errors import (
-    AbstainkitError, BudgetTooLarge, DidNotConverge, DimensionMismatch, InputNotFound, InvalidConfig, InvalidSpecificity,
+    BudgetTooLarge, DidNotConverge, DimensionMismatch, InputNotFound, InvalidConfig, InvalidSpecificity,
     SchemaError, check_counts, check_numbers,
 )
 from .metrics import (
@@ -107,9 +108,9 @@ class MetricSpec:
 
     def __post_init__(self):
         if self.name not in _METRIC_LAYOUT:
-            raise ValueError(f"unknown metric {self.name!r}")
+            raise InvalidConfig(f"unknown metric {self.name!r}")
         if self.name == "sens_at_spec" and self.target_specificity is None:
-            raise ValueError("sens_at_spec needs a target_specificity")
+            raise InvalidConfig("sens_at_spec needs a target_specificity")
         if self.target_specificity is not None and not 0.0 < self.target_specificity < 1.0:  # NaN fails too
             raise InvalidSpecificity(f"target specificity must be in (0, 1), got {self.target_specificity}")
 
@@ -123,10 +124,10 @@ class MethodSpec:
 
     def __post_init__(self):
         if self.name not in METHODS:
-            raise ValueError(f"unknown method {self.name!r}; expected one of {', '.join(METHODS)}")
+            raise InvalidConfig(f"unknown method {self.name!r}; expected one of {', '.join(METHODS)}")
         takes = {"grid"} if self.name == "fumera" else set()
-        if not isinstance(self.params, dict) or not takes.issuperset(self.params):
-            raise ValueError(f"method {self.name} takes params {sorted(takes)}, got {self.params!r}")
+        if not isinstance(self.params, dict) or not takes.issuperset(self.params):  # an unknown key, as for a keyword
+            raise TypeError(f"method {self.name} takes params {sorted(takes)}, got {self.params!r}")
         if "grid" in self.params:
             check_counts(grid=(self.params["grid"], 2))
 
@@ -157,7 +158,7 @@ class ExperimentSpec:
 
     def __post_init__(self):
         if self.task not in _TASKS:  # the task table follows the task runners, below
-            raise ValueError(f"unknown task {self.task!r}")
+            raise InvalidConfig(f"unknown task {self.task!r}")
         for name, kind, what in (("smooth", bool, "true or false"), ("output", str, "a string"),
                                  ("input", (str, type(None)), "a string or null"), ("sim", dict, "an object")):
             if not isinstance(getattr(self, name), kind):
@@ -168,7 +169,7 @@ class ExperimentSpec:
         object.__setattr__(self, "seeds", tuple(self.seeds))
         object.__setattr__(self, "metric", _spec_of(MetricSpec, self.metric))
         if not self.methods or not self.budgets or not self.seeds:
-            raise ValueError("need at least one method, one budget and one seed")
+            raise InvalidConfig("need at least one method, one budget and one seed")
         for budget in self.budgets:
             _check_budget(budget)
         if self.metric.target_specificity is None and any(m.name == "sens_window" for m in self.methods):
@@ -176,11 +177,11 @@ class ExperimentSpec:
         for seed in self.seeds:
             MonteCarloConfig(samples=self.mc_samples, seed=seed)
         if self.task == "custom" and self.input is None:
-            raise ValueError("custom task needs an input file")
+            raise InvalidConfig("custom task needs an input file")
         _, config, defaults, settings = _TASKS[self.task]
         for key in self.sim:
-            if key not in defaults and key not in settings:
-                raise ValueError(f"task {self.task} takes no sim key {key!r}")
+            if key not in defaults and key not in settings:  # an unknown key, as for a keyword
+                raise TypeError(f"task {self.task} takes no sim key {key!r}")
         # the task's own settings are counts; the sim config checks the rest of `sim` as it is built
         check_counts(**{f"sim {key}": (value, 1) for key, value in self.sim.items() if key in settings})
         if config is not None:
@@ -208,32 +209,49 @@ def _setting(spec: ExperimentSpec, name: str) -> int:
 # is read by `_load_json` and written by `_write_json`.
 # ---------------------------------------------------------------------------
 
+@contextlib.contextmanager
 def _open_input(path):
-    """Open an input file for reading; a missing file is InputNotFound."""
+    """An input file open for reading, and the one place its content errors get names.
+
+    A missing file is InputNotFound. Bytes that are not UTF-8, a CSV cell
+    the csv module refuses (one over its field size limit) or text that is
+    not JSON, met while the file is read, is a SchemaError naming the file.
+    """
     try:
-        return open(path, newline="")
+        fh = open(path, newline="")
     except FileNotFoundError:
         raise InputNotFound(path) from None
+    with fh:
+        try:
+            yield fh
+        except (UnicodeDecodeError, csv.Error, json.JSONDecodeError) as exc:
+            raise SchemaError(f"{path}: {type(exc).__name__}: {exc}") from None
+
+
+def _json_int(digits: str) -> int:
+    """A JSON integer; one past Python's digit limit is unreadable JSON, not a plain ValueError."""
+    try:
+        return int(digits)
+    except ValueError as exc:
+        raise json.JSONDecodeError(str(exc), digits, 0) from None
 
 
 def _load_json(path, build):
     """Return ``build(payload)`` for the JSON file at ``path``.
 
     A file that is not JSON, a top level that is not an object, or a payload
-    ``build`` cannot read (a missing or unknown field, a wrong type, a value
-    it rejects with a plain ValueError) is a SchemaError naming the file. An
-    AbstainkitError from ``build`` passes through unchanged.
+    ``build`` cannot read (a missing or unknown field, or a wrong type: the
+    KeyError or TypeError Python raises) is a SchemaError naming the file.
+    A value ``build`` rejects is its own AbstainkitError.
     """
     with _open_input(path) as fh:
-        try:
-            payload = json.load(fh)
-            if not isinstance(payload, dict):
-                raise SchemaError(f"{path}: top level must be a JSON object, got {type(payload).__name__}")
-            return build(payload)
-        except AbstainkitError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"{path}: {type(exc).__name__}: {exc}") from None
+        payload = json.load(fh, parse_int=_json_int)
+    if not isinstance(payload, dict):
+        raise SchemaError(f"{path}: top level must be a JSON object, got {type(payload).__name__}")
+    try:
+        return build(payload)
+    except (KeyError, TypeError) as exc:
+        raise SchemaError(f"{path}: {type(exc).__name__}: {exc}") from None
 
 
 def _write_json(path, payload, indent) -> None:
@@ -506,7 +524,7 @@ def abstain_indices(
 
     # fumera, the one method left
     if labels is None:
-        raise ValueError("fumera needs validation labels")
+        raise SchemaError("fumera needs validation labels")
     # the search skips tuples the metric rejects, so a wrong shape would abstain on nothing
     _shaped(probs, _METRIC_LAYOUT[metric.name], metric.name)
     matrix = _shaped(probs, "lifted", name)

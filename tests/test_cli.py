@@ -294,7 +294,7 @@ def test_abstain_file_indices_must_be_distinct_rows(tmp_path, capsys, indices):
 @pytest.mark.parametrize(
     "argv, error_type",
     [
-        (["--method", "bogus", "--budget", "0.3"], "ValueError"),
+        (["--method", "bogus", "--budget", "0.3"], "InvalidConfig"),
         (["--method", "sens_window", "--budget", "1.5"], "BudgetTooLarge"),
         (["--method", "sens_window", "--budget", "0.3", "--mc-samples", "0"], "InvalidConfig"),
         (["--method", "sens_window", "--budget", "0.3", "--seed", "-1"], "InvalidConfig"),
@@ -535,14 +535,14 @@ def test_unknown_method_is_rejected_at_zero_budget(tmp_path, capsys):
     for budget in ("0.0", "0.04"):  # floor(budget * 20) = 0 abstains on nothing
         assert main(["abstain", "--input", str(data), "--method", "bogus", "--budget", budget]) == 1
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("error: ValueError: unknown method 'bogus'"), err
+        assert err.count("\n") == 1 and err.startswith("error: InvalidConfig: unknown method 'bogus'"), err
         assert "sens_window" in err and "fumera" in err
     spec = tmp_path / "spec.json"
     _write_spec(spec, ["bogus"], [0.0])
     assert main(["experiment", "--spec", str(spec)]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1, err
-    assert err.startswith(f"error: SchemaError: {spec}: ValueError: unknown method 'bogus'"), err
+    assert err.startswith("error: InvalidConfig: unknown method 'bogus'"), err
     assert not (tmp_path / "exp" / "results.csv").exists()
 
 

@@ -9,7 +9,7 @@ sampling error of a from-scratch resampling estimate.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abstainkit import (
@@ -44,6 +44,42 @@ def _hard_instance(rng, n_min=20, n_max=60):
     d = int(rng.integers(1, min(k, n - k)))
     p = np.concatenate([np.zeros(k), np.ones(n - k)])
     return p, d
+
+
+@st.composite
+def _ulp_close_runs(draw):
+    """A descending ``neg_suffix`` whose runs of equal values sit a few ulps apart around the crossings.
+
+    The crossing of an entry is ``removed_above + (1 - s) * denom``, where the
+    search starts; around it the rounded predicate and the crossing disagree,
+    so the run-skipping loops take second steps and the down loop reaches
+    index 0. Returns ``(neg_suffix, denom, removed_above, s)``; ``denom`` and
+    ``removed_above`` are each a float or a vector of up to 3 entries.
+    """
+    # second steps up are seen at s = 1/3 and 0.1, steps down to index 0 at the larger targets
+    s = draw(st.sampled_from([1 / 3, 0.1, 0.7, 0.9, 0.99]))
+    size = draw(st.integers(1, 3))
+    denoms = draw(st.lists(st.one_of(st.integers(1, 100).map(float), st.floats(1.0, 100.0)),
+                           min_size=size, max_size=size))
+    removed = draw(st.lists(st.one_of(st.just(0.0), st.integers(0, 10).map(float), st.floats(0.0, 10.0)),
+                            min_size=size, max_size=size))
+    vector_removed = draw(st.booleans())
+    if not vector_removed:
+        removed = removed[:1] * size
+    # the search lands on the first level at or below the crossing, so the top run
+    # moves to index 0 only when one level (and a run of 1) sits above it
+    low, high = draw(st.integers(-6, 0)), draw(st.integers(0, 3))
+    levels = {c + o * np.spacing(c) for d, r in zip(denoms, removed)
+              for c in [r + (1.0 - s) * d] for o in range(low, high + 1)}
+    if draw(st.integers(0, 3)) == 0:  # a run well above every crossing, so index 0 is not the answer
+        levels.add(max(levels) + draw(st.floats(0.5, 5.0)))
+    levels = sorted(levels, reverse=True)
+    runs = draw(st.lists(st.integers(1, 3), min_size=len(levels), max_size=len(levels)))
+    neg_suffix = np.repeat(levels, runs)
+    if draw(st.booleans()):
+        neg_suffix = np.append(neg_suffix, 0.0)
+    denom = np.array(denoms) if size > 1 or draw(st.booleans()) else denoms[0]
+    return neg_suffix, denom, np.array(removed) if vector_removed else removed[0], s
 
 
 class TestThresholdVectors:
@@ -125,6 +161,25 @@ class TestThresholdVectors:
             assert right.tolist() == [scan(d, r) for d, r in zip(denom, removed)]
             single = specificity_threshold_index(counts.neg_suffix, total, target)
             assert type(single) is int and single == scan(total, 0.0)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(_ulp_close_runs())
+    # the crossing (1 - 1/3) * 5 and the two floats below it: the predicate fails at the first two, two steps up
+    @example((np.array([3.333333333333334, 3.3333333333333335, 3.333333333333333]), 5.0, 0.0, 1 / 3))
+    # the crossing (1 - 0.9) * 1 and the float above it, where the predicate still holds: down to index 0
+    @example((np.array([0.09999999999999999, 0.09999999999999998]), 1.0, 0.0, 0.9))
+    def test_matches_linear_scan_at_ulp_close_runs(self, instance):
+        # runs a few ulps apart make the loops take second steps and the down loop reach index 0
+        neg_suffix, denom, removed_above, s = instance
+        n = neg_suffix.size - 1
+
+        def scan(d, r):
+            return next((i for i in range(n) if 1.0 - (neg_suffix[i] - r) / d >= s), n)
+
+        got = specificity_threshold_index(neg_suffix, denom, s, removed_above=removed_above)
+        pairs = np.broadcast_arrays(np.asarray(denom), np.asarray(removed_above))
+        want = [scan(d, r) for d, r in zip(pairs[0].ravel().tolist(), pairs[1].ravel().tolist())]
+        assert np.atleast_1d(got).tolist() == want
 
 
 @st.composite
