@@ -209,6 +209,11 @@ def _setting(spec: ExperimentSpec, name: str) -> int:
 # is read by `_load_json` and written by `_write_json`.
 # ---------------------------------------------------------------------------
 
+def _named(path, exc: Exception) -> SchemaError:
+    """The SchemaError naming the file and the type of the exception its content raised."""
+    return SchemaError(f"{path}: {type(exc).__name__}: {exc}")
+
+
 @contextlib.contextmanager
 def _open_input(path):
     """An input file open for reading, and the one place its content errors get names.
@@ -225,7 +230,7 @@ def _open_input(path):
         try:
             yield fh
         except (UnicodeDecodeError, csv.Error, json.JSONDecodeError) as exc:
-            raise SchemaError(f"{path}: {type(exc).__name__}: {exc}") from None
+            raise _named(path, exc) from None
 
 
 def _json_int(digits: str) -> int:
@@ -239,19 +244,23 @@ def _json_int(digits: str) -> int:
 def _load_json(path, build):
     """Return ``build(payload)`` for the JSON file at ``path``.
 
-    A file that is not JSON, a top level that is not an object, or a payload
-    ``build`` cannot read (a missing or unknown field, or a wrong type: the
-    KeyError or TypeError Python raises) is a SchemaError naming the file.
+    A file that is not JSON or is nested past the parser's recursion limit,
+    a top level that is not an object, or a payload ``build`` cannot read (a
+    missing or unknown field, or a wrong type: the KeyError or TypeError
+    Python raises) is a SchemaError naming the file.
     A value ``build`` rejects is its own AbstainkitError.
     """
     with _open_input(path) as fh:
-        payload = json.load(fh, parse_int=_json_int)
+        try:
+            payload = json.load(fh, parse_int=_json_int)
+        except RecursionError as exc:
+            raise _named(path, exc) from None
     if not isinstance(payload, dict):
         raise SchemaError(f"{path}: top level must be a JSON object, got {type(payload).__name__}")
     try:
         return build(payload)
     except (KeyError, TypeError) as exc:
-        raise SchemaError(f"{path}: {type(exc).__name__}: {exc}") from None
+        raise _named(path, exc) from None
 
 
 def _write_json(path, payload, indent) -> None:
@@ -354,6 +363,8 @@ def _read_value_csv(path, binary_column: str, class_prefix: str):
         try:
             # comments=None: a `#` inside an id is data, not the start of a comment
             table = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, ndmin=1, dtype=dtype)
+        except UnicodeDecodeError:  # a ValueError too: `_open_input` names it
+            raise
         except ValueError as exc:
             raise _parse_error(path, len(header), exc) from None
     ids, labels = table["id"].tolist(), table["label"]

@@ -1,8 +1,10 @@
-"""Statistical comparison of abstention methods across paired runs."""
+"""Statistical comparison of abstention methods across paired runs.
+
+numpy only: ranks come from `_average_ranks`, and the p-values from exact
+subset counts or the normal approximation.
+"""
 
 from __future__ import annotations
-
-# scipy is imported inside the functions that call it: ~0.7 s per subpackage, unused by most subcommands.
 
 import math
 from dataclasses import dataclass
@@ -31,6 +33,27 @@ def _pearson(a: np.ndarray, b: np.ndarray) -> float:
     return float(da @ db) / denom
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``x``, each run of tied values given its mean rank.
+
+    The same values as ``scipy.stats.rankdata(x, method="average")``, all
+    NaN when ``x`` holds a NaN. Every rank is an integer or a half, so it is
+    exact.
+    """
+    if np.isnan(x).any():
+        return np.full(x.shape, np.nan)
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    # a tie run starts where the sorted value differs from the one before it; the last run stops at the end
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    bounds = np.append(starts, x.size)
+    # the run at sorted positions start..stop-1 holds the ranks start+1..stop
+    run_ranks = (bounds[:-1] + bounds[1:] + 1) / 2.0
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat(run_ranks, np.diff(bounds))
+    return ranks
+
+
 def rank_correlations(a, b) -> tuple[float, float]:
     """(spearman, pearson) between two aligned vectors.
 
@@ -40,10 +63,8 @@ def rank_correlations(a, b) -> tuple[float, float]:
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim != 1 or a.size < 3:
         raise ValueError("need two aligned vectors of length >= 3")
-    from scipy.stats import rankdata
-
     pearson = _pearson(a, b)
-    spearman = _pearson(rankdata(a, method="average"), rankdata(b, method="average"))
+    spearman = _pearson(_average_ranks(a), _average_ranks(b))
     return spearman, pearson
 
 
@@ -78,9 +99,7 @@ def wilcoxon_signed_rank_one_sided(differences) -> float:
     n = diffs.size
     if n < 5:
         raise TooFewPairs(f"need at least 5 nonzero differences, got {n}")
-    from scipy.stats import rankdata
-
-    ranks = rankdata(np.abs(diffs), method="average")
+    ranks = _average_ranks(np.abs(diffs))
     w_plus = float(ranks[diffs > 0].sum())
     if n <= EXACT_WILCOXON_MAX_N:
         doubled = np.rint(2.0 * ranks).astype(np.int64)

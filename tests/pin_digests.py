@@ -3,8 +3,8 @@
 Usage, from the root of a checkout: PYTHONPATH=src python3 tests/pin_digests.py
 
 Runs every spec of SPECS in a scratch directory and writes the sha256 of each
-`results.csv` and of each manifest's `spec` object, with the numpy and scipy
-versions, to `results_digests.json` beside this file; `test_results_digests.py` checks
+`results.csv` and of each manifest's `spec` object, with the numpy version,
+to `results_digests.json` beside this file; `test_results_digests.py` checks
 them. `results.csv` is promised to be byte-identical across reruns and across
 performance changes, so re-pin only for a change that is meant to alter it,
 and list each moved digest with the change.
@@ -19,7 +19,6 @@ import sys
 import tempfile
 
 import numpy as np
-import scipy
 
 from abstainkit.experiments import ExperimentSpec, run_experiment, write_predictions
 from abstainkit.simulate import MulticlassSimConfig, simulate_multiclass
@@ -69,7 +68,6 @@ SPECS = {
         "sim": {"n": 200},
         "output": "kappa_convergence",
     },
-    # ranks with scipy.stats.rankdata, so its digest also depends on scipy
     "auroc_correlation": {
         "task": "auroc_correlation",
         "seeds": [0, 1, 2],
@@ -117,7 +115,7 @@ def digests(work_dir) -> dict:
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as work:
-        pinned = {"numpy": np.__version__, "scipy": scipy.__version__, "specs": digests(work)}
+        pinned = {"numpy": np.__version__, "specs": digests(work)}
     with open(DIGESTS_PATH, "w") as fh:
         json.dump(pinned, fh, indent=2, sort_keys=True)
         fh.write("\n")

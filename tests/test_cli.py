@@ -195,7 +195,8 @@ _JSON_INPUTS = {
     "experiment": ({"task": "figure1", "methods": ["entropy"], "budgets": [0.1], "seeds": [0],
                     "metric": {"name": "auroc"}, "sim": {"n": 200}}, "task"),
 }
-_JSON_CASES = [(name, case) for name in _JSON_INPUTS for case in ("valid", "not_json", "list", "missing")]
+# "deep": nested past the JSON parser's recursion limit
+_JSON_CASES = [(name, case) for name in _JSON_INPUTS for case in ("valid", "not_json", "list", "missing", "deep")]
 _JSON_CASES += [(name, case) for name in ("simulate_binary", "simulate_multiclass") for case in ("unknown_key", "n_float")]
 _JSON_CASES += [("simulate_binary", "no_prior"), ("simulate_binary", "seed_negative")]
 _JSON_CASES += [("experiment", "seed_float"), ("experiment", "mc_float")]
@@ -220,6 +221,7 @@ def test_malformed_json_input_is_one_named_error(tmp_path, capsys, name, case):
     text = {
         "valid": json.dumps(payload),
         "not_json": "{not json",
+        "deep": "[" * 100_000,
         "list": json.dumps([payload]),
         "missing": json.dumps({k: v for k, v in payload.items() if k != required}),
         "unknown_key": json.dumps({**payload, "bogus": 1}),

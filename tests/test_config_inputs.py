@@ -149,7 +149,8 @@ _CELL_VALUES = ["", "nan", "inf", "-inf", "-0.1", "1.5", "1.0", "999999999999999
 # the same values for the abstain file's `indices` and one of its entries, 12 being the first row past the end
 _FIELD_VALUES = ["", float("nan"), float("inf"), -0.1, 1.5, 1.0, 99999999999999999999, -99999999999999999999,
                  -1, 12, "1", None, True, {}, _DROP, _NOT_UTF8, _LONG]
-# (file, row, column): one cell of the header, the first, a middle or the last data row;
+# (file, row, column): one cell of the header, the first, a middle or the last data row (a row past the
+# end first grows the file by repeating its data rows, so a late cell lies past the first read buffer);
 # (file, "column", column): that cell of every data row; (file, "rows", None): the file keeps its first k rows;
 # ("abstain", key, index): a field
 _CASES = [(name, row, column) for name, table in _TABLES.items()
@@ -213,6 +214,7 @@ def _written_values(command, out, stdout):
 @example((("results", 3, 3), "x"))
 # a byte that is not UTF-8, and a cell past the csv field limit (a header cell where the body reader takes it)
 @example((("prob", 6, 0), _NOT_UTF8))
+@example((("prob", 5000, 0), _NOT_UTF8))
 @example((("prob", 0, 2), _LONG))
 @example((("score", 6, 0), _NOT_UTF8))
 @example((("z", 0, 3), _LONG))
@@ -233,7 +235,10 @@ def test_a_bad_input_cell_is_one_named_error_or_a_clean_run(mutation):
     elif where == "rows":
         del tables[name][value + 1:]
     else:
-        targets = tables[name][1:] if where == "column" else [tables[name][where]]
+        table = tables[name]
+        if isinstance(where, int):
+            table += [[str(i), *table[1 + i % (len(table) - 1)][1:]] for i in range(len(table) - 1, where)]
+        targets = table[1:] if where == "column" else [table[where]]
     for target in targets:
         if value is _DROP:
             del target[key]
@@ -265,3 +270,5 @@ def test_a_bad_input_cell_is_one_named_error_or_a_clean_run(mutation):
             assert err.count("\n") == 1 and err.startswith("error: "), (argv, err)
             error = err.split(":")[1].strip()
             assert issubclass(getattr(errors, error, type(None)), errors.AbstainkitError), (argv, err)
+            if value is _NOT_UTF8 and error == "SchemaError":  # the file was read: the decode error names its type
+                assert ": UnicodeDecodeError: " in err, (argv, err)

@@ -1,8 +1,8 @@
 """scipy stays off the CLI start-up path.
 
-Only `calibrate` (calibrator fits) and the rank statistics (`compare`, the
-`auroc_correlation` task) call scipy, so every other subcommand must run in
-a fresh interpreter without ever importing it. Each check runs in its own
+Only `calibrate` (L-BFGS-B calibrator fits) imports scipy, so every other
+subcommand, `compare` and the `auroc_correlation` task among them, must run
+in a fresh interpreter without ever importing it. Each check runs in its own
 subprocess, because this test process may have imported scipy already.
 No timings are asserted.
 """
@@ -75,6 +75,14 @@ def test_pipeline_runs_with_scipy_blocked(tmp_path):
         "sim": {"n": 400},
         "output": "exp",
     }))
+    (tmp_path / "corr.json").write_text(json.dumps({
+        "task": "auroc_correlation", "seeds": [0, 1, 2], "mc_samples": 8, "sim": {"abstain_count": 20}, "output": "corr",
+    }))
+    lines = ["seed,method,budget,metric,adapted,base,post,abstained,n"]
+    for seed in range(6):
+        lines += [f"{seed},a,0.3,auroc,0,0.5,{0.6 + 0.01 * seed!r},30,100",
+                  f"{seed},b,0.3,auroc,0,0.5,{0.5 + 0.02 * seed!r},30,100"]
+    (tmp_path / "results.csv").write_text("\n".join(lines) + "\n")
     _write_raw_logits(tmp_path / "raw.csv")
     (tmp_path / "cal.json").write_text(json.dumps({"kind": "temperature", "scale": 1.0, "offset": [0.0] * 3}))
     rng = np.random.default_rng(1)
@@ -82,6 +90,8 @@ def test_pipeline_runs_with_scipy_blocked(tmp_path):
     write_predictions(tmp_path / "binary.csv", p, (rng.random(400) < p).astype(int))
     commands = [
         ("experiment", ["experiment", "--spec", "spec.json"]),
+        ("experiment auroc_correlation", ["experiment", "--spec", "corr.json"]),
+        ("compare", ["compare", "--input", "results.csv", "--output", "pvalues.json"]),
         ("apply-calibrator", ["apply-calibrator", "--input", "raw.csv", "--calibrator", "cal.json",
                               "--output", "calibrated.csv"]),
         ("adapt", ["adapt", "--input", "calibrated.csv", "--train-priors", "0.4,0.3,0.3",
@@ -96,24 +106,15 @@ def test_pipeline_runs_with_scipy_blocked(tmp_path):
     report = _run_commands(tmp_path, commands, block_scipy=True)
     assert report["codes"] == {name: 0 for name, _ in commands}
     assert (tmp_path / "exp" / "results.csv").exists()
+    assert (tmp_path / "corr" / "results.csv").exists()
+    assert json.loads((tmp_path / "pvalues.json").read_text())["methods"] == ["a", "b"]
     assert len(json.loads((tmp_path / "kappa.json").read_text())["indices"]) == 60
 
 
-@pytest.mark.parametrize(
-    "command, module",
-    [("calibrate", "scipy.optimize"), ("compare", "scipy.stats")],
-)
+@pytest.mark.parametrize("command, module", [("calibrate", "scipy.optimize")])
 def test_scipy_commands_load_it(tmp_path, command, module):
     _write_raw_logits(tmp_path / "raw.csv")
-    lines = ["seed,method,budget,metric,adapted,base,post,abstained,n"]
-    for seed in range(6):
-        lines += [f"{seed},a,0.3,auroc,0,0.5,{0.6 + 0.01 * seed!r},30,100",
-                  f"{seed},b,0.3,auroc,0,0.5,{0.5 + 0.02 * seed!r},30,100"]
-    (tmp_path / "results.csv").write_text("\n".join(lines) + "\n")
-    argv = {
-        "calibrate": ["calibrate", "--input", "raw.csv", "--kind", "temperature", "--output", "cal.json"],
-        "compare": ["compare", "--input", "results.csv", "--output", "pvalues.json"],
-    }[command]
+    argv = ["calibrate", "--input", "raw.csv", "--kind", "temperature", "--output", "cal.json"]
     report = _run_commands(tmp_path, [(command, argv)])
     assert report["codes"] == {command: 0}
     assert module in report["scipy"]

@@ -2,11 +2,31 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from abstainkit import compare_methods, rank_correlations, wilcoxon_signed_rank_one_sided
 from abstainkit.errors import TooFewPairs, ZeroVariance
+from abstainkit.stats import _average_ranks
 
 from oracles import definitional_correlations, enumerate_wilcoxon
+
+
+# few distinct values, so that ties are common; 0.0 and -0.0 compare equal and tie
+_LATTICE = [-np.inf, -2.0, -0.5, -0.0, 0.0, 0.5, 1.0, 3.0, np.inf]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.lists(st.sampled_from(_LATTICE), max_size=50), st.none() | st.integers(0, 49))
+def test_average_ranks_match_scipy_rankdata(values, nan_at):
+    x = np.array(values, dtype=float)
+    if nan_at is not None and nan_at < x.size:
+        x[nan_at] = np.nan
+    got = _average_ranks(x)
+    assert got.tobytes() == rankdata(x, method="average").tobytes()
+    if np.isnan(x).any():
+        assert np.isnan(got).all()
 
 
 class TestRankCorrelations:
@@ -84,8 +104,6 @@ class TestWilcoxonOneSided:
         diffs = rng.normal(0.25, 1.0, 30)
         got = wilcoxon_signed_rank_one_sided(diffs)
         # permutation estimate of P(W+ >= observed) under random signs
-        from scipy.stats import rankdata
-
         ranks = rankdata(np.abs(diffs), method="average")
         observed = ranks[diffs > 0].sum()
         draws = rng.random((1_000_000, 30)) < 0.5
