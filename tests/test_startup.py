@@ -111,6 +111,19 @@ def test_pipeline_runs_with_scipy_blocked(tmp_path):
     assert len(json.loads((tmp_path / "kappa.json").read_text())["indices"]) == 60
 
 
+def test_compare_leaves_scipy_unloaded(tmp_path):
+    lines = ["seed,method,budget,metric,adapted,base,post,abstained,n"]
+    for seed in range(6):
+        lines += [f"{seed},a,0.3,auroc,0,0.5,{0.6 + 0.01 * seed!r},30,100",
+                  f"{seed},b,0.3,auroc,0,0.5,{0.5 + 0.02 * seed!r},30,100"]
+    (tmp_path / "results.csv").write_text("\n".join(lines) + "\n")
+    argv = ["compare", "--input", "results.csv", "--output", "pvalues.json"]
+    report = _run_commands(tmp_path, [("compare", argv)])
+    assert report["codes"] == {"compare": 0}
+    assert report["scipy"] == []
+    assert json.loads((tmp_path / "pvalues.json").read_text())["methods"] == ["a", "b"]
+
+
 @pytest.mark.parametrize("command, module", [("calibrate", "scipy.optimize")])
 def test_scipy_commands_load_it(tmp_path, command, module):
     _write_raw_logits(tmp_path / "raw.csv")
