@@ -53,26 +53,26 @@ _MAX_ITER = 500
 
 @dataclass(frozen=True)
 class PriorEstimate:
-    """Per-class prior probabilities (training priors or EM-estimated)."""
+    """Per-class prior probabilities (training, target or EM-estimated).
+
+    The one check that priors are a distribution: a vector of at least one
+    nonnegative entry summing to 1 within 1e-9, else InvalidConfig.
+    """
 
     priors: np.ndarray
 
     def __post_init__(self):
         priors = np.asarray(self.priors, dtype=float)
         if priors.ndim != 1:
-            raise ValueError("priors must be a vector")
-        if priors.size and not (priors.min() >= 0 and abs(priors.sum() - 1.0) <= 1e-9):  # NaN fails too
-            raise ValueError("priors must be nonnegative and sum to 1 within 1e-9")
+            raise InvalidConfig("priors must be a vector")
+        if not (priors.size and priors.min() >= 0 and abs(priors.sum() - 1.0) <= 1e-9):  # NaN fails too
+            raise InvalidConfig("priors must be nonnegative and sum to 1 within 1e-9")
         object.__setattr__(self, "priors", priors)
 
     @classmethod
     def from_labels(cls, labels, class_count: int) -> "PriorEstimate":
         counts = np.bincount(np.asarray(labels, dtype=np.int64), minlength=class_count)
         return cls(counts / counts.sum())
-
-    @property
-    def class_count(self) -> int:
-        return self.priors.size
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,7 @@ class Calibrator:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "Calibrator":
-        return cls(kind=payload["kind"], scale=payload["scale"], offset=payload["offset"])
+        return cls(**payload)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:

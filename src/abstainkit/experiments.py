@@ -470,10 +470,7 @@ def evaluate_metric(metric: MetricSpec, probs, labels) -> float:
 
 def _retained_metric(metric: MetricSpec, probs, labels, dropped) -> float:
     """The metric on the rows not in ``dropped``, an array of distinct row indices."""
-    keep_mask = np.ones(labels.size, dtype=bool)
-    keep_mask[dropped] = False
-    keep = np.flatnonzero(keep_mask)
-    return evaluate_metric(metric, probs[keep], labels[keep])
+    return evaluate_metric(metric, np.delete(probs, dropped, axis=0), np.delete(labels, dropped))
 
 
 def _check_budget(fraction: float) -> None:
@@ -600,7 +597,7 @@ def _custom_cases(spec: ExperimentSpec):
     """The spec's prediction file, read once, at every seed, with its label frequencies as priors."""
     _, labels, probs = read_predictions(spec.input)
     if labels is None:
-        raise SchemaError("custom task needs labeled predictions for evaluation")
+        raise SchemaError(f"{spec.input}: custom task needs labeled predictions for evaluation")
     priors = PriorEstimate.from_labels(labels, 2 if probs.ndim == 1 else probs.shape[1])
     for seed in spec.seeds:
         yield seed, probs, labels, priors, 0

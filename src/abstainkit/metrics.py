@@ -256,6 +256,17 @@ def specificity_threshold_index(neg_suffix, denom, target_specificity, removed_a
     return idx.reshape(shape) if shape else int(idx[0])
 
 
+def _label_counts(preds: SortedPredictionSet) -> SuffixCounts:
+    """The labels' running counts; both classes must be present."""
+    labels = preds.require_labels()
+    n_pos = int(labels.sum())
+    if n_pos == 0:
+        raise NoPositives("at least one positive example is required")
+    if n_pos == labels.size:
+        raise NoNegatives("at least one negative example is required")
+    return running_counts(labels == 1, window=1)
+
+
 def sensitivity_at_specificity(preds: SortedPredictionSet, target_specificity: float) -> float:
     """Fraction of positives ranked at or above the specificity threshold.
 
@@ -265,12 +276,7 @@ def sensitivity_at_specificity(preds: SortedPredictionSet, target_specificity: f
     """
     if not 0.0 < target_specificity < 1.0:
         raise InvalidSpecificity(f"target specificity must be in (0, 1), got {target_specificity}")
-    labels = preds.require_labels()
-    counts = running_counts(labels, window=1) if preds.n else None
-    if counts is None or counts.total_pos == 0:
-        raise NoPositives("at least one positive example is required")
-    if counts.total_neg == 0:
-        raise NoNegatives("at least one negative example is required")
+    counts = _label_counts(preds)
     t_star = specificity_threshold_index(counts.neg_suffix, counts.total_neg, target_specificity)
     return float(counts.pos_suffix[t_star] / counts.total_pos)
 
@@ -282,16 +288,9 @@ def auroc(preds: SortedPredictionSet) -> float:
     randomly chosen negative; tied probabilities are ranked by their position
     in the ascending sort.
     """
-    labels = preds.require_labels()
-    n_pos = int(labels.sum())
-    n_neg = labels.size - n_pos
-    if n_pos == 0:
-        raise NoPositives("at least one positive example is required")
-    if n_neg == 0:
-        raise NoNegatives("at least one negative example is required")
-    neg_below = np.concatenate([[0.0], np.cumsum(1.0 - labels)])[:-1]
-    rank_sum = float(np.sum(labels * neg_below))
-    return rank_sum / (n_neg * n_pos)
+    counts = _label_counts(preds)
+    rank_sum = float(np.sum(preds.labels * counts.neg_prefix[:-1]))
+    return rank_sum / (counts.total_neg * counts.total_pos)
 
 
 def weighted_kappa(pred_labels, true_labels, weights: PenaltyWeightMatrix) -> float:

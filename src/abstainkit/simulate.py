@@ -12,8 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .calibration import PriorEstimate, _softmax
 from .errors import EmptyClass, InvalidConfig, check_counts, check_numbers
 from .metrics import ProbabilityMatrix
+from .scoring import _draw_classes
 
 __all__ = [
     "BinarySimConfig",
@@ -70,18 +72,13 @@ class MulticlassSimConfig:
             raise InvalidConfig("need at least 2 classes")
         if means.shape != priors.shape or sigmas.shape != priors.shape:
             raise InvalidConfig("priors, means and sigmas must have equal length")
-        if priors.min() < 0 or abs(priors.sum() - 1.0) > 1e-9:
-            raise InvalidConfig("priors must be nonnegative and sum to 1")
+        PriorEstimate(priors)
         if sigmas.min() <= 0:
             raise InvalidConfig("sigmas must be positive")
         check_counts(n=(self.n, 1), seed=(self.seed, 0))
         object.__setattr__(self, "priors", tuple(float(p) for p in priors))
         object.__setattr__(self, "means", tuple(float(m) for m in means))
         object.__setattr__(self, "sigmas", tuple(float(s) for s in sigmas))
-
-    @property
-    def class_count(self) -> int:
-        return len(self.priors)
 
 
 def _normal_logpdf(x, mu, sigma):
@@ -110,9 +107,7 @@ def multiclass_posterior(values, priors, means, sigmas) -> ProbabilityMatrix:
     log_w = np.log(priors)[None, :] + _normal_logpdf(
         values[:, None], np.asarray(means, dtype=float)[None, :], np.asarray(sigmas, dtype=float)[None, :]
     )
-    log_w -= log_w.max(axis=1, keepdims=True)
-    w = np.exp(log_w)
-    return ProbabilityMatrix(w / w.sum(axis=1, keepdims=True))
+    return ProbabilityMatrix(_softmax(log_w))
 
 
 def simulate_binary(cfg: BinarySimConfig):
@@ -133,8 +128,7 @@ def simulate_multiclass(cfg: MulticlassSimConfig):
     """Draw labels and calibrated posterior rows; returns ``(posteriors, labels)``."""
     rng = np.random.default_rng(cfg.seed)
     priors = np.asarray(cfg.priors)
-    labels = np.searchsorted(np.cumsum(priors), rng.random(cfg.n), side="right")
-    labels = np.minimum(labels, priors.size - 1).astype(np.int64)
+    labels = _draw_classes(rng.random(cfg.n), np.cumsum(priors)[:-1])
     means = np.asarray(cfg.means)
     sigmas = np.asarray(cfg.sigmas)
     values = rng.normal(means[labels], sigmas[labels])
@@ -175,9 +169,7 @@ def resample_with_shift(posteriors, labels, target_priors, m: int, seed: int):
     class; indices point into the source arrays.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    target = np.asarray(getattr(target_priors, "priors", target_priors), dtype=float)
-    if target.min() < 0 or abs(target.sum() - 1.0) > 1e-9:
-        raise ValueError("target priors must be nonnegative and sum to 1")
+    target = PriorEstimate(getattr(target_priors, "priors", target_priors)).priors
     exact = m * target
     counts = np.floor(exact).astype(np.int64)
     shortfall = m - int(counts.sum())

@@ -201,7 +201,7 @@ _JSON_CASES += [(name, case) for name in ("simulate_binary", "simulate_multiclas
 _JSON_CASES += [("simulate_binary", "no_prior"), ("simulate_binary", "seed_negative")]
 _JSON_CASES += [("experiment", "seed_float"), ("experiment", "mc_float")]
 _JSON_CASES += [("experiment", case) for case in ("unknown_key", "method_key", "sim_key", "text_budget")]
-_JSON_CASES += [("apply_calibrator", "text_scale")]
+_JSON_CASES += [("apply_calibrator", "text_scale"), ("apply_calibrator", "unknown_key")]
 # spec values checked where the spec is built, before anything is simulated or written
 _JSON_CASES += [("experiment", case) for case in (
     "smooth_text", "output_number", "input_number", "method_param_key", "metric_key", "grid_text",
@@ -211,8 +211,13 @@ _JSON_CASES += [("experiment", case) for case in (
 _JSON_CASES += [("simulate_binary", case) for case in ("mu_text", "mu_null", "mu_nan", "mu_list")]
 _JSON_CASES += [("simulate_multiclass", "means_infinity"), ("experiment", "sim_infinite_sigma"),
                 ("apply_calibrator", "number_text_scale"), ("apply_calibrator", "no_offset")]
+# an unknown metric, sens_at_spec without its target, a custom task on unlabeled predictions, and an
+# integer past Python's digit limit
+_JSON_CASES += [("experiment", case) for case in ("metric_bogus", "metric_no_target", "custom_unlabeled")]
+_JSON_CASES += [("evaluate", "huge_int")]
 _INVALID_CONFIG = ("n_float", "seed_float", "mc_float", "grid_text", "sim_text_abstain_count", "sim_text_repeats",
-                   "grid_one", "seed_negative", "seeds_negative", "mu_nan", "means_infinity", "sim_infinite_sigma")
+                   "grid_one", "seed_negative", "seeds_negative", "mu_nan", "means_infinity", "sim_infinite_sigma",
+                   "metric_bogus", "metric_no_target")
 
 
 @pytest.mark.parametrize("name, case", _JSON_CASES, ids=[f"{name}-{case}" for name, case in _JSON_CASES])
@@ -254,11 +259,16 @@ def test_malformed_json_input_is_one_named_error(tmp_path, capsys, name, case):
         "sim_infinite_sigma": json.dumps({**payload, "sim": {"sigma_pos": float("inf")}}),
         "number_text_scale": json.dumps({**payload, "scale": "2.0"}),
         "no_offset": json.dumps({**payload, "offset": []}),
+        "metric_bogus": json.dumps({**payload, "metric": {"name": "bogus"}}),
+        "metric_no_target": json.dumps({**payload, "metric": {"name": "sens_at_spec"}}),
+        "custom_unlabeled": json.dumps({**payload, "task": "custom", "sim": {}, "input": str(tmp_path / "bare.csv")}),
+        "huge_int": '{"indices": [' + "9" * 5000 + "]}",
     }[case]
     path = tmp_path / "input.json"
     path.write_text(text)
     data, raw, out = tmp_path / "data.csv", tmp_path / "raw.csv", tmp_path / "out"
     write_predictions(data, np.array([0.1, 0.8, 0.3, 0.9]), np.array([0, 1, 0, 1]))
+    write_predictions(tmp_path / "bare.csv", np.array([0.1, 0.8, 0.3, 0.9]))
     raw.write_text("id,label,score\n0,1,0.5\n1,0,-0.2\n")
     argv = {
         "simulate_binary": ["simulate", "--config", str(path), "--output", str(out)],
@@ -279,7 +289,8 @@ def test_malformed_json_input_is_one_named_error(tmp_path, capsys, name, case):
     if case == "no_prior":
         assert "positive_prior" in err, err
     if error_type == "SchemaError":
-        assert err.startswith(f"error: SchemaError: {path}: "), err
+        named = tmp_path / "bare.csv" if case == "custom_unlabeled" else path
+        assert err.startswith(f"error: SchemaError: {named}: "), err
 
 
 @pytest.mark.parametrize("indices", [[1, 1, 99], [1, 1], [99], [-1], [1.5], [True], "0"],
@@ -698,6 +709,18 @@ def test_compare_rejects_methods_on_different_rows(tmp_path, capsys):
     _write_results(results, rows)
     assert main(["compare", "--input", str(results)]) == 1
     _single_error_line(capsys, "SchemaError")
+
+
+@pytest.mark.parametrize(
+    "rows, problem",
+    [([], "no rows"), ([(0, "a", 0, 0.5), (0, "a", 0, 0.6)], "method a repeats (seed, budget, adapted) (0, 0.3, 0)")],
+    ids=["header_only", "repeated_key"],
+)
+def test_compare_names_rows_it_cannot_pair(tmp_path, capsys, rows, problem):
+    results = tmp_path / "results.csv"
+    _write_results(results, rows)
+    assert main(["compare", "--input", str(results)]) == 1
+    assert capsys.readouterr().err == f"error: SchemaError: {results}: {problem}\n"
 
 
 @pytest.mark.parametrize("budget", ["0.5", "nan"])

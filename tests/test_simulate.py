@@ -192,3 +192,10 @@ class TestResampleWithShift:
         )
         assert out_labels.size == 100
         assert out_probs.shape == (100, 3)
+
+    @pytest.mark.parametrize("target", [[float("nan"), float("nan")], [[0.5, 0.5]], [], [0.6, 0.6], [1.5, -0.5]],
+                             ids=["nan", "matrix", "empty", "sum", "negative"])
+    def test_target_priors_must_be_a_distribution(self, target):
+        labels = np.array([0, 0, 1, 1])
+        with pytest.raises(InvalidConfig, match="priors must be"):
+            resample_with_shift(np.array([0.1, 0.2, 0.8, 0.9]), labels, target, 4, seed=7)
