@@ -32,6 +32,7 @@ from .errors import (
     InvalidConfig,
     NonpositiveTrainPrior,
     TooFewExamples,
+    check_labels,
     check_numbers,
 )
 from .metrics import ProbabilityMatrix
@@ -71,8 +72,8 @@ class PriorEstimate:
 
     @classmethod
     def from_labels(cls, labels, class_count: int) -> "PriorEstimate":
-        counts = np.bincount(np.asarray(labels, dtype=np.int64), minlength=class_count)
-        return cls(counts / counts.sum())
+        counts = np.bincount(check_labels(labels, class_count), minlength=class_count)
+        return cls(counts / max(counts.sum(), 1))  # no labels: all-zero priors, which the check rejects
 
 
 @dataclass(frozen=True)
@@ -98,7 +99,7 @@ class Calibrator:
     def temperature(self) -> float:
         """T such that logits are divided by T (temperature kinds only)."""
         if self.kind == "platt":
-            raise ValueError("platt calibrators have no temperature")
+            raise InvalidConfig("platt calibrators have no temperature")
         return 1.0 / self.scale
 
     def to_dict(self) -> dict:
@@ -201,33 +202,27 @@ def fit_calibrator(kind: str, raw_scores, labels) -> Calibrator:
     """Fit calibration parameters by maximum likelihood.
 
     ``raw_scores`` is an N-vector of scores for ``platt`` and an N x C logit
-    matrix for the temperature kinds; ``labels`` are class indices.
+    matrix for the temperature kinds, all finite; ``labels`` are class
+    indices (:func:`~abstainkit.errors.check_labels`).
     """
     if kind not in CALIBRATOR_KINDS:
         raise InvalidConfig(f"unknown calibrator kind {kind!r}")
-    labels = np.asarray(labels, dtype=np.int64)
     scores = np.asarray(raw_scores, dtype=float)
+    if scores.ndim != (1 if kind == "platt" else 2):
+        raise DimensionMismatch("platt expects a 1-D score vector, temperature kinds an N x C logit matrix")
+    n_classes = 2 if kind == "platt" else scores.shape[1]
+    labels = check_labels(labels, n_classes, scores.shape[0])
+    if not np.isfinite(scores).all():
+        raise InvalidConfig("raw scores must be finite")
     if labels.size < 10:
         raise TooFewExamples("need at least 10 examples to fit a calibrator")
-    if np.unique(labels).size < 2:
-        raise DegenerateLabels("labels contain a single class")
+    if np.unique(labels).size < max(n_classes, 2):
+        raise DegenerateLabels("labels must hold every class, and at least two")
 
     if kind == "platt":
-        if scores.ndim != 1 or scores.size != labels.size:
-            raise DimensionMismatch("platt expects an aligned 1-D score vector")
-        if not np.isin(labels, (0, 1)).all():
-            raise ValueError("platt labels must be binary 0/1")
         y = labels.astype(float)
         x = _fit(lambda p: _platt_nll(p, scores, y), [[1.0, 0.0]], None, "platt")
         return Calibrator(kind="platt", scale=float(x[0]), offset=[float(x[1])])
-
-    if scores.ndim != 2 or scores.shape[0] != labels.size:
-        raise DimensionMismatch("temperature kinds expect an N x C logit matrix")
-    n_classes = scores.shape[1]
-    if labels.min() < 0 or labels.max() >= n_classes:
-        raise ValueError(f"labels must lie in [0, {n_classes})")
-    if np.unique(labels).size < n_classes:
-        raise DegenerateLabels("every class must appear at least once")
 
     cols = np.ascontiguousarray(scores.T)  # class-major: every NLL pass reads whole class rows
     if kind == "temperature":
@@ -297,7 +292,7 @@ def adapt_label_shift_em(
     if probs.shape[1] != train.size:
         raise DimensionMismatch("test_probs and train_priors disagree on class count")
     if probs.shape[0] == 0:
-        raise ValueError("need at least one row to adapt")
+        raise InvalidConfig("need at least one row to adapt")
 
     cols = np.ascontiguousarray(probs.T)  # class-major: every pass reads whole class rows
     priors = train.copy()
@@ -308,7 +303,7 @@ def adapt_label_shift_em(
         weighted = cols * (priors / train)[:, None]
         row_sums = _row_sums(weighted)
         if np.any(row_sums <= 0):
-            raise ValueError("a row lost all probability mass during adaptation")
+            raise InvalidConfig("a row lost all probability mass during adaptation")
         adapted = weighted / row_sums
         new_priors = _class_means(adapted)
         delta = float(np.abs(new_priors - priors).max())

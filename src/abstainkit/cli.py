@@ -175,7 +175,7 @@ def _cmd_evaluate(args) -> int:
     metric = _metric_spec(args)
     labels, probs = read_predictions(args.input)[1:]
     if labels is None:
-        raise SchemaError("evaluate needs labeled predictions")
+        raise SchemaError(f"{args.input}: evaluate needs labeled predictions")
     dropped = _abstained_rows(args.abstain_file, labels.size) if args.abstain_file else np.empty(0, dtype=np.int64)
     value = _retained_metric(metric, probs, labels, dropped)
     print(json.dumps({"metric": args.metric, "value": value, "n": labels.size - dropped.size,

@@ -1,10 +1,14 @@
 """Exception types shared across the package.
 
-Every failure mode that callers are expected to handle has a named class;
-pipelines should catch :class:`AbstainkitError` at the boundary and let
-anything else propagate as a bug. The two value rules every config type
-applies to its own fields, :func:`check_counts` and :func:`check_numbers`,
-live here beside :class:`InvalidConfig`.
+Every failure mode that callers are expected to handle has a named class,
+and the package's own checks raise no plain ``ValueError``: a bad value is
+:class:`InvalidConfig` and a bad shape or alignment :class:`DimensionMismatch`
+unless a narrower class names it. Pipelines should catch
+:class:`AbstainkitError` at the boundary and let anything else propagate as a
+bug. The input rules live here beside :class:`InvalidConfig`, each written
+once: :func:`check_counts` and :func:`check_numbers` for config fields,
+:func:`check_labels` for class-index vectors and :func:`check_specificity` for
+a target specificity.
 """
 
 import numbers
@@ -38,7 +42,7 @@ class DidNotConverge(AbstainkitError, RuntimeError):
 
 
 class DegenerateLabels(AbstainkitError, ValueError):
-    """Calibration labels contain a single class and cannot be fit."""
+    """Calibration labels miss a class, or hold only one, and cannot be fit."""
 
 
 class TooFewExamples(AbstainkitError, ValueError):
@@ -46,7 +50,7 @@ class TooFewExamples(AbstainkitError, ValueError):
 
 
 class DimensionMismatch(AbstainkitError, ValueError):
-    """Input shape is incompatible with the fitted calibrator, or priors with the class count."""
+    """An input has the wrong shape or does not align with another input it is paired with."""
 
 
 class NonpositiveTrainPrior(AbstainkitError, ValueError):
@@ -109,6 +113,29 @@ def check_numbers(**values) -> None:
             raise TypeError(f"{name} must be {'numbers' if many else 'a number'}, got {value!r}")
         if not all(abs(c) <= sys.float_info.max for c in cells):  # NaN fails too
             raise InvalidConfig(f"{name} must be finite, got {value!r}")
+
+
+def check_labels(labels, class_count: int, rows: int | None = None) -> np.ndarray:
+    """Class indices as an int64 vector: each value a whole number in [0, class_count).
+
+    A non-vector, or one whose length is not ``rows`` where that is given, is
+    DimensionMismatch; NaN, a fraction or a value out of range is
+    InvalidConfig. A bool counts as the class it equals.
+    """
+    labels = np.asarray(labels)
+    if labels.ndim != 1:
+        raise DimensionMismatch(f"labels must be a vector, got shape {labels.shape}")
+    if rows is not None and labels.size != rows:
+        raise DimensionMismatch(f"{labels.size} labels do not align with {rows} rows")
+    if not np.isin(labels, np.arange(class_count)).all():
+        raise InvalidConfig(f"labels must be whole numbers in [0, {class_count})")
+    return labels.astype(np.int64, copy=False)
+
+
+def check_specificity(target_specificity) -> None:
+    """A target specificity must lie strictly between 0 and 1 (None and NaN fail), else InvalidSpecificity."""
+    if target_specificity is None or not 0.0 < target_specificity < 1.0:
+        raise InvalidSpecificity(f"target specificity must be in (0, 1), got {target_specificity}")
 
 
 class EmptyClass(AbstainkitError, ValueError):

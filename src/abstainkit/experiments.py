@@ -24,8 +24,8 @@ import numpy as np
 from . import __version__
 from .calibration import PriorEstimate, adapt_label_shift_em
 from .errors import (
-    BudgetTooLarge, DidNotConverge, DimensionMismatch, InputNotFound, InvalidConfig, InvalidSpecificity,
-    SchemaError, check_counts, check_numbers,
+    BudgetTooLarge, DidNotConverge, DimensionMismatch, InputNotFound, InvalidConfig,
+    SchemaError, check_counts, check_numbers, check_specificity,
 )
 from .metrics import (
     PenaltyWeightMatrix,
@@ -111,8 +111,8 @@ class MetricSpec:
             raise InvalidConfig(f"unknown metric {self.name!r}")
         if self.name == "sens_at_spec" and self.target_specificity is None:
             raise InvalidConfig("sens_at_spec needs a target_specificity")
-        if self.target_specificity is not None and not 0.0 < self.target_specificity < 1.0:  # NaN fails too
-            raise InvalidSpecificity(f"target specificity must be in (0, 1), got {self.target_specificity}")
+        if self.target_specificity is not None:
+            check_specificity(self.target_specificity)
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,12 @@ import numpy as np
 
 from .errors import (
     DegenerateDenominator,
-    InvalidSpecificity,
+    DimensionMismatch,
+    InvalidConfig,
     NoNegatives,
     NoPositives,
+    check_labels,
+    check_specificity,
 )
 
 __all__ = [
@@ -47,36 +50,28 @@ class SortedPredictionSet:
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=float)
         if probs.ndim != 1:
-            raise ValueError("probs must be a 1-D vector")
+            raise DimensionMismatch("probs must be a 1-D vector")
         if probs.size and not (probs.min() >= 0.0 and probs.max() <= 1.0):  # NaN fails too
-            raise ValueError("probs must lie in [0, 1]")
+            raise InvalidConfig("probs must lie in [0, 1]")
         if np.any(np.diff(probs) < 0):
-            raise ValueError("probs must be sorted ascending; use from_unsorted()")
+            raise InvalidConfig("probs must be sorted ascending; use from_unsorted()")
         object.__setattr__(self, "probs", probs)
         if self.labels is not None:
-            labels = np.asarray(self.labels)
-            if labels.shape != probs.shape:
-                raise ValueError("labels must align with probs")
-            if labels.size and not np.isin(labels, (0, 1)).all():
-                raise ValueError("labels must be binary 0/1")
-            object.__setattr__(self, "labels", labels.astype(np.int64))
+            object.__setattr__(self, "labels", check_labels(self.labels, 2, probs.size))
 
     @classmethod
     def from_unsorted(cls, probs, labels=None) -> "SortedPredictionSet":
         """Stable-sort probs ascending and carry labels along."""
         probs = np.asarray(probs, dtype=float)
         order = np.argsort(probs, kind="stable")
-        labels = None if labels is None else np.asarray(labels)[order]
+        # labels that do not align go on unsorted, for the constructor to reject
+        if labels is not None and np.shape(labels) == probs.shape:
+            labels = np.asarray(labels)[order]
         return cls(probs[order], labels)
 
     @property
     def n(self) -> int:
         return self.probs.size
-
-    def require_labels(self) -> np.ndarray:
-        if self.labels is None:
-            raise ValueError("this operation needs ground-truth labels")
-        return self.labels
 
 
 @dataclass(frozen=True)
@@ -88,12 +83,12 @@ class ProbabilityMatrix:
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=float)
         if entries.ndim != 2:
-            raise ValueError("entries must be an N x C matrix")
+            raise DimensionMismatch("entries must be an N x C matrix")
         if entries.size and not (entries.min() >= 0.0 and entries.max() <= 1.0):  # NaN fails too
-            raise ValueError("entries must lie in [0, 1]")
+            raise InvalidConfig("entries must lie in [0, 1]")
         row_sums = entries.sum(axis=1)
         if entries.size and np.abs(row_sums - 1.0).max() > 1e-9:
-            raise ValueError("rows must sum to 1 within 1e-9")
+            raise InvalidConfig("rows must sum to 1 within 1e-9")
         object.__setattr__(self, "entries", entries)
 
     @property
@@ -121,9 +116,9 @@ class PenaltyWeightMatrix:
     def __post_init__(self):
         weights = np.asarray(self.weights, dtype=float)
         if weights.ndim != 2 or weights.shape[0] != weights.shape[1]:
-            raise ValueError("weights must be square")
-        if weights.size and weights.min() < 0:
-            raise ValueError("weights must be nonnegative")
+            raise DimensionMismatch("weights must be square")
+        if weights.size and not weights.min() >= 0:  # NaN fails too
+            raise InvalidConfig("weights must be nonnegative")
         object.__setattr__(self, "weights", weights)
 
     @property
@@ -184,7 +179,7 @@ def running_counts(values, window: int) -> SuffixCounts:
     labels = values.dtype == bool
     n = values.size
     if not 1 <= window <= n:
-        raise ValueError(f"window must satisfy 1 <= d <= {n}, got {window}")
+        raise InvalidConfig(f"window must satisfy 1 <= d <= {n}, got {window}")
     pos_prefix = np.empty(n + 1)
     pos_prefix[0] = 0.0
     if labels:
@@ -258,7 +253,9 @@ def specificity_threshold_index(neg_suffix, denom, target_specificity, removed_a
 
 def _label_counts(preds: SortedPredictionSet) -> SuffixCounts:
     """The labels' running counts; both classes must be present."""
-    labels = preds.require_labels()
+    labels = preds.labels
+    if labels is None:
+        raise InvalidConfig("this operation needs ground-truth labels")
     n_pos = int(labels.sum())
     if n_pos == 0:
         raise NoPositives("at least one positive example is required")
@@ -274,8 +271,7 @@ def sensitivity_at_specificity(preds: SortedPredictionSet, target_specificity: f
     least ``target_specificity`` of all negatives; no interpolation between
     candidate thresholds is performed.
     """
-    if not 0.0 < target_specificity < 1.0:
-        raise InvalidSpecificity(f"target specificity must be in (0, 1), got {target_specificity}")
+    check_specificity(target_specificity)
     counts = _label_counts(preds)
     t_star = specificity_threshold_index(counts.neg_suffix, counts.total_neg, target_specificity)
     return float(counts.pos_suffix[t_star] / counts.total_pos)
@@ -300,16 +296,12 @@ def weighted_kappa(pred_labels, true_labels, weights: PenaltyWeightMatrix) -> fl
     keeps the predicted class proportions fixed but pairs them with true
     classes at random. 1 means perfect agreement; values below 0 are possible.
     """
-    pred = np.asarray(pred_labels, dtype=np.int64)
-    true = np.asarray(true_labels, dtype=np.int64)
-    if pred.shape != true.shape or pred.ndim != 1:
-        raise ValueError("pred_labels and true_labels must be aligned vectors")
+    c = weights.class_count
+    pred = check_labels(pred_labels, c)
+    true = check_labels(true_labels, c, pred.size)
     n = pred.size
     if n < 2:
         raise DegenerateDenominator("need at least 2 examples")
-    c = weights.class_count
-    if pred.min() < 0 or pred.max() >= c or true.min() < 0 or true.max() >= c:
-        raise ValueError(f"labels must lie in [0, {c})")
     w = weights.weights
     observed = float(w[true, pred].sum())
     true_counts = np.bincount(true, minlength=c).astype(float)

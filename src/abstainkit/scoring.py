@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .calibration import PriorEstimate
 from .errors import (
     AbstainkitError,
     BudgetMismatch,
@@ -37,10 +38,12 @@ from .errors import (
     DegenerateExpectedCounts,
     DimensionMismatch,
     EvenWindow,
-    InvalidSpecificity,
+    InvalidConfig,
     MissingPriors,
     WindowTooLarge,
     check_counts,
+    check_labels,
+    check_specificity,
 )
 from .metrics import (
     PenaltyWeightMatrix,
@@ -156,12 +159,15 @@ def _monte_carlo_mean(mc: MonteCarloConfig, size: int, draw, score) -> np.ndarra
     return np.divide(sums, valid_counts, out=np.full_like(sums, np.nan), where=valid_counts > 0)
 
 
-def _finalize_window_scores(scores, smooth: bool, window_size: int):
-    if smooth:
+def _sampled_window_scores(preds: SortedPredictionSet, d: int, mc: MonteCarloConfig, score) -> WindowScoreVector:
+    """``score`` averaged over label vectors drawn from ``preds.probs``, smoothed if ``mc.smooth``."""
+    n = preds.n
+    scores = _monte_carlo_mean(mc, n + 1 - d, lambda rng: rng.random(n) < preds.probs, score)
+    if mc.smooth:
         if not np.isfinite(scores).all():
             raise DegenerateExpectedCounts("cannot smooth scores: some windows never had a valid sample")
         scores = smooth_savitzky_golay(scores, SMOOTH_WINDOW, SMOOTH_POLYORDER)
-    return WindowScoreVector(scores=scores, window_size=window_size)
+    return WindowScoreVector(scores=scores, window_size=d)
 
 
 def _sens_window_sample(labels, d: int, target_specificity: float, ends):
@@ -229,17 +235,11 @@ def score_windows_sens_at_spec(
     by running sums, and every window's surviving-positive fraction above its
     adjusted threshold is accumulated. Runs in O(N) per sample.
     """
-    if target_specificity is None or not 0.0 < target_specificity < 1.0:
-        raise InvalidSpecificity(f"target specificity must be in (0, 1), got {target_specificity}")
+    check_specificity(target_specificity)
     n = preds.n
     d = _window_count(budget, n)
     ends = np.arange(d, n + 1)
-    scores = _monte_carlo_mean(
-        mc, n + 1 - d,
-        lambda rng: rng.random(n) < preds.probs,
-        lambda labels: _sens_window_sample(labels, d, target_specificity, ends),
-    )
-    return _finalize_window_scores(scores, mc.smooth, d)
+    return _sampled_window_scores(preds, d, mc, lambda labels: _sens_window_sample(labels, d, target_specificity, ends))
 
 
 def auroc_rank_sums(values, window: int) -> AurocSums:
@@ -297,8 +297,7 @@ def score_windows_auroc(
         valid = denom > 0
         return np.divide(sums.post_sums, denom, out=np.zeros(denom.size), where=valid), valid
 
-    scores = _monte_carlo_mean(mc, n + 1 - d, lambda rng: rng.random(n) < preds.probs, score)
-    return _finalize_window_scores(scores, mc.smooth, d)
+    return _sampled_window_scores(preds, d, mc, score)
 
 
 def score_examples_kappa(
@@ -319,7 +318,7 @@ def score_examples_kappa(
     if n < 3:
         raise DegenerateDenominator(f"need at least 2 examples left after abstaining on one, got {n}")
     if weights.class_count != n_classes:
-        raise ValueError("weights dimension must equal the class count")
+        raise DimensionMismatch("weights dimension must equal the class count")
     w = weights.weights
     pred = p.argmax(axis=1)
     scale = 1.0 / (n - 1)
@@ -400,7 +399,7 @@ def smooth_savitzky_golay(values, window: int, polyorder: int) -> np.ndarray:
     if window > n:
         raise WindowTooLarge(f"window {window} exceeds input length {n}")
     if not 0 <= polyorder < window:
-        raise ValueError("polyorder must satisfy 0 <= polyorder < window")
+        raise InvalidConfig("polyorder must satisfy 0 <= polyorder < window")
     half = window // 2
     out = np.empty(n)
     # Center-row weights are symmetric, so convolution needs no kernel flip.
@@ -444,11 +443,11 @@ def baseline_scores(probs: ProbabilityMatrix, priors=None, method: str = "max_cl
     if method == "js_divergence":
         if priors is None:
             raise MissingPriors("js_divergence needs class priors")
-        prior_row = np.asarray(getattr(priors, "priors", priors), dtype=float)[None, :]
-        if prior_row.shape[1] != p.shape[1]:
-            raise DimensionMismatch(f"{prior_row.shape[1]} priors for {p.shape[1]} classes")
+        prior_row = PriorEstimate(getattr(priors, "priors", priors)).priors
+        if prior_row.size != p.shape[1]:
+            raise DimensionMismatch(f"{prior_row.size} priors for {p.shape[1]} classes")
         return -_js_divergence_rows(p, np.broadcast_to(prior_row, p.shape))
-    raise ValueError(f"unknown baseline method {method!r}")
+    raise InvalidConfig(f"unknown baseline method {method!r}")
 
 
 def fumera_threshold_search(
@@ -465,8 +464,10 @@ def fumera_threshold_search(
     abstained count stays within ``budget``, the one maximizing
     ``metric(retained_probs, retained_labels)`` is returned; ties prefer fewer
     abstentions, then the lexicographically smallest tuple. Tuples whose
-    retained set leaves the metric undefined are skipped, and if nothing is
-    feasible the all-zero tuple (abstain nothing) is returned.
+    retained set leaves the metric undefined (it raises an AbstainkitError)
+    are skipped; any other exception propagates. If nothing is feasible the
+    all-zero tuple (abstain nothing) is returned. ``val_labels`` follow
+    :func:`~abstainkit.errors.check_labels`.
 
     Within a class the abstained rows are the ones with the smallest top-class
     probabilities, so the per-class abstained counts identify the set. The
@@ -478,15 +479,13 @@ def fumera_threshold_search(
     coarse beyond a few classes.
     """
     p = val_probs.entries
-    labels = np.asarray(val_labels)
     n, n_classes = p.shape
-    if labels.shape != (n,):
-        raise ValueError("validation labels must align with probabilities")
+    labels = check_labels(val_labels, n_classes, n)
     grid_values = np.linspace(0.0, 1.0, grid) if np.isscalar(grid) else np.asarray(grid, dtype=float)
     if grid_values.size < 2:
-        raise ValueError("grid needs at least 2 points per class")
+        raise InvalidConfig("grid needs at least 2 points per class")
     if not np.isfinite(grid_values).all():
-        raise ValueError("grid values must be finite")
+        raise InvalidConfig("grid values must be finite")
 
     top_class = p.argmax(axis=1)
     top_prob = p[np.arange(n), top_class]
@@ -508,7 +507,7 @@ def fumera_threshold_search(
         keep = ~_fumera_abstained(p, grid_values[index])
         try:
             score = float(metric(p[keep], labels[keep]))
-        except (AbstainkitError, ValueError):
+        except AbstainkitError:
             continue
         if best_index is None or score > best_score or (score == best_score and count < best_count):
             best_score, best_count, best_index = score, count, index

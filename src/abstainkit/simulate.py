@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import PriorEstimate, _softmax
-from .errors import EmptyClass, InvalidConfig, check_counts, check_numbers
+from .errors import EmptyClass, InvalidConfig, check_counts, check_labels, check_numbers
 from .metrics import ProbabilityMatrix
 from .scoring import _draw_classes
 
@@ -168,8 +168,10 @@ def resample_with_shift(posteriors, labels, target_priors, m: int, seed: int):
     ``(posteriors_subset, labels_subset, indices)`` with the subset ordered by
     class; indices point into the source arrays.
     """
-    labels = np.asarray(labels, dtype=np.int64)
+    posteriors = np.asarray(getattr(posteriors, "entries", posteriors), dtype=float)
     target = PriorEstimate(getattr(target_priors, "priors", target_priors)).priors
+    labels = check_labels(labels, target.size, len(posteriors))
+    check_counts(m=(m, 0), seed=(seed, 0))
     exact = m * target
     counts = np.floor(exact).astype(np.int64)
     shortfall = m - int(counts.sum())
@@ -186,5 +188,4 @@ def resample_with_shift(posteriors, labels, target_priors, m: int, seed: int):
             raise EmptyClass(f"target prior > 0 for class {cls} but no source examples")
         chosen.append(rng.choice(pool, size=count, replace=True))
     indices = np.concatenate(chosen) if chosen else np.empty(0, dtype=np.int64)
-    posteriors = np.asarray(getattr(posteriors, "entries", posteriors), dtype=float)
     return posteriors[indices], labels[indices], indices

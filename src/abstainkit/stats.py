@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TooFewPairs, ZeroVariance
+from .errors import DimensionMismatch, InvalidConfig, TooFewPairs, ZeroVariance
 
 __all__ = [
     "rank_correlations",
@@ -62,7 +62,7 @@ def rank_correlations(a, b) -> tuple[float, float]:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim != 1 or a.size < 3:
-        raise ValueError("need two aligned vectors of length >= 3")
+        raise DimensionMismatch("need two aligned vectors of length >= 3")
     pearson = _pearson(a, b)
     spearman = _pearson(_average_ranks(a), _average_ranks(b))
     return spearman, pearson
@@ -95,6 +95,8 @@ def wilcoxon_signed_rank_one_sided(differences) -> float:
     with tie correction and continuity correction is used.
     """
     diffs = np.asarray(differences, dtype=float)
+    if np.isnan(diffs).any():
+        raise InvalidConfig("differences must not be NaN")
     diffs = diffs[diffs != 0.0]
     n = diffs.size
     if n < 5:
@@ -132,7 +134,7 @@ def compare_methods(values_by_method: dict) -> ComparisonResult:
     columns = [np.asarray(values_by_method[name], dtype=float) for name in names]
     lengths = {col.size for col in columns}
     if len(lengths) != 1:
-        raise ValueError("all methods need the same number of paired runs")
+        raise DimensionMismatch("all methods need the same number of paired runs")
     k = len(names)
     p_values = np.ones((k, k))
     for i in range(k):

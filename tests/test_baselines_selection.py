@@ -20,7 +20,7 @@ from abstainkit import (
     select_abstentions,
     weighted_kappa,
 )
-from abstainkit.errors import BudgetMismatch, DegenerateExpectedCounts, MissingPriors
+from abstainkit.errors import BudgetMismatch, DegenerateDenominator, DegenerateExpectedCounts, MissingPriors
 
 from oracles import direct_js_divergence, exhaustive_threshold_search
 
@@ -130,7 +130,7 @@ def _kappa_metric(probs, labels):
 def _picky_accuracy(probs, labels):
     # coarse values force score ties; some retained sets are rejected
     if labels.size % 3 == 0:
-        raise ValueError("rejected retained set")
+        raise DegenerateDenominator("rejected retained set")
     return round(float(np.mean(probs.argmax(axis=1) == labels)), 1)
 
 

@@ -167,6 +167,13 @@ def test_evaluate_kappa_rejects_binary_vector(tmp_path, capsys):
     _single_error_line(capsys, "SchemaError")
 
 
+def test_evaluate_names_an_unlabeled_file(tmp_path, capsys):
+    data = tmp_path / "bare.csv"
+    write_predictions(data, np.array([0.2, 0.7]))
+    assert main(["evaluate", "--input", str(data), "--metric", "auroc"]) == 1
+    assert capsys.readouterr().err == f"error: SchemaError: {data}: evaluate needs labeled predictions\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
