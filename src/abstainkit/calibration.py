@@ -198,22 +198,29 @@ def _fit(objective, starts, bounds, what):
     return best.x
 
 
-def fit_calibrator(kind: str, raw_scores, labels) -> Calibrator:
-    """Fit calibration parameters by maximum likelihood.
-
-    ``raw_scores`` is an N-vector of scores for ``platt`` and an N x C logit
-    matrix for the temperature kinds, all finite; ``labels`` are class
-    indices (:func:`~abstainkit.errors.check_labels`).
-    """
-    if kind not in CALIBRATOR_KINDS:
-        raise InvalidConfig(f"unknown calibrator kind {kind!r}")
+def _raw_scores(kind: str, raw_scores) -> np.ndarray:
+    """The one raw-score rule: an N-vector for ``platt``, an N x C logit matrix
+    for the temperature kinds (else DimensionMismatch), every value finite
+    (else InvalidConfig)."""
     scores = np.asarray(raw_scores, dtype=float)
     if scores.ndim != (1 if kind == "platt" else 2):
         raise DimensionMismatch("platt expects a 1-D score vector, temperature kinds an N x C logit matrix")
-    n_classes = 2 if kind == "platt" else scores.shape[1]
-    labels = check_labels(labels, n_classes, scores.shape[0])
     if not np.isfinite(scores).all():
         raise InvalidConfig("raw scores must be finite")
+    return scores
+
+
+def fit_calibrator(kind: str, raw_scores, labels) -> Calibrator:
+    """Fit calibration parameters by maximum likelihood.
+
+    ``raw_scores`` follow :func:`_raw_scores`; ``labels`` are class indices
+    (:func:`~abstainkit.errors.check_labels`).
+    """
+    if kind not in CALIBRATOR_KINDS:
+        raise InvalidConfig(f"unknown calibrator kind {kind!r}")
+    scores = _raw_scores(kind, raw_scores)
+    n_classes = 2 if kind == "platt" else scores.shape[1]
+    labels = check_labels(labels, n_classes, scores.shape[0])
     if labels.size < 10:
         raise TooFewExamples("need at least 10 examples to fit a calibrator")
     if np.unique(labels).size < max(n_classes, 2):
@@ -249,18 +256,15 @@ def fit_calibrator(kind: str, raw_scores, labels) -> Calibrator:
 def apply_calibrator(cal: Calibrator, raw_scores):
     """Map raw scores through a fitted calibrator.
 
-    Returns a probability vector for ``platt`` and a
+    ``raw_scores`` follow :func:`_raw_scores`, as for the fit. Returns a
+    probability vector for ``platt`` and a
     :class:`~abstainkit.metrics.ProbabilityMatrix` for the temperature kinds.
     """
-    scores = np.asarray(raw_scores, dtype=float)
+    scores = _raw_scores(cal.kind, raw_scores)
     if cal.kind == "platt":
-        if scores.ndim != 1:
-            raise DimensionMismatch("platt calibrators apply to 1-D score vectors")
         return _sigmoid(cal.scale * scores + cal.offset[0])
-    if scores.ndim != 2 or scores.shape[1] != cal.offset.size:
-        raise DimensionMismatch(
-            f"expected an N x {cal.offset.size} logit matrix, got shape {scores.shape}"
-        )
+    if scores.shape[1] != cal.offset.size:
+        raise DimensionMismatch(f"expected an N x {cal.offset.size} logit matrix, got shape {scores.shape}")
     return ProbabilityMatrix(_softmax((scores + cal.offset) * cal.scale))
 
 

@@ -148,8 +148,6 @@ def _cmd_abstain(args) -> int:
     metric = _metric_spec(args)
     priors = _parse_priors(args.priors, "--priors") if args.priors else None
     labels, probs = read_predictions(args.input)[1:]  # the ids are not held while scoring
-    if priors is None and labels is not None:
-        priors = PriorEstimate.from_labels(labels, 2 if probs.ndim == 1 else probs.shape[1])
     indices, estimate = abstain_indices(method, probs, args.budget, metric, mc, labels=labels, priors=priors)
     payload = {
         "method": args.method,

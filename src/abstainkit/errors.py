@@ -5,10 +5,11 @@ and the package's own checks raise no plain ``ValueError``: a bad value is
 :class:`InvalidConfig` and a bad shape or alignment :class:`DimensionMismatch`
 unless a narrower class names it. Pipelines should catch
 :class:`AbstainkitError` at the boundary and let anything else propagate as a
-bug. The input rules live here beside :class:`InvalidConfig`, each written
-once: :func:`check_counts` and :func:`check_numbers` for config fields,
-:func:`check_labels` for class-index vectors and :func:`check_specificity` for
-a target specificity.
+bug. The five input rules live here beside :class:`InvalidConfig`, each
+written once: :func:`check_counts` and :func:`check_numbers` for config fields,
+:func:`check_labels` for class-index vectors, :func:`check_probabilities` for
+probability vectors and matrices and :func:`check_specificity` for a target
+specificity.
 """
 
 import numbers
@@ -130,6 +131,28 @@ def check_labels(labels, class_count: int, rows: int | None = None) -> np.ndarra
     if not np.isin(labels, np.arange(class_count)).all():
         raise InvalidConfig(f"labels must be whole numbers in [0, {class_count})")
     return labels.astype(np.int64, copy=False)
+
+
+def check_probabilities(values) -> None:
+    """A probability vector, or an N x C matrix whose rows also sum to 1 within 1e-9, else InvalidConfig.
+
+    Every value must lie in [0, 1] (NaN fails). Valid input costs a min, a
+    max and the row sums; only a failure searches for the first bad row,
+    which the message names, counted from 1.
+    """
+    values = np.asarray(values, dtype=float)
+    matrix = values.ndim == 2
+    if not values.size or (values.min() >= 0.0 and values.max() <= 1.0  # NaN fails too
+                           and not (matrix and np.abs(values.sum(axis=1) - 1.0).max() > 1e-9)):
+        return
+    table = values.reshape(values.shape[0], -1)
+    with np.errstate(invalid="ignore"):  # a row holding inf and -inf sums to NaN; it is outside anyway
+        sums = table.sum(axis=1)
+    outside = ~((table >= 0.0) & (table <= 1.0)).all(axis=1)
+    row = int(np.flatnonzero(outside | (matrix & (np.abs(sums - 1.0) > 1e-9)))[0])
+    if outside[row]:
+        raise InvalidConfig(f"row {row + 1}: probabilities must be finite and lie in [0, 1], got {table[row].tolist()}")
+    raise InvalidConfig(f"row {row + 1}: probabilities sum to {float(sums[row])}; a row must sum to 1 within 1e-9")
 
 
 def check_specificity(target_specificity) -> None:

@@ -25,7 +25,7 @@ from . import __version__
 from .calibration import PriorEstimate, adapt_label_shift_em
 from .errors import (
     BudgetTooLarge, DidNotConverge, DimensionMismatch, InputNotFound, InvalidConfig,
-    SchemaError, check_counts, check_numbers, check_specificity,
+    SchemaError, check_counts, check_numbers, check_probabilities, check_specificity,
 )
 from .metrics import (
     PenaltyWeightMatrix,
@@ -414,20 +414,14 @@ def read_predictions(path):
     """Read a prediction CSV; returns ``(ids, labels_or_None, probs)``.
 
     ``probs`` is a vector for binary files and an N x C array otherwise.
-    Every value must be a finite probability and every `p_` row must sum to
-    1 within 1e-9; the first row that is not is a SchemaError.
+    The values follow :func:`~abstainkit.errors.check_probabilities`; the
+    first row that breaks it is a SchemaError naming the file.
     """
     ids, labels, probs = _read_value_csv(path, "prob", "p")
-    table = probs.reshape(probs.shape[0], -1)
-    outside = ~((table >= 0.0) & (table <= 1.0)).all(axis=1)  # NaN is outside too
-    off_one = np.abs(table.sum(axis=1) - 1.0) > 1e-9 if probs.ndim == 2 else False
-    bad = np.flatnonzero(outside | off_one)
-    if bad.size:
-        row = int(bad[0])
-        if outside[row]:
-            raise SchemaError(f"{path}: row {row + 1}: probabilities must be finite and lie in [0, 1], "
-                              f"got {table[row].tolist()}")
-        raise SchemaError(f"{path}: row {row + 1}: probabilities sum to {table[row].sum()!r}, not 1 within 1e-9")
+    try:
+        check_probabilities(probs)
+    except InvalidConfig as exc:
+        raise SchemaError(f"{path}: {exc}") from None
     return ids, labels, probs
 
 
@@ -495,8 +489,9 @@ def abstain_indices(
     binary predictions and kappa methods a matrix, else SchemaError.
     Indices refer to the given row order. The budget abstains on at most
     ``floor(budget_fraction * N)`` rows; a fraction outside [0, 1) is
-    BudgetTooLarge. ``labels`` are consulted only by the validation-search
-    method.
+    BudgetTooLarge. ``labels`` are the validation labels the ``fumera``
+    search needs; ``js_divergence`` also takes their class frequencies as its
+    priors when ``priors`` is None.
     """
     _check_budget(budget_fraction)
     probs = np.asarray(getattr(probs, "entries", probs), dtype=float)
@@ -527,7 +522,10 @@ def abstain_indices(
         return selected, float(np.mean(scores.scores[selected]))
 
     if name in PRIORITY_METHODS:
-        priorities = baseline_scores(_shaped(probs, "lifted", name), priors=priors, method=name)
+        matrix = _shaped(probs, "lifted", name)
+        if name == "js_divergence" and priors is None and labels is not None:
+            priors = PriorEstimate.from_labels(labels, matrix.class_count)
+        priorities = baseline_scores(matrix, priors=priors, method=name)
         return select_abstentions(MarginalScoreVector(priorities), d), None
 
     # fumera, the one method left
@@ -555,7 +553,8 @@ def _run_grid(spec: ExperimentSpec, cases):
 
     ``cases`` yields ``(seed, probs, labels, priors, adapted)``: the labelled
     predictions of one seed, the class priors the JS baseline compares rows
-    with, and whether label-shift EM adapted the predictions (1) or not (0).
+    with (None for the label frequencies), and whether label-shift EM adapted
+    the predictions (1) or not (0).
     """
     rows = []
     for seed, probs, labels, priors, adapted in cases:
@@ -594,13 +593,12 @@ def _label_shift_cases(spec: ExperimentSpec):
 
 
 def _custom_cases(spec: ExperimentSpec):
-    """The spec's prediction file, read once, at every seed, with its label frequencies as priors."""
+    """The spec's prediction file, read once, at every seed; the JS baseline takes its label frequencies as priors."""
     _, labels, probs = read_predictions(spec.input)
     if labels is None:
         raise SchemaError(f"{spec.input}: custom task needs labeled predictions for evaluation")
-    priors = PriorEstimate.from_labels(labels, 2 if probs.ndim == 1 else probs.shape[1])
     for seed in spec.seeds:
-        yield seed, probs, labels, priors, 0
+        yield seed, probs, labels, None, 0
 
 
 def _run_auroc_correlation(spec: ExperimentSpec):

@@ -18,6 +18,7 @@ from .errors import (
     NoNegatives,
     NoPositives,
     check_labels,
+    check_probabilities,
     check_specificity,
 )
 
@@ -51,8 +52,7 @@ class SortedPredictionSet:
         probs = np.asarray(self.probs, dtype=float)
         if probs.ndim != 1:
             raise DimensionMismatch("probs must be a 1-D vector")
-        if probs.size and not (probs.min() >= 0.0 and probs.max() <= 1.0):  # NaN fails too
-            raise InvalidConfig("probs must lie in [0, 1]")
+        check_probabilities(probs)
         if np.any(np.diff(probs) < 0):
             raise InvalidConfig("probs must be sorted ascending; use from_unsorted()")
         object.__setattr__(self, "probs", probs)
@@ -76,7 +76,8 @@ class SortedPredictionSet:
 
 @dataclass(frozen=True)
 class ProbabilityMatrix:
-    """N x C calibrated class probabilities; every row lives on the simplex."""
+    """N x C calibrated class probabilities; every row lives on the simplex
+    (:func:`~abstainkit.errors.check_probabilities`)."""
 
     entries: np.ndarray
 
@@ -84,11 +85,7 @@ class ProbabilityMatrix:
         entries = np.asarray(self.entries, dtype=float)
         if entries.ndim != 2:
             raise DimensionMismatch("entries must be an N x C matrix")
-        if entries.size and not (entries.min() >= 0.0 and entries.max() <= 1.0):  # NaN fails too
-            raise InvalidConfig("entries must lie in [0, 1]")
-        row_sums = entries.sum(axis=1)
-        if entries.size and np.abs(row_sums - 1.0).max() > 1e-9:
-            raise InvalidConfig("rows must sum to 1 within 1e-9")
+        check_probabilities(entries)
         object.__setattr__(self, "entries", entries)
 
     @property
@@ -341,6 +338,9 @@ def kappa_aggregates(weights: PenaltyWeightMatrix, true_counts, pred) -> KappaAg
     n = pred.size
     if n < 2:
         raise DegenerateDenominator("need at least 2 examples")
+    # a min and a max, not check_labels' isin: the Monte-Carlo kappa kernel calls this once per sample
+    if not (pred.min() >= 0 and pred.max() < weights.class_count):
+        raise InvalidConfig(f"predicted labels must lie in [0, {weights.class_count})")
     pred_counts = np.bincount(pred, minlength=weights.class_count).astype(float)
     scale = 1.0 / (n - 1)
     return KappaAggregates(

@@ -324,19 +324,10 @@ def score_examples_kappa(
     scale = 1.0 / (n - 1)
 
     if mc is None:
-        expected_true = p.sum(axis=0)
         w_by_pred = w[:, pred].T  # [x, i] -> penalty if x's true class were i
-        penalty_sum = float((p * w_by_pred).sum())
-        agg = kappa_aggregates(weights, expected_true, pred)
-        denom = (
-            agg.denom_base
-            - agg.denom_col_adjust[pred][:, None]
-            - agg.denom_row_adjust[None, :]
-            + w_by_pred * scale
-        )
-        if np.abs(denom).min() < _DEGENERATE_EPS:
-            raise DegenerateDenominator("leave-one-out chance penalty is ~0")
-        terms = 1.0 - (penalty_sum - w_by_pred) / denom
+        agg = kappa_aggregates(weights, p.sum(axis=0), pred)
+        terms = _left_out_kappa(agg, agg.denom_col_adjust[pred][:, None], agg.denom_row_adjust[None, :],
+                                w_by_pred, float((p * w_by_pred).sum()), scale)
         return MarginalScoreVector((p * terms).sum(axis=1))
 
     bounds = np.ascontiguousarray(p.cumsum(axis=1)[:, :-1].T)
@@ -349,17 +340,25 @@ def score_examples_kappa(
         true_counts = np.bincount(sampled, minlength=n_classes).astype(float)
         penalties = flat_w.take(sampled * n_classes + pred)
         agg = kappa_aggregates(weights, true_counts, pred)
-        denom = (
-            agg.denom_base
-            - agg.denom_row_adjust[sampled]
-            - agg.denom_col_adjust[pred]
-            + penalties * scale
-        )
-        if np.abs(denom).min() < _DEGENERATE_EPS:
-            raise DegenerateDenominator("leave-one-out chance penalty is ~0")
-        return 1.0 - (float(penalties.sum()) - penalties) / denom, None  # every example is valid
+        kappa = _left_out_kappa(agg, agg.denom_row_adjust[sampled], agg.denom_col_adjust[pred],
+                                penalties, float(penalties.sum()), scale)
+        return kappa, None  # every example is valid
 
     return MarginalScoreVector(_monte_carlo_mean(mc, n, draw, score))
+
+
+def _left_out_kappa(agg, first, second, penalty, penalty_sum: float, scale: float):
+    """Weighted kappa after leaving out an example whose own penalty is ``penalty``.
+
+    ``first`` and ``second`` are the example's two chance adjustments from
+    ``agg``, a :class:`~abstainkit.metrics.KappaAggregates`, subtracted in the
+    order given (the order fixes the bits); ``penalty_sum`` is the penalty of
+    all N examples. A chance penalty of ~0 is DegenerateDenominator.
+    """
+    denom = agg.denom_base - first - second + penalty * scale
+    if np.abs(denom).min() < _DEGENERATE_EPS:
+        raise DegenerateDenominator("leave-one-out chance penalty is ~0")
+    return 1.0 - (penalty_sum - penalty) / denom
 
 
 def _draw_classes(u, bounds) -> np.ndarray:
@@ -481,7 +480,10 @@ def fumera_threshold_search(
     p = val_probs.entries
     n, n_classes = p.shape
     labels = check_labels(val_labels, n_classes, n)
-    grid_values = np.linspace(0.0, 1.0, grid) if np.isscalar(grid) else np.asarray(grid, dtype=float)
+    if np.isscalar(grid):
+        check_counts(grid=(grid, 2))
+        grid = np.linspace(0.0, 1.0, grid)
+    grid_values = np.asarray(grid, dtype=float)
     if grid_values.size < 2:
         raise InvalidConfig("grid needs at least 2 points per class")
     if not np.isfinite(grid_values).all():

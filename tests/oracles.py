@@ -463,3 +463,23 @@ def row_major_temp_nll(logits, labels, scale, offset):
     grad_scale = float(np.mean(np.sum(q * (logits + offset), axis=1)))
     grad_offset = scale * q.mean(axis=0)
     return nll, grad_scale, grad_offset
+
+
+def reader_probability_rule(values):
+    """The prediction reader's probability rule, as first written: the first
+    bad row (counted from 1) and ``"range"`` or ``"sum"`` for what it broke,
+    or None when every row is valid.
+
+    A row is outside when any value is not in [0, 1] (NaN included); a row
+    of a matrix is off when its sum is more than 1e-9 from 1. An outside row
+    is reported as outside even where its sum is off too.
+    """
+    table = values.reshape(values.shape[0], -1)
+    outside = ~((table >= 0.0) & (table <= 1.0)).all(axis=1)
+    with np.errstate(invalid="ignore"):  # inf and -inf in one row
+        off_one = np.abs(table.sum(axis=1) - 1.0) > 1e-9 if values.ndim == 2 else False
+    bad = np.flatnonzero(outside | off_one)
+    if not bad.size:
+        return None
+    row = int(bad[0])
+    return row + 1, "range" if outside[row] else "sum"

@@ -549,6 +549,14 @@ def test_probability_outside_unit_interval_is_named(tmp_path, capsys, argv):
     assert err == want
 
 
+def test_row_sum_is_named_as_a_plain_number(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text("id,label,p_0,p_1\n0,0,0.5,0.5\n1,1,0.5,0.6\n2,1,0.2,0.8\n")
+    assert main(["evaluate", "--input", str(data), "--metric", "weighted_kappa"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: SchemaError: {data}: row 2: probabilities sum to 1.1; a row must sum to 1 within 1e-9\n"
+
+
 def test_unknown_method_is_rejected_at_zero_budget(tmp_path, capsys):
     data = tmp_path / "preds.csv"
     write_predictions(data, np.linspace(0.05, 0.95, 20), np.arange(20) % 2)

@@ -336,6 +336,20 @@ class TestAbstainIndices:
             np.testing.assert_array_equal(idx_v, idx_m, err_msg=name)
             assert est_v == est_m, name
 
+    @pytest.mark.parametrize("shape", ["vector", "matrix"])
+    def test_js_divergence_defaults_to_the_label_frequencies(self, shape):
+        rng = np.random.default_rng(6)
+        if shape == "vector":
+            probs, classes = rng.uniform(0, 1, 90), 2
+        else:
+            probs, classes = rng.dirichlet(np.ones(3), 90), 3
+        labels = rng.integers(0, classes, 90)
+        args = (MethodSpec("js_divergence"), probs, 0.2, MetricSpec(name="auroc"), MonteCarloConfig(samples=2))
+        idx, _ = abstain_indices(*args, labels=labels)
+        want, _ = abstain_indices(*args, labels=labels, priors=PriorEstimate.from_labels(labels, classes))
+        assert idx.size == 18
+        np.testing.assert_array_equal(idx, want)
+
     def test_zero_budget_returns_empty(self):
         metric = MetricSpec(name="auroc")
         idx, estimate = abstain_indices(

@@ -3,10 +3,12 @@
 A bad value is InvalidConfig and a bad shape or alignment DimensionMismatch,
 unless a narrower class names it; no `raise` in the package names a builtin
 catch-all. Class-index vectors are checked by one rule, `errors.check_labels`,
-wherever they are checked.
+and probabilities by one, `errors.check_probabilities`, wherever they are
+checked.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import abstainkit
-from abstainkit.calibration import Calibrator, PriorEstimate, adapt_label_shift_em, fit_calibrator
+from abstainkit.calibration import Calibrator, PriorEstimate, adapt_label_shift_em, apply_calibrator, fit_calibrator
 from abstainkit.errors import (
     AbstainkitError,
     DegenerateDenominator,
@@ -23,6 +25,7 @@ from abstainkit.errors import (
     InvalidConfig,
     InvalidSpecificity,
     check_labels,
+    check_probabilities,
 )
 from abstainkit.experiments import MetricSpec
 from abstainkit.metrics import (
@@ -30,6 +33,7 @@ from abstainkit.metrics import (
     ProbabilityMatrix,
     SortedPredictionSet,
     auroc,
+    kappa_aggregates,
     running_counts,
     sensitivity_at_specificity,
     weighted_kappa,
@@ -44,6 +48,8 @@ from abstainkit.scoring import (
 )
 from abstainkit.simulate import resample_with_shift
 from abstainkit.stats import compare_methods, rank_correlations, wilcoxon_signed_rank_one_sided
+
+from oracles import reader_probability_rule
 
 _BANNED = {"ValueError", "RuntimeError", "IndexError", "Exception"}
 
@@ -106,6 +112,12 @@ _CASES = {
     "fumera_grid_one": (lambda: fumera_threshold_search(_BINARY, [0, 1, 1], _accuracy, 1, grid=1), InvalidConfig),
     "fumera_grid_nan": (lambda: fumera_threshold_search(_BINARY, [0, 1, 1], _accuracy, 1, grid=[0.0, np.nan]),
                         InvalidConfig),
+    "fumera_grid_negative": (lambda: fumera_threshold_search(_BINARY, [0, 1, 1], _accuracy, 1, grid=-1),
+                             InvalidConfig),
+    "fumera_grid_fraction": (lambda: fumera_threshold_search(_BINARY, [0, 1, 1], _accuracy, 1, grid=2.5),
+                             InvalidConfig),
+    "kappa_aggregates_pred_above": (lambda: kappa_aggregates(_QUADRATIC, [1.0, 1.0], [0, 3]), InvalidConfig),
+    "kappa_aggregates_pred_negative": (lambda: kappa_aggregates(_QUADRATIC, [1.0, 1.0], [0, -1]), InvalidConfig),
     "platt_temperature": (lambda: Calibrator("platt", 1.0, [0.0]).temperature, InvalidConfig),
     "platt_label_two": (lambda: fit_calibrator("platt", _SCORES, np.r_[_TWELVE[:-1], 2]), InvalidConfig),
     "temperature_label_range": (lambda: fit_calibrator("temperature", _LOGITS, np.r_[_TWELVE[:-1], 2]),
@@ -136,6 +148,19 @@ def test_each_bad_input_is_its_named_error(case):
     call, error = _CASES[case]
     with pytest.raises(error):
         call()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus_inf"])
+@pytest.mark.parametrize("kind", ["platt", "temperature"])
+def test_apply_calibrator_rejects_non_finite_scores_as_the_fit_does(kind, bad):
+    if kind == "platt":
+        cal, scores = Calibrator("platt", 1.0, [0.0]), np.array([bad, 0.0])
+    else:
+        cal, scores = Calibrator("temperature", 1.0, [0.0, 0.0]), np.array([[0.0, 1.0], [bad, 0.0]])
+    with pytest.raises(InvalidConfig, match="^raw scores must be finite$"):
+        apply_calibrator(cal, scores)
+    with pytest.raises(InvalidConfig, match="^raw scores must be finite$"):
+        fit_calibrator(kind, np.repeat(scores, 6, axis=0), _TWELVE)
 
 
 def test_fumera_skips_only_named_errors():
@@ -200,3 +225,57 @@ def test_every_label_consumer_applies_the_one_label_rule(cells, class_count):
         except AbstainkitError as exc:
             got = str(exc) if isinstance(exc, InvalidConfig) and "labels" in str(exc) else None
         assert got == rule, (name, cells)
+
+
+def test_probability_matrix_names_its_bad_row():
+    with pytest.raises(InvalidConfig, match=r"^row 1: probabilities sum to 0\.9; a row must sum to 1 within 1e-9$"):
+        ProbabilityMatrix(np.array([[0.5, 0.4]]))
+    want = "row 2: probabilities must be finite and lie in [0, 1], got [nan, 1.0]"
+    with pytest.raises(InvalidConfig, match=f"^{re.escape(want)}$"):
+        ProbabilityMatrix(np.array([[0.5, 0.5], [np.nan, 1.0]]))
+
+
+# values in and out of [0, 1], non-finite ones, and sums just inside and just outside 1e-9 of 1
+_PROBABILITY_CELLS = st.one_of(
+    st.sampled_from([0.0, 1.0, 0.5, 0.25, 0.5 + 5e-10, 0.5 + 2e-9, -0.0, -1e-12, 1.5, float("nan"), float("inf"),
+                     -float("inf")]),
+    st.floats(0.0, 1.0),
+)
+
+
+@st.composite
+def _probability_arrays(draw):
+    """A vector, or a matrix whose rows are a mix of valid rows (uniform or one-hot) and arbitrary cells."""
+    if draw(st.booleans()):
+        return np.array(draw(st.lists(_PROBABILITY_CELLS, min_size=1, max_size=8)))
+    columns = draw(st.integers(1, 4))
+    row = st.one_of(
+        st.just([1.0 / columns] * columns),
+        st.integers(0, columns - 1).map(lambda c: [float(c == k) for k in range(columns)]),
+        st.lists(_PROBABILITY_CELLS, min_size=columns, max_size=columns),
+    )
+    return np.array(draw(st.lists(row, min_size=1, max_size=6)))
+
+
+def _named_row(call):
+    """``(row, "range" or "sum")`` from the probability rule's InvalidConfig, or None if ``call`` passes it."""
+    try:
+        call()
+    except InvalidConfig as exc:
+        found = re.match(r"row (\d+): probabilities (must be finite|sum to)", str(exc))
+        if found:
+            return int(found[1]), "range" if found[2] == "must be finite" else "sum"
+    return None
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(values=_probability_arrays())
+def test_every_probability_consumer_applies_the_reader_rule(values):
+    want = reader_probability_rule(values)
+    consumers = {"check_probabilities": lambda: check_probabilities(values)}
+    if values.ndim == 2:
+        consumers["ProbabilityMatrix"] = lambda: ProbabilityMatrix(values)
+    else:  # an unsorted vector that passes the rule is rejected afterwards, as unsorted
+        consumers["SortedPredictionSet"] = lambda: SortedPredictionSet(values)
+    for name, call in consumers.items():
+        assert _named_row(call) == want, (name, values.tolist())
