@@ -18,7 +18,8 @@ are normalized by their own valid-sample count.
 Sampled labels are bool arrays, for which :func:`running_counts` takes one
 cumulative sum and derives the negative counts exactly; the expected-count
 forms keep a second cumulative sum, of ``1 - p``, whose rounding their
-scores carry. A sample with every entry valid is added to the sums whole.
+scores carry. Every sample takes the same masked add, so an entry's sum and
+valid-sample count see only the samples where it was valid.
 """
 
 from __future__ import annotations
@@ -139,23 +140,17 @@ def _window_count(d: int, n: int) -> int:
 def _monte_carlo_mean(mc: MonteCarloConfig, size: int, draw, score) -> np.ndarray:
     """Average ``score(draw(rng))`` over one stream per sample.
 
-    ``score`` returns ``(values, valid)``; each entry is the mean of its
-    values over the samples where it was valid, and NaN if it never was.
-    ``valid`` is None when every entry is valid: that sample's values are
-    added whole, and it is counted once for every entry.
+    ``score`` returns ``(values, valid)``, ``valid`` a bool mask or ``True``
+    when every entry is valid. Each entry is the mean of its values over the
+    samples where it was valid, and NaN if it never was; values outside the
+    mask never reach the sums.
     """
     sums = np.zeros(size)
     valid_counts = np.zeros(size)
-    full = 0
     for seq in np.random.SeedSequence(mc.seed).spawn(mc.samples):
         values, valid = score(draw(np.random.default_rng(seq)))
-        if valid is None:
-            sums += values
-            full += 1
-        else:
-            np.add(sums, values, out=sums, where=valid)
-            valid_counts += valid
-    valid_counts += full
+        np.add(sums, values, out=sums, where=valid)
+        valid_counts += valid
     return np.divide(sums, valid_counts, out=np.full_like(sums, np.nan), where=valid_counts > 0)
 
 
@@ -174,31 +169,26 @@ def _sens_window_sample(labels, d: int, target_specificity: float, ends):
     """One-sample window sensitivities as (values, valid) for bool labels.
 
     A window is valid when its complement keeps both classes, so a sample
-    missing a class entirely has no valid window; ``valid`` is None when
+    missing a class entirely has no valid window; ``valid`` is True when
     every window is. ``ends[i]`` is the end ``i + d`` of window i.
     """
     counts = running_counts(labels, d)
     n_pos, n_neg = counts.total_pos, counts.total_neg
     w_pos, w_neg = counts.window_pos, counts.window_neg
+    # Every window is valid when the largest window_pos, d - lo, and the
+    # largest window_neg, hi, both leave some of their class outside.
+    lo, hi = int(w_neg.min()), int(w_neg.max())
+    valid = True if d - lo < n_pos and hi < n_neg else (w_pos < n_pos) & (w_neg < n_neg)
     # Windows remove `removed` negatives, capped so that at least one remains
     # (windows at the cap are invalid). Thresholds are searched only for the
     # counts j in [lo, hi] some window removes: after j abstained negatives
     # below (left) or above (right) it, so right[j] <= the unabstained
     # threshold <= left[j]. Each threshold depends only on its own j, so
     # searching fewer counts changes none of them. `removed` holds each
-    # window's count less lo. When every window is valid (the largest
-    # window_pos is d - lo) no window reaches the cap.
-    lo, hi = int(w_neg.min()), int(w_neg.max())
-    if d - lo < n_pos and hi < n_neg:
-        valid = None
-        removed = np.subtract(w_neg, lo, out=np.empty(w_neg.size, dtype=np.intp), casting="unsafe")
-    else:
-        valid = (w_pos < n_pos) & (w_neg < n_neg)
-        if not valid.any():
-            return np.zeros(w_pos.size), valid
-        cap = int(min(d, n_neg - 1))
-        lo, hi = min(lo, cap), min(hi, cap)
-        removed = np.minimum(w_neg.astype(np.intp), cap) - lo
+    # window's count less lo.
+    cap = int(min(d, n_neg - 1))
+    lo, hi = min(lo, cap), min(hi, cap)
+    removed = np.subtract(np.minimum(w_neg, cap), lo, out=np.empty(w_neg.size, dtype=np.intp), casting="unsafe")
     j = np.arange(lo, hi + 1, dtype=float)
     # one search for both: nothing removed above the threshold (left), j (right)
     left, right = specificity_threshold_index(
@@ -216,10 +206,8 @@ def _sens_window_sample(labels, d: int, target_specificity: float, ends):
     numer = np.empty(m)
     numer[:first] = counts.pos_suffix.take(np.maximum(left.take(removed[:first]), ends[:first]))
     numer[first:] = counts.pos_suffix.take(right.take(removed[first:])) - w_pos[first:]
-    if valid is None:
-        return numer / (n_pos - w_pos), None
-    denom = np.where(valid, n_pos - w_pos, 1.0)
-    return np.where(valid, numer / denom, 0.0), valid
+    with np.errstate(divide="ignore", invalid="ignore"):  # a window holding every positive is invalid
+        return numer / (n_pos - w_pos), valid
 
 
 def score_windows_sens_at_spec(
@@ -292,10 +280,8 @@ def score_windows_auroc(
     def score(labels):
         sums = auroc_rank_sums(labels, d)
         denom = sums.remaining_neg * sums.remaining_pos
-        if denom.min() > 0:
-            return sums.post_sums / denom, None
-        valid = denom > 0
-        return np.divide(sums.post_sums, denom, out=np.zeros(denom.size), where=valid), valid
+        with np.errstate(divide="ignore", invalid="ignore"):  # a window leaving one class is invalid
+            return sums.post_sums / denom, True if denom.min() > 0 else denom > 0
 
     return _sampled_window_scores(preds, d, mc, score)
 
@@ -342,7 +328,7 @@ def score_examples_kappa(
         agg = kappa_aggregates(weights, true_counts, pred)
         kappa = _left_out_kappa(agg, agg.denom_row_adjust[sampled], agg.denom_col_adjust[pred],
                                 penalties, float(penalties.sum()), scale)
-        return kappa, None  # every example is valid
+        return kappa, True  # every example is valid
 
     return MarginalScoreVector(_monte_carlo_mean(mc, n, draw, score))
 

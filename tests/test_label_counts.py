@@ -92,7 +92,7 @@ def valid_kinds(monkeypatch):
     def recording(mc, size, draw, score):
         def scored(labels):
             values, valid = score(labels)
-            kinds.append("all" if valid is None else "some" if valid.any() else "none")
+            kinds.append("all" if valid is True else "some" if valid.any() else "none")
             return values, valid
 
         return accumulate(mc, size, draw, scored)
