@@ -32,6 +32,7 @@ from .errors import (
     InvalidConfig,
     NonpositiveTrainPrior,
     TooFewExamples,
+    check_counts,
     check_labels,
     check_numbers,
 )
@@ -287,8 +288,13 @@ def adapt_label_shift_em(
     Alternates reweighting each row by the current prior ratio (E-step) with
     re-estimating the priors as the mean reweighted row (M-step) until the
     max-abs prior change drops below ``tol``. Hitting ``max_iter`` is not an
-    error; the result is returned with ``converged=False``.
+    error; the result is returned with ``converged=False``. ``tol`` must be
+    finite and above 0 and ``max_iter`` an integer of at least 0, else
+    InvalidConfig.
     """
+    if not 0.0 < tol < np.inf:  # NaN fails too
+        raise InvalidConfig(f"tol must be finite and > 0, got {tol}")
+    check_counts(max_iter=(max_iter, 0))
     train = train_priors.priors
     if np.any(train <= 0):
         raise NonpositiveTrainPrior("train priors must be strictly positive")

@@ -90,13 +90,14 @@ def check_counts(**counts) -> None:
     """Each ``name=(value, minimum)`` must be an integer of at least ``minimum``, else InvalidConfig.
 
     An int or numpy integer counts; a bool, a float (even a whole one) or a
-    string does not.
+    string does not. A ``minimum`` of None tests the type alone, for a count
+    whose range has a narrower error class.
     """
     if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for v, _ in counts.values()):
         got = ", ".join(f"{name}={v!r}" for name, (v, _) in counts.items())
         raise InvalidConfig(f"{' and '.join(counts)} must be integers, got {got}")
     for name, (value, minimum) in counts.items():
-        if value < minimum:
+        if minimum is not None and value < minimum:
             raise InvalidConfig(f"{name} must be >= {minimum}, got {value}")
 
 
@@ -123,7 +124,10 @@ def check_labels(labels, class_count: int, rows: int | None = None) -> np.ndarra
     DimensionMismatch; NaN, a fraction or a value out of range is
     InvalidConfig. A bool counts as the class it equals.
     """
-    labels = np.asarray(labels)
+    try:
+        labels = np.asarray(labels)
+    except ValueError as exc:  # ragged nesting
+        raise DimensionMismatch(f"labels must be a vector, got ragged nesting: {exc}") from None
     if labels.ndim != 1:
         raise DimensionMismatch(f"labels must be a vector, got shape {labels.shape}")
     if rows is not None and labels.size != rows:

@@ -17,6 +17,7 @@ from .errors import (
     InvalidConfig,
     NoNegatives,
     NoPositives,
+    check_counts,
     check_labels,
     check_probabilities,
     check_specificity,
@@ -175,6 +176,9 @@ def running_counts(values, window: int) -> SuffixCounts:
     values = np.asarray(values)
     labels = values.dtype == bool
     n = values.size
+    if values.ndim != 1:
+        raise DimensionMismatch(f"values must be a vector, got shape {values.shape}")
+    check_counts(window=(window, None))
     if not 1 <= window <= n:
         raise InvalidConfig(f"window must satisfy 1 <= d <= {n}, got {window}")
     pos_prefix = np.empty(n + 1)

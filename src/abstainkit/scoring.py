@@ -132,6 +132,7 @@ class AurocSums:
 
 
 def _window_count(d: int, n: int) -> int:
+    check_counts(budget=(d, None))
     if not 1 <= d < n:
         raise BudgetTooLarge(f"abstention count must satisfy 1 <= d < {n}, got {d}")
     return int(d)
@@ -143,8 +144,11 @@ def _monte_carlo_mean(mc: MonteCarloConfig, size: int, draw, score) -> np.ndarra
     ``score`` returns ``(values, valid)``, ``valid`` a bool mask or ``True``
     when every entry is valid. Each entry is the mean of its values over the
     samples where it was valid, and NaN if it never was; values outside the
-    mask never reach the sums.
+    mask never reach the sums. ``mc`` must be a :class:`MonteCarloConfig`,
+    else TypeError.
     """
+    if not isinstance(mc, MonteCarloConfig):
+        raise TypeError(f"mc must be a MonteCarloConfig or None, got {mc!r}")
     sums = np.zeros(size)
     valid_counts = np.zeros(size)
     for seq in np.random.SeedSequence(mc.seed).spawn(mc.samples):
@@ -379,6 +383,9 @@ def smooth_savitzky_golay(values, window: int, polyorder: int) -> np.ndarray:
     """
     v = np.asarray(values, dtype=float)
     n = v.size
+    if v.ndim != 1:
+        raise DimensionMismatch(f"values must be a vector, got shape {v.shape}")
+    check_counts(window=(window, None), polyorder=(polyorder, None))
     if window < 1 or window % 2 == 0:
         raise EvenWindow(f"window must be a positive odd integer, got {window}")
     if window > n:
@@ -466,6 +473,7 @@ def fumera_threshold_search(
     p = val_probs.entries
     n, n_classes = p.shape
     labels = check_labels(val_labels, n_classes, n)
+    check_counts(budget=(budget, None))
     if np.isscalar(grid):
         check_counts(grid=(grid, 2))
         grid = np.linspace(0.0, 1.0, grid)
@@ -517,6 +525,7 @@ def select_abstentions(scores, count: int) -> np.ndarray:
     Marginal/top-k scores: the count highest-scoring indices, lower index on ties.
     Returned indices are sorted ascending.
     """
+    check_counts(count=(count, None))
     if isinstance(scores, WindowScoreVector):
         if count != scores.window_size:
             raise BudgetMismatch(f"budget is {count} but scores use window {scores.window_size}")

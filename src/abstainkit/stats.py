@@ -95,6 +95,8 @@ def wilcoxon_signed_rank_one_sided(differences) -> float:
     with tie correction and continuity correction is used.
     """
     diffs = np.asarray(differences, dtype=float)
+    if diffs.ndim != 1:
+        raise DimensionMismatch(f"differences must be a vector, got shape {diffs.shape}")
     if np.isnan(diffs).any():
         raise InvalidConfig("differences must not be NaN")
     diffs = diffs[diffs != 0.0]
@@ -132,9 +134,8 @@ def compare_methods(values_by_method: dict) -> ComparisonResult:
     """Build the p-value matrix from per-method vectors of paired metric values."""
     names = tuple(values_by_method)
     columns = [np.asarray(values_by_method[name], dtype=float) for name in names]
-    lengths = {col.size for col in columns}
-    if len(lengths) != 1:
-        raise DimensionMismatch("all methods need the same number of paired runs")
+    if len({col.shape for col in columns}) != 1 or columns[0].ndim != 1:
+        raise DimensionMismatch("all methods need a vector of the same number of paired runs")
     k = len(names)
     p_values = np.ones((k, k))
     for i in range(k):

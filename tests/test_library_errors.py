@@ -20,6 +20,7 @@ import abstainkit
 from abstainkit.calibration import Calibrator, PriorEstimate, adapt_label_shift_em, apply_calibrator, fit_calibrator
 from abstainkit.errors import (
     AbstainkitError,
+    BudgetMismatch,
     DegenerateDenominator,
     DimensionMismatch,
     InvalidConfig,
@@ -27,7 +28,7 @@ from abstainkit.errors import (
     check_labels,
     check_probabilities,
 )
-from abstainkit.experiments import MetricSpec
+from abstainkit.experiments import ExperimentSpec, MetricSpec
 from abstainkit.metrics import (
     PenaltyWeightMatrix,
     ProbabilityMatrix,
@@ -39,11 +40,14 @@ from abstainkit.metrics import (
     weighted_kappa,
 )
 from abstainkit.scoring import (
+    MarginalScoreVector,
     MonteCarloConfig,
     baseline_scores,
     fumera_threshold_search,
     score_examples_kappa,
+    score_windows_auroc,
     score_windows_sens_at_spec,
+    select_abstentions,
     smooth_savitzky_golay,
 )
 from abstainkit.simulate import resample_with_shift
@@ -140,6 +144,40 @@ _CASES = {
                                DimensionMismatch),
     "resample_misaligned": (lambda: resample_with_shift(np.array([0.2, 0.8]), [0, 1, 1, 0], (0.5, 0.5), 4, 0),
                             DimensionMismatch),
+    "calibrator_unknown_kind": (lambda: Calibrator("bogus", 1.0, [0.0]), InvalidConfig),
+    "fit_unknown_kind": (lambda: fit_calibrator("bogus", _SCORES, _TWELVE), InvalidConfig),
+    "em_three_priors": (lambda: adapt_label_shift_em(_BINARY, PriorEstimate([0.2, 0.3, 0.5])), DimensionMismatch),
+    "custom_spec_no_input": (lambda: ExperimentSpec(task="custom"), InvalidConfig),
+    "select_beyond_rows": (lambda: select_abstentions(MarginalScoreVector([0.1, 0.2]), 3), BudgetMismatch),
+    "select_plain_array": (lambda: select_abstentions(np.zeros(3), 1), TypeError),
+    "fumera_grid_one_point": (lambda: fumera_threshold_search(_BINARY, [0, 1, 1], _accuracy, 1, grid=[0.5]),
+                              InvalidConfig),
+    # counts: a fraction is InvalidConfig, never truncated or a bare slicing TypeError
+    "sens_window_fraction": (lambda: score_windows_sens_at_spec(_SORTED, 0.9, 1.5, MonteCarloConfig(2)),
+                             InvalidConfig),
+    "auroc_window_fraction": (lambda: score_windows_auroc(_SORTED, 1.5), InvalidConfig),
+    "smooth_polyorder_fraction": (lambda: smooth_savitzky_golay(np.zeros(9), 3, 0.5), InvalidConfig),
+    "smooth_window_float": (lambda: smooth_savitzky_golay(np.zeros(9), 3.0, 1), InvalidConfig),
+    "select_fraction": (lambda: select_abstentions(MarginalScoreVector([0.1, 0.2]), 1.5), InvalidConfig),
+    "running_counts_fraction": (lambda: running_counts(np.zeros(3), 1.5), InvalidConfig),
+    "fumera_budget_fraction": (lambda: fumera_threshold_search(_BINARY, [0, 1, 1], _accuracy, 1.5), InvalidConfig),
+    # vectors: a matrix or ragged nesting is DimensionMismatch, not counted flat or a numpy error
+    "running_counts_matrix": (lambda: running_counts(np.zeros((2, 2)), 1), DimensionMismatch),
+    "wilcoxon_matrix": (lambda: wilcoxon_signed_rank_one_sided(np.ones((3, 3))), DimensionMismatch),
+    "compare_matrix_runs": (lambda: compare_methods({"a": np.ones((6, 2)), "b": np.zeros((6, 2))}),
+                            DimensionMismatch),
+    "smooth_matrix": (lambda: smooth_savitzky_golay(np.zeros((5, 2)), 3, 1), DimensionMismatch),
+    "labels_ragged": (lambda: check_labels([[0], [0, 1]], 2), DimensionMismatch),
+    # EM arguments the CLI checks before reading, checked by the library too
+    "em_tol_nan": (lambda: adapt_label_shift_em(_BINARY, PriorEstimate([0.5, 0.5]), tol=np.nan), InvalidConfig),
+    "em_max_iter_negative": (lambda: adapt_label_shift_em(_BINARY, PriorEstimate([0.5, 0.5]), max_iter=-1),
+                             InvalidConfig),
+    "em_max_iter_fraction": (lambda: adapt_label_shift_em(_BINARY, PriorEstimate([0.5, 0.5]), max_iter=1.5),
+                             InvalidConfig),
+    # a Monte-Carlo config that is not one: one TypeError, not an AttributeError on `seed`
+    "sens_mc_int": (lambda: score_windows_sens_at_spec(_SORTED, 0.9, 1, 5), TypeError),
+    "auroc_mc_int": (lambda: score_windows_auroc(_SORTED, 1, mc=5), TypeError),
+    "kappa_mc_int": (lambda: score_examples_kappa(_BINARY, _QUADRATIC, mc=5), TypeError),
 }
 
 
@@ -161,6 +199,46 @@ def test_apply_calibrator_rejects_non_finite_scores_as_the_fit_does(kind, bad):
         apply_calibrator(cal, scores)
     with pytest.raises(InvalidConfig, match="^raw scores must be finite$"):
         fit_calibrator(kind, np.repeat(scores, 6, axis=0), _TWELVE)
+
+
+_NINE = np.linspace(0.05, 0.95, 9)
+
+
+def _count_consumers(value):
+    """Each count argument as (its valid integers, a call with ``value`` there and valid other inputs)."""
+    sorted_nine = SortedPredictionSet(_NINE)
+    return {
+        "sens_budget": (range(1, 9), lambda: score_windows_sens_at_spec(sorted_nine, 0.5, value, MonteCarloConfig(2))),
+        "auroc_budget": (range(1, 9), lambda: score_windows_auroc(sorted_nine, value)),
+        "auroc_budget_mc": (range(1, 9), lambda: score_windows_auroc(sorted_nine, value, MonteCarloConfig(2))),
+        "running_counts_window": (range(1, 10), lambda: running_counts(_NINE, value)),
+        "smooth_window": (range(1, 10, 2), lambda: smooth_savitzky_golay(_NINE, value, 0)),
+        "smooth_polyorder": (range(0, 5), lambda: smooth_savitzky_golay(_NINE, 5, value)),
+        "select_count": (range(0, 10), lambda: select_abstentions(MarginalScoreVector(_NINE), value)),
+        "fumera_budget": (range(-3, 13), lambda: fumera_threshold_search(_BINARY, [0, 1, 1], lambda p, y: y.size,
+                                                                         value)),
+        "em_max_iter": (range(0, 13), lambda: adapt_label_shift_em(_BINARY, PriorEstimate([0.5, 0.5]),
+                                                                   max_iter=value)),
+    }
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(value=st.one_of(st.integers(-3, 12), st.integers(-3, 12).map(np.int64), st.floats(-3.0, 12.0),
+                       st.just(float("nan")), st.booleans()))
+def test_every_count_argument_is_an_integer_or_invalid_config(value):
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    for name, (valid, call) in _count_consumers(value).items():
+        try:
+            call()
+            got = None
+        except AbstainkitError as exc:  # anything else, a numpy error included, fails the test
+            got = exc
+        if integer and value in valid:
+            assert got is None, (name, value, got)
+        elif integer:  # out of range: the class the range check names
+            assert got is not None, (name, value)
+        else:
+            assert isinstance(got, InvalidConfig), (name, value, got)
 
 
 def test_fumera_skips_only_named_errors():
