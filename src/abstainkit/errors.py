@@ -126,8 +126,8 @@ def check_labels(labels, class_count: int, rows: int | None = None) -> np.ndarra
     """
     try:
         labels = np.asarray(labels)
-    except ValueError as exc:  # ragged nesting
-        raise DimensionMismatch(f"labels must be a vector, got ragged nesting: {exc}") from None
+    except ValueError:  # numpy's inhomogeneous-shape error
+        raise DimensionMismatch("labels must be a vector, got ragged nesting") from None
     if labels.ndim != 1:
         raise DimensionMismatch(f"labels must be a vector, got shape {labels.shape}")
     if rows is not None and labels.size != rows:
