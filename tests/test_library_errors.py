@@ -235,7 +235,7 @@ def test_every_count_argument_is_an_integer_or_invalid_config(value):
             got = exc
         if integer and value in valid:
             assert got is None, (name, value, got)
-        elif integer:  # out of range: the class the range check names
+        elif integer:  # out of range: a named error, of the class its range check uses
             assert got is not None, (name, value)
         else:
             assert isinstance(got, InvalidConfig), (name, value, got)
