@@ -16,8 +16,12 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from dataclasses import replace
+
+# Set before numpy loads: no CLI path makes a BLAS call large enough to thread, so idle workers only burn CPU.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
