@@ -32,6 +32,7 @@ from .errors import (
     InvalidConfig,
     NonpositiveTrainPrior,
     TooFewExamples,
+    as_array,
     check_counts,
     check_labels,
     check_numbers,
@@ -64,7 +65,7 @@ class PriorEstimate:
     priors: np.ndarray
 
     def __post_init__(self):
-        priors = np.asarray(self.priors, dtype=float)
+        priors = as_array(self.priors, "priors")
         if priors.ndim != 1:
             raise InvalidConfig("priors must be a vector")
         if not (priors.size and priors.min() >= 0 and abs(priors.sum() - 1.0) <= 1e-9):  # NaN fails too
@@ -203,7 +204,7 @@ def _raw_scores(kind: str, raw_scores) -> np.ndarray:
     """The one raw-score rule: an N-vector for ``platt``, an N x C logit matrix
     for the temperature kinds (else DimensionMismatch), every value finite
     (else InvalidConfig)."""
-    scores = np.asarray(raw_scores, dtype=float)
+    scores = as_array(raw_scores, "raw_scores")
     if scores.ndim != (1 if kind == "platt" else 2):
         raise DimensionMismatch("platt expects a 1-D score vector, temperature kinds an N x C logit matrix")
     if not np.isfinite(scores).all():

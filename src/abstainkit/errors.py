@@ -5,8 +5,9 @@ and the package's own checks raise no plain ``ValueError``: a bad value is
 :class:`InvalidConfig` and a bad shape or alignment :class:`DimensionMismatch`
 unless a narrower class names it. Pipelines should catch
 :class:`AbstainkitError` at the boundary and let anything else propagate as a
-bug. The five input rules live here beside :class:`InvalidConfig`, each
-written once: :func:`check_counts` and :func:`check_numbers` for config fields,
+bug. The input rules live here beside :class:`InvalidConfig`, each written
+once: :func:`as_array` for converting an array argument,
+:func:`check_counts` and :func:`check_numbers` for config fields,
 :func:`check_labels` for class-index vectors, :func:`check_probabilities` for
 probability vectors and matrices and :func:`check_specificity` for a target
 specificity.
@@ -117,19 +118,33 @@ def check_numbers(**values) -> None:
             raise InvalidConfig(f"{name} must be finite, got {value!r}")
 
 
+_SHAPES = {1: "a vector", 2: "a matrix"}
+
+
+def as_array(value, name: str, ndim: int | None = None, dtype=float) -> np.ndarray:
+    """``value`` as an array of ``dtype`` (None keeps the one numpy infers).
+
+    Ragged nesting, or a number of dimensions other than ``ndim`` where that
+    is given, is DimensionMismatch naming ``name``. An ndarray of that dtype
+    passes through uncopied.
+    """
+    try:
+        array = np.asarray(value)
+    except ValueError:  # numpy's inhomogeneous-shape error
+        raise DimensionMismatch(f"{name} must be {_SHAPES.get(ndim, 'an array')}, got ragged nesting") from None
+    if ndim is not None and array.ndim != ndim:
+        raise DimensionMismatch(f"{name} must be {_SHAPES[ndim]}, got shape {array.shape}")
+    return array if dtype is None else array.astype(dtype, copy=False)
+
+
 def check_labels(labels, class_count: int, rows: int | None = None) -> np.ndarray:
     """Class indices as an int64 vector: each value a whole number in [0, class_count).
 
-    A non-vector, or one whose length is not ``rows`` where that is given, is
-    DimensionMismatch; NaN, a fraction or a value out of range is
-    InvalidConfig. A bool counts as the class it equals.
+    A non-vector (:func:`as_array`), or one whose length is not ``rows`` where
+    that is given, is DimensionMismatch; NaN, a fraction or a value out of
+    range is InvalidConfig. A bool counts as the class it equals.
     """
-    try:
-        labels = np.asarray(labels)
-    except ValueError:  # numpy's inhomogeneous-shape error
-        raise DimensionMismatch("labels must be a vector, got ragged nesting") from None
-    if labels.ndim != 1:
-        raise DimensionMismatch(f"labels must be a vector, got shape {labels.shape}")
+    labels = as_array(labels, "labels", 1, dtype=None)
     if rows is not None and labels.size != rows:
         raise DimensionMismatch(f"{labels.size} labels do not align with {rows} rows")
     if not np.isin(labels, np.arange(class_count)).all():

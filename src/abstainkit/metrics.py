@@ -17,6 +17,7 @@ from .errors import (
     InvalidConfig,
     NoNegatives,
     NoPositives,
+    as_array,
     check_counts,
     check_labels,
     check_probabilities,
@@ -50,9 +51,7 @@ class SortedPredictionSet:
     labels: np.ndarray | None = None
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float)
-        if probs.ndim != 1:
-            raise DimensionMismatch("probs must be a 1-D vector")
+        probs = as_array(self.probs, "probs", 1)
         check_probabilities(probs)
         if np.any(np.diff(probs) < 0):
             raise InvalidConfig("probs must be sorted ascending; use from_unsorted()")
@@ -63,11 +62,13 @@ class SortedPredictionSet:
     @classmethod
     def from_unsorted(cls, probs, labels=None) -> "SortedPredictionSet":
         """Stable-sort probs ascending and carry labels along."""
-        probs = np.asarray(probs, dtype=float)
+        probs = as_array(probs, "probs", 1)
         order = np.argsort(probs, kind="stable")
         # labels that do not align go on unsorted, for the constructor to reject
-        if labels is not None and np.shape(labels) == probs.shape:
-            labels = np.asarray(labels)[order]
+        if labels is not None:
+            labels = as_array(labels, "labels", dtype=None)
+            if labels.shape == probs.shape:
+                labels = labels[order]
         return cls(probs[order], labels)
 
     @property
@@ -83,9 +84,7 @@ class ProbabilityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=float)
-        if entries.ndim != 2:
-            raise DimensionMismatch("entries must be an N x C matrix")
+        entries = as_array(self.entries, "entries", 2)
         check_probabilities(entries)
         object.__setattr__(self, "entries", entries)
 
@@ -173,11 +172,9 @@ def running_counts(values, window: int) -> SuffixCounts:
     input is read as float mass and takes two, of ``p`` and of ``1 - p``.
     Both give the same bits for 0/1 labels.
     """
-    values = np.asarray(values)
+    values = as_array(values, "values", 1, dtype=None)
     labels = values.dtype == bool
     n = values.size
-    if values.ndim != 1:
-        raise DimensionMismatch(f"values must be a vector, got shape {values.shape}")
     check_counts(window=(window, None))
     if not 1 <= window <= n:
         raise InvalidConfig(f"window must satisfy 1 <= d <= {n}, got {window}")

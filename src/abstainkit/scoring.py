@@ -42,6 +42,7 @@ from .errors import (
     InvalidConfig,
     MissingPriors,
     WindowTooLarge,
+    as_array,
     check_counts,
     check_labels,
     check_specificity,
@@ -381,10 +382,8 @@ def smooth_savitzky_golay(values, window: int, polyorder: int) -> np.ndarray:
     polynomial order drops with it when fewer points than coefficients
     remain), so no values outside the input ever influence the result.
     """
-    v = np.asarray(values, dtype=float)
+    v = as_array(values, "values", 1)
     n = v.size
-    if v.ndim != 1:
-        raise DimensionMismatch(f"values must be a vector, got shape {v.shape}")
     check_counts(window=(window, None), polyorder=(polyorder, None))
     if window < 1 or window % 2 == 0:
         raise EvenWindow(f"window must be a positive odd integer, got {window}")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidConfig, TooFewPairs, ZeroVariance
+from .errors import DimensionMismatch, InvalidConfig, TooFewPairs, ZeroVariance, as_array
 
 __all__ = [
     "rank_correlations",
@@ -59,8 +59,8 @@ def rank_correlations(a, b) -> tuple[float, float]:
 
     Spearman is Pearson applied to average ranks, so ties get their mean rank.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a = as_array(a, "a")
+    b = as_array(b, "b")
     if a.shape != b.shape or a.ndim != 1 or a.size < 3:
         raise DimensionMismatch("need two aligned vectors of length >= 3")
     pearson = _pearson(a, b)
@@ -94,9 +94,7 @@ def wilcoxon_signed_rank_one_sided(differences) -> float:
     enumerating all sign assignments); beyond that a normal approximation
     with tie correction and continuity correction is used.
     """
-    diffs = np.asarray(differences, dtype=float)
-    if diffs.ndim != 1:
-        raise DimensionMismatch(f"differences must be a vector, got shape {diffs.shape}")
+    diffs = as_array(differences, "differences", 1)
     if np.isnan(diffs).any():
         raise InvalidConfig("differences must not be NaN")
     diffs = diffs[diffs != 0.0]

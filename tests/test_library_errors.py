@@ -168,6 +168,18 @@ _CASES = {
                             DimensionMismatch),
     "smooth_matrix": (lambda: smooth_savitzky_golay(np.zeros((5, 2)), 3, 1), DimensionMismatch),
     "labels_ragged": (lambda: check_labels([[0], [0, 1]], 2), DimensionMismatch),
+    "unsorted_ragged": (lambda: SortedPredictionSet.from_unsorted([[0.1], [0.2, 0.3]]), DimensionMismatch),
+    "unsorted_ragged_labels": (lambda: SortedPredictionSet.from_unsorted([0.5, 0.1], [[0], [0, 1]]),
+                               DimensionMismatch),
+    "matrix_ragged": (lambda: ProbabilityMatrix([[0.5, 0.5], [1.0]]), DimensionMismatch),
+    "priors_ragged": (lambda: PriorEstimate([[0.5], [0.25, 0.25]]), DimensionMismatch),
+    "running_counts_ragged": (lambda: running_counts([[0.1], [0.2, 0.3]], 1), DimensionMismatch),
+    "wilcoxon_ragged": (lambda: wilcoxon_signed_rank_one_sided([[0.1], [0.2, 0.3]]), DimensionMismatch),
+    "smooth_ragged": (lambda: smooth_savitzky_golay([[0.1], [0.2, 0.3]], 1, 0), DimensionMismatch),
+    "apply_calibrator_ragged": (lambda: apply_calibrator(Calibrator("temperature", 1.0, [0.0, 0.0]),
+                                                         [[0.0, 1.0], [0.5]]), DimensionMismatch),
+    "rank_correlations_ragged": (lambda: rank_correlations([[0.1], [0.2, 0.3]], [1.0, 2.0, 3.0]),
+                                 DimensionMismatch),
     # EM arguments the CLI checks before reading, checked by the library too
     "em_tol_nan": (lambda: adapt_label_shift_em(_BINARY, PriorEstimate([0.5, 0.5]), tol=np.nan), InvalidConfig),
     "em_max_iter_negative": (lambda: adapt_label_shift_em(_BINARY, PriorEstimate([0.5, 0.5]), max_iter=-1),
