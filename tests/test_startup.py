@@ -1,10 +1,15 @@
-"""scipy stays off the CLI start-up path.
+"""What the CLI loads at start-up, and how many threads it runs.
 
-Only `calibrate` (L-BFGS-B calibrator fits) imports scipy, so every other
+`import abstainkit` loads submodules on first use, so it loads no numpy;
+every public name is still the object its submodule defines. Only
+`calibrate` (L-BFGS-B calibrator fits) imports scipy, so every other
 subcommand, `compare` and the `auroc_correlation` task among them, must run
-in a fresh interpreter without ever importing it. Each check runs in its own
-subprocess, because this test process may have imported scipy already.
-No timings are asserted.
+in a fresh interpreter without ever importing it. The CLI runs OpenBLAS
+with one thread unless `OPENBLAS_NUM_THREADS` is set: importing
+`abstainkit.cli` sets it to 1 before numpy loads, and a value the user set
+wins. Each check runs in its own subprocess, because this test process may
+have imported numpy, scipy or `abstainkit.cli` already. No timings are
+asserted.
 """
 
 import json
@@ -56,12 +61,87 @@ def _write_raw_logits(path, n=300, c=3, seed=0):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _child(code, *args, **env):
+    """stdout of ``python -c code *args``, with OPENBLAS_NUM_THREADS unset unless given in ``env``.
+
+    An earlier `import abstainkit.cli` in this process may have set it here.
+    """
+    child_env = {k: v for k, v in _ENV.items() if k != "OPENBLAS_NUM_THREADS"}
+    proc = subprocess.run([sys.executable, "-c", code, *args], env={**child_env, **env},
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 @pytest.mark.parametrize("module", ["abstainkit", "abstainkit.cli"])
 def test_import_leaves_scipy_unloaded(tmp_path, module):
     code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    proc = subprocess.run([sys.executable, "-c", code], env=_ENV, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert _child(code) == "[]"
+
+
+def test_import_leaves_numpy_unloaded():
+    assert _child("import sys, abstainkit; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))") \
+        == "[]"
+
+
+def test_every_public_name_is_the_object_its_submodule_defines():
+    code = """
+import sys, abstainkit
+for name in abstainkit.__all__[1:]:
+    value = getattr(abstainkit, name)
+    assert value.__module__.startswith("abstainkit."), name
+    assert getattr(sys.modules[value.__module__], name) is value, name
+print(len(abstainkit.__all__))
+"""
+    assert _child(code) == "35"
+
+
+def test_star_import_binds_every_public_name():
+    code = """
+import abstainkit
+from abstainkit import *
+missing = [name for name in abstainkit.__all__ if globals().get(name) is not getattr(abstainkit, name)]
+print(missing)
+"""
+    assert _child(code) == "[]"
+
+
+def test_dir_lists_every_public_name():
+    code = "import abstainkit; print(sorted(set(abstainkit.__all__) - set(dir(abstainkit))))"
+    assert _child(code) == "[]"
+
+
+def test_an_unknown_attribute_is_an_attribute_error():
+    code = """
+import abstainkit
+try:
+    abstainkit.no_such_name
+except AttributeError as exc:
+    print(exc)
+"""
+    assert _child(code) == "module 'abstainkit' has no attribute 'no_such_name'"
+
+
+# Imports abstainkit.cli, then each module named in argv[1:], and prints the
+# BLAS thread variable and, where /proc/self/task exists, the thread count.
+_BLAS = """
+import importlib, os, sys
+for module in ["abstainkit.cli", *sys.argv[1:]]:
+    importlib.import_module(module)
+print(os.environ["OPENBLAS_NUM_THREADS"])
+if os.path.isdir("/proc/self/task"):
+    print(len(os.listdir("/proc/self/task")))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc/self/task")
+@pytest.mark.parametrize("modules", [[], ["scipy.optimize"]], ids=["cli", "cli_and_scipy"])
+def test_the_cli_runs_one_blas_thread(modules):
+    assert _child(_BLAS, *modules).split() == ["1", "1"]
+
+
+def test_a_blas_thread_count_the_user_sets_wins():
+    assert _child(_BLAS, "scipy.optimize", OPENBLAS_NUM_THREADS="2").split()[0] == "2"
 
 
 def test_pipeline_runs_with_scipy_blocked(tmp_path):
