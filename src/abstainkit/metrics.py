@@ -99,7 +99,7 @@ class ProbabilityMatrix:
     @classmethod
     def from_binary(cls, positive_probs) -> "ProbabilityMatrix":
         """Lift a vector of positive-class probabilities to a 2-column matrix."""
-        p = np.asarray(positive_probs, dtype=float)
+        p = as_array(positive_probs, "positive_probs")
         return cls(np.column_stack([1.0 - p, p]))
 
 
@@ -111,7 +111,7 @@ class PenaltyWeightMatrix:
     weights: np.ndarray
 
     def __post_init__(self):
-        weights = np.asarray(self.weights, dtype=float)
+        weights = as_array(self.weights, "weights")
         if weights.ndim != 2 or weights.shape[0] != weights.shape[1]:
             raise DimensionMismatch("weights must be square")
         if weights.size and not weights.min() >= 0:  # NaN fails too

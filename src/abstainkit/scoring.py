@@ -476,7 +476,7 @@ def fumera_threshold_search(
     if np.isscalar(grid):
         check_counts(grid=(grid, 2))
         grid = np.linspace(0.0, 1.0, grid)
-    grid_values = np.asarray(grid, dtype=float)
+    grid_values = as_array(grid, "grid")
     if grid_values.size < 2:
         raise InvalidConfig("grid needs at least 2 points per class")
     if not np.isfinite(grid_values).all():

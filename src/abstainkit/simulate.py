@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import PriorEstimate, _softmax
-from .errors import EmptyClass, InvalidConfig, check_counts, check_labels, check_numbers
+from .errors import EmptyClass, InvalidConfig, as_array, check_counts, check_labels, check_numbers
 from .metrics import ProbabilityMatrix
 from .scoring import _draw_classes
 
@@ -168,7 +168,7 @@ def resample_with_shift(posteriors, labels, target_priors, m: int, seed: int):
     ``(posteriors_subset, labels_subset, indices)`` with the subset ordered by
     class; indices point into the source arrays.
     """
-    posteriors = np.asarray(getattr(posteriors, "entries", posteriors), dtype=float)
+    posteriors = as_array(getattr(posteriors, "entries", posteriors), "posteriors")
     target = PriorEstimate(getattr(target_priors, "priors", target_priors)).priors
     labels = check_labels(labels, target.size, len(posteriors))
     check_counts(m=(m, 0), seed=(seed, 0))

@@ -131,7 +131,7 @@ class ComparisonResult:
 def compare_methods(values_by_method: dict) -> ComparisonResult:
     """Build the p-value matrix from per-method vectors of paired metric values."""
     names = tuple(values_by_method)
-    columns = [np.asarray(values_by_method[name], dtype=float) for name in names]
+    columns = [as_array(values_by_method[name], f"values_by_method[{name!r}]") for name in names]
     if len({col.shape for col in columns}) != 1 or columns[0].ndim != 1:
         raise DimensionMismatch("all methods need a vector of the same number of paired runs")
     k = len(names)

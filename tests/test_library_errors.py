@@ -180,6 +180,13 @@ _CASES = {
                                                          [[0.0, 1.0], [0.5]]), DimensionMismatch),
     "rank_correlations_ragged": (lambda: rank_correlations([[0.1], [0.2, 0.3]], [1.0, 2.0, 3.0]),
                                  DimensionMismatch),
+    "from_binary_ragged": (lambda: ProbabilityMatrix.from_binary([[0.1], [0.2, 0.3]]), DimensionMismatch),
+    "weights_ragged": (lambda: PenaltyWeightMatrix([[0.0], [1.0, 0.0]]), DimensionMismatch),
+    "fumera_grid_ragged": (lambda: fumera_threshold_search(_BINARY, [0, 1, 1], _accuracy, 1, grid=[[0.0], [0.5, 1.0]]),
+                           DimensionMismatch),
+    "resample_ragged": (lambda: resample_with_shift([[0.1], [0.2, 0.3]], [0, 1], (0.5, 0.5), 2, 0),
+                        DimensionMismatch),
+    "compare_ragged": (lambda: compare_methods({"a": [[0.1], [0.2, 0.3]], "b": [0.0] * 6}), DimensionMismatch),
     # EM arguments the CLI checks before reading, checked by the library too
     "em_tol_nan": (lambda: adapt_label_shift_em(_BINARY, PriorEstimate([0.5, 0.5]), tol=np.nan), InvalidConfig),
     "em_max_iter_negative": (lambda: adapt_label_shift_em(_BINARY, PriorEstimate([0.5, 0.5]), max_iter=-1),
