@@ -159,7 +159,7 @@ def check_probabilities(values) -> None:
     max and the row sums; only a failure searches for the first bad row,
     which the message names, counted from 1.
     """
-    values = np.asarray(values, dtype=float)
+    values = as_array(values, "probabilities")
     matrix = values.ndim == 2
     if not values.size or (values.min() >= 0.0 and values.max() <= 1.0  # NaN fails too
                            and not (matrix and np.abs(values.sum(axis=1) - 1.0).max() > 1e-9)):

@@ -25,7 +25,7 @@ from . import __version__
 from .calibration import PriorEstimate, adapt_label_shift_em
 from .errors import (
     BudgetTooLarge, DidNotConverge, DimensionMismatch, InputNotFound, InvalidConfig,
-    SchemaError, check_counts, check_numbers, check_probabilities, check_specificity,
+    SchemaError, as_array, check_counts, check_numbers, check_probabilities, check_specificity,
 )
 from .metrics import (
     PenaltyWeightMatrix,
@@ -287,7 +287,7 @@ _WRITE_BLOCK = 4096
 
 
 def write_predictions(path, probs, labels=None, ids=None) -> None:
-    probs = np.asarray(getattr(probs, "entries", probs), dtype=float)
+    probs = as_array(getattr(probs, "entries", probs), "probs")
     n = probs.shape[0]
     binary = probs.ndim == 1
     header = ["id", "label", "prob"] if binary else ["id", "label"] + [f"p_{c}" for c in range(probs.shape[1])]
@@ -438,7 +438,7 @@ def _shaped(probs, layout: str, consumer: str):
     ProbabilityMatrix, lifting a vector to ``[1 - p, p]``. A shape the layout
     rejects is a SchemaError.
     """
-    probs = np.asarray(getattr(probs, "entries", probs), dtype=float)
+    probs = as_array(getattr(probs, "entries", probs), "probs")
     if layout == "lifted":
         return ProbabilityMatrix.from_binary(probs) if probs.ndim == 1 else ProbabilityMatrix(probs)
     if layout == "classes":
@@ -494,7 +494,7 @@ def abstain_indices(
     priors when ``priors`` is None.
     """
     _check_budget(budget_fraction)
-    probs = np.asarray(getattr(probs, "entries", probs), dtype=float)
+    probs = as_array(getattr(probs, "entries", probs), "probs")
     n = probs.shape[0]
     d = int(np.floor(budget_fraction * n))
     if d == 0:

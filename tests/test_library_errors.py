@@ -8,6 +8,7 @@ checked.
 """
 
 import ast
+import os
 import re
 from pathlib import Path
 
@@ -28,7 +29,14 @@ from abstainkit.errors import (
     check_labels,
     check_probabilities,
 )
-from abstainkit.experiments import ExperimentSpec, MetricSpec
+from abstainkit.experiments import (
+    ExperimentSpec,
+    MethodSpec,
+    MetricSpec,
+    abstain_indices,
+    evaluate_metric,
+    write_predictions,
+)
 from abstainkit.metrics import (
     PenaltyWeightMatrix,
     ProbabilityMatrix,
@@ -187,6 +195,12 @@ _CASES = {
     "resample_ragged": (lambda: resample_with_shift([[0.1], [0.2, 0.3]], [0, 1], (0.5, 0.5), 2, 0),
                         DimensionMismatch),
     "compare_ragged": (lambda: compare_methods({"a": [[0.1], [0.2, 0.3]], "b": [0.0] * 6}), DimensionMismatch),
+    "probabilities_ragged": (lambda: check_probabilities([[0.1], [0.2, 0.3]]), DimensionMismatch),
+    "evaluate_metric_ragged": (lambda: evaluate_metric(MetricSpec("auroc"), [[0.1], [0.2, 0.3]], [0, 1]),
+                               DimensionMismatch),
+    "abstain_indices_ragged": (lambda: abstain_indices(MethodSpec("max_class_prob"), [[0.1], [0.2, 0.3]], 0.5,
+                                                       MetricSpec("auroc"), MonteCarloConfig(2)), DimensionMismatch),
+    "write_predictions_ragged": (lambda: write_predictions(os.devnull, [[0.1], [0.2, 0.3]]), DimensionMismatch),
     # EM arguments the CLI checks before reading, checked by the library too
     "em_tol_nan": (lambda: adapt_label_shift_em(_BINARY, PriorEstimate([0.5, 0.5]), tol=np.nan), InvalidConfig),
     "em_max_iter_negative": (lambda: adapt_label_shift_em(_BINARY, PriorEstimate([0.5, 0.5]), max_iter=-1),
