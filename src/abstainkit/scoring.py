@@ -100,7 +100,7 @@ class WindowScoreVector:
     window_size: int
 
     def __post_init__(self):
-        object.__setattr__(self, "scores", np.asarray(self.scores, dtype=float))
+        object.__setattr__(self, "scores", as_array(self.scores, "scores"))
 
     def __len__(self) -> int:
         return self.scores.size
@@ -113,7 +113,7 @@ class MarginalScoreVector:
     scores: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "scores", np.asarray(self.scores, dtype=float))
+        object.__setattr__(self, "scores", as_array(self.scores, "scores"))
 
     def __len__(self) -> int:
         return self.scores.size

@@ -50,6 +50,7 @@ from abstainkit.metrics import (
 from abstainkit.scoring import (
     MarginalScoreVector,
     MonteCarloConfig,
+    WindowScoreVector,
     baseline_scores,
     fumera_threshold_search,
     score_examples_kappa,
@@ -201,6 +202,8 @@ _CASES = {
     "abstain_indices_ragged": (lambda: abstain_indices(MethodSpec("max_class_prob"), [[0.1], [0.2, 0.3]], 0.5,
                                                        MetricSpec("auroc"), MonteCarloConfig(2)), DimensionMismatch),
     "write_predictions_ragged": (lambda: write_predictions(os.devnull, [[0.1], [0.2, 0.3]]), DimensionMismatch),
+    "marginal_scores_ragged": (lambda: MarginalScoreVector([[0.1], [0.2, 0.3]]), DimensionMismatch),
+    "window_scores_ragged": (lambda: WindowScoreVector([[0.1], [0.2, 0.3]], 1), DimensionMismatch),
     # EM arguments the CLI checks before reading, checked by the library too
     "em_tol_nan": (lambda: adapt_label_shift_em(_BINARY, PriorEstimate([0.5, 0.5]), tol=np.nan), InvalidConfig),
     "em_max_iter_negative": (lambda: adapt_label_shift_em(_BINARY, PriorEstimate([0.5, 0.5]), max_iter=-1),
