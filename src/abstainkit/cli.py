@@ -13,7 +13,6 @@ line to stderr and exit nonzero.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -28,24 +27,13 @@ import numpy as np
 from .calibration import (
     CALIBRATOR_KINDS, Calibrator, PriorEstimate, adapt_label_shift_em, apply_calibrator, fit_calibrator,
 )
-from .errors import AbstainkitError, DidNotConverge, InvalidConfig, SchemaError, check_counts
+from .errors import AbstainkitError, DidNotConverge, InvalidConfig, SchemaError, check_budget, check_counts
 from .experiments import (
-    _METRIC_LAYOUT,
-    ExperimentSpec,
-    MethodSpec,
-    MetricSpec,
-    _check_budget,
-    _load_json,
-    _open_input,
-    _read_value_csv,
-    _retained_metric,
-    _shaped,
-    _write_json,
-    abstain_indices,
-    read_predictions,
-    run_experiment,
-    write_predictions,
+    METRICS, ExperimentSpec, MethodSpec, MetricSpec, abstain_indices, evaluate_metric, run_experiment, shaped,
 )
+from .files import load_json, read_abstained, read_predictions, read_results, write_json, write_predictions
+# bench/launch.py times the raw-score reader as `cli._read_raw_scores`
+from .files import read_raw_scores as _read_raw_scores
 from .scoring import MonteCarloConfig
 from .simulate import BinarySimConfig, MulticlassSimConfig, simulate_binary, simulate_multiclass
 from .stats import compare_methods
@@ -70,7 +58,7 @@ def _metric_spec(args) -> MetricSpec:
 def _emit(payload, output, indent=None) -> None:
     """Write a JSON payload to ``output``, or print it on one line when there is none."""
     if output:
-        _write_json(output, payload, indent)
+        write_json(output, payload, indent)
         print(f"wrote {output}")
     else:
         print(json.dumps(payload))
@@ -84,7 +72,7 @@ def _sim_config(payload):
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _load_json(args.config, _sim_config)
+    cfg = load_json(args.config, _sim_config)
     if isinstance(cfg, BinarySimConfig):
         probs, labels, _ = simulate_binary(cfg)
     else:
@@ -92,17 +80,6 @@ def _cmd_simulate(args) -> int:
     write_predictions(args.output, probs, labels)
     print(f"wrote {args.output}")
     return 0
-
-
-def _read_raw_scores(path):
-    """Raw-score CSV: `id,label,score` (binary) or `id,label,z_0..z_{C-1}`.
-
-    Returns ``(ids, labels_or_None, scores)``; every score must be finite.
-    """
-    ids, labels, scores = _read_value_csv(path, "score", "z")
-    if not np.isfinite(scores).all():
-        raise SchemaError(f"{path}: value cell is not finite")
-    return ids, labels, scores
 
 
 def _cmd_calibrate(args) -> int:
@@ -115,7 +92,7 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_apply(args) -> int:
-    cal = _load_json(args.calibrator, Calibrator.from_dict)
+    cal = load_json(args.calibrator, Calibrator.from_dict)
     ids, labels, scores = _read_raw_scores(args.input)
     write_predictions(args.output, apply_calibrator(cal, scores), labels, ids)
     print(f"wrote {args.output}")
@@ -130,7 +107,7 @@ def _cmd_adapt(args) -> int:
         raise InvalidConfig(f"--tol must be finite and > 0, got {args.tol}")
     ids, labels, probs = read_predictions(args.input)
     result = adapt_label_shift_em(
-        _shaped(probs, "lifted", "adapt"), train_priors, tol=args.tol, max_iter=args.max_iter,
+        shaped(probs, "lifted", "adapt"), train_priors, tol=args.tol, max_iter=args.max_iter,
     )
     if not result.converged:
         raise DidNotConverge(f"label-shift EM did not converge in {result.iterations} iterations")
@@ -147,7 +124,7 @@ def _cmd_adapt(args) -> int:
 def _cmd_abstain(args) -> int:
     # method, budget, sample count and metric are checked before the prediction file is read
     method = MethodSpec(name=args.method)
-    _check_budget(args.budget)
+    check_budget(args.budget)
     mc = MonteCarloConfig(samples=args.mc_samples, seed=args.seed, smooth=args.smooth)
     metric = _metric_spec(args)
     priors = _parse_priors(args.priors, "--priors") if args.priors else None
@@ -164,29 +141,20 @@ def _cmd_abstain(args) -> int:
     return 0
 
 
-def _abstained_rows(path, n: int) -> np.ndarray:
-    """The `indices` of an abstain file: distinct integer rows in [0, n), else SchemaError."""
-    indices = _load_json(path, lambda payload: payload["indices"])
-    if not (isinstance(indices, list) and all(type(i) is int and 0 <= i < n for i in indices)
-            and len(set(indices)) == len(indices)):
-        raise SchemaError(f"{path}: indices must be distinct integers in [0, {n})")
-    return np.array(indices, dtype=np.int64)
-
-
 def _cmd_evaluate(args) -> int:
     metric = _metric_spec(args)
     labels, probs = read_predictions(args.input)[1:]
     if labels is None:
         raise SchemaError(f"{args.input}: evaluate needs labeled predictions")
-    dropped = _abstained_rows(args.abstain_file, labels.size) if args.abstain_file else np.empty(0, dtype=np.int64)
-    value = _retained_metric(metric, probs, labels, dropped)
+    dropped = read_abstained(args.abstain_file, labels.size) if args.abstain_file else np.empty(0, dtype=np.int64)
+    value = evaluate_metric(metric, np.delete(probs, dropped, axis=0), np.delete(labels, dropped))
     print(json.dumps({"metric": args.metric, "value": value, "n": labels.size - dropped.size,
                       "abstained": dropped.size}))
     return 0
 
 
 def _cmd_experiment(args) -> int:
-    spec = _load_json(args.spec, ExperimentSpec.from_dict)
+    spec = load_json(args.spec, ExperimentSpec.from_dict)
     if args.output:
         spec = replace(spec, output=args.output)
     paths = run_experiment(spec)
@@ -194,45 +162,8 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _cell(path, number: int, row: dict, column: str, kind):
-    """``kind(row[column])``, finite, or a SchemaError naming the file, the row (from 1) and the column."""
-    try:
-        value = kind(row[column])
-    except (TypeError, ValueError):  # TypeError: a short row leaves the cell None
-        what = "an integer" if kind is int else "a number"
-        raise SchemaError(f"{path}: row {number}: {column} cell is not {what}: {row[column]!r}") from None
-    if kind is float and not math.isfinite(value):
-        raise SchemaError(f"{path}: row {number}: {column} cell is not finite: {row[column]!r}")
-    return value
-
-
 def _cmd_compare(args) -> int:
-    with _open_input(args.input) as fh:
-        rows = list(csv.DictReader(fh))
-    if not rows:
-        raise SchemaError(f"{args.input}: no rows")
-    missing = {"seed", "method", "budget", args.column}.difference(rows[0])
-    if missing:
-        raise SchemaError(f"{args.input}: missing columns {', '.join(sorted(missing))}")
-    # Runs pair up by (seed, budget, adapted); `adapted` is 0 where the column is absent.
-    by_method: dict[str, dict] = {}
-    for number, row in enumerate(rows, 1):
-        budget = _cell(args.input, number, row, "budget", float)
-        if args.budget is not None and budget != args.budget:
-            continue
-        adapted = _cell(args.input, number, row, "adapted", int) if row.get("adapted") else 0
-        key = (_cell(args.input, number, row, "seed", int), budget, adapted)
-        entries = by_method.setdefault(row["method"], {})
-        if key in entries:
-            raise SchemaError(f"{args.input}: method {row['method']} repeats (seed, budget, adapted) {key}")
-        entries[key] = _cell(args.input, number, row, args.column, float)
-    if not by_method:  # only a --budget filter can keep no row
-        raise SchemaError(f"{args.input}: no row has budget {args.budget!r}")
-    keys = sorted(next(iter(by_method.values())))
-    if any(sorted(entries) != keys for entries in by_method.values()):
-        raise SchemaError(f"{args.input}: methods do not cover the same (seed, budget, adapted) rows")
-    values = {name: np.array([entries[k] for k in keys]) for name, entries in sorted(by_method.items())}
-    result = compare_methods(values)
+    result = compare_methods(read_results(args.input, args.column, args.budget))
     payload = {
         "methods": list(result.method_names),
         "p_values": result.p_values.tolist(),
@@ -274,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("abstain", help="score + select an abstention set")
     p.add_argument("--input", required=True)
     p.add_argument("--method", required=True)
-    p.add_argument("--metric", default="sens_at_spec", choices=tuple(_METRIC_LAYOUT))
+    p.add_argument("--metric", default="sens_at_spec", choices=METRICS)
     p.add_argument("--budget", type=float, required=True, help="abstention fraction in [0, 1)")
     p.add_argument("--target-specificity", type=float, default=0.9)
     p.add_argument("--mc-samples", type=int, default=100)
@@ -286,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="recompute a metric on retained examples")
     p.add_argument("--input", required=True)
-    p.add_argument("--metric", default="sens_at_spec", choices=tuple(_METRIC_LAYOUT))
+    p.add_argument("--metric", default="sens_at_spec", choices=METRICS)
     p.add_argument("--target-specificity", type=float, default=0.9)
     p.add_argument("--abstain-file", default=None, help="JSON produced by the abstain subcommand")
     p.set_defaults(func=_cmd_evaluate)

@@ -9,8 +9,8 @@ bug. The input rules live here beside :class:`InvalidConfig`, each written
 once: :func:`as_array` for converting an array argument,
 :func:`check_counts` and :func:`check_numbers` for config fields,
 :func:`check_labels` for class-index vectors, :func:`check_probabilities` for
-probability vectors and matrices and :func:`check_specificity` for a target
-specificity.
+probability vectors and matrices, :func:`check_specificity` for a target
+specificity and :func:`check_budget` for an abstention budget fraction.
 """
 
 import numbers
@@ -178,6 +178,12 @@ def check_specificity(target_specificity) -> None:
     """A target specificity must lie strictly between 0 and 1 (None and NaN fail), else InvalidSpecificity."""
     if target_specificity is None or not 0.0 < target_specificity < 1.0:
         raise InvalidSpecificity(f"target specificity must be in (0, 1), got {target_specificity}")
+
+
+def check_budget(fraction) -> None:
+    """An abstention budget fraction must lie in [0, 1) (NaN fails), else BudgetTooLarge."""
+    if not 0.0 <= fraction < 1.0:
+        raise BudgetTooLarge(f"abstention budget must lie in [0, 1), got {fraction}")
 
 
 class EmptyClass(AbstainkitError, ValueError):

@@ -1,4 +1,4 @@
-"""Experiment orchestration: dataset CSV schemas, method pipelines, grid runs.
+"""Experiment orchestration: spec schemas, method pipelines, grid runs.
 
 A run resolves to rows of (seed, method, budget): generate or ingest
 predictions, optionally adapt them for label shift, score, select the
@@ -6,17 +6,13 @@ abstained set, then recompute the metric of interest on the retained
 examples using their true labels. Rows are written in sorted order so a grid
 can be evaluated in parallel without changing the output file; re-running a
 spec with the same seeds yields a byte-identical CSV body (the manifest
-carries the only timestamp).
+carries the only timestamp). Files are read and written by :mod:`abstainkit.files`.
 """
 
 from __future__ import annotations
 
-import contextlib
-import csv
 import datetime
-import json
 import os
-import re
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -24,9 +20,11 @@ import numpy as np
 from . import __version__
 from .calibration import PriorEstimate, adapt_label_shift_em
 from .errors import (
-    BudgetTooLarge, DidNotConverge, DimensionMismatch, InputNotFound, InvalidConfig,
-    SchemaError, as_array, check_counts, check_numbers, check_probabilities, check_specificity,
+    DidNotConverge, InvalidConfig, SchemaError, as_array, check_budget, check_counts, check_numbers, check_specificity,
 )
+# bench/launch.py times the prediction reader and writer as `experiments.read_predictions` and
+# `experiments.write_predictions`, so both stay bound here
+from .files import read_predictions, write_json, write_predictions, write_rows
 from .metrics import (
     PenaltyWeightMatrix,
     ProbabilityMatrix,
@@ -60,8 +58,7 @@ __all__ = [
     "MetricSpec",
     "MethodSpec",
     "ExperimentSpec",
-    "read_predictions",
-    "write_predictions",
+    "shaped",
     "evaluate_metric",
     "abstain_indices",
     "run_experiment",
@@ -74,6 +71,9 @@ WINDOW_METHODS = ("sens_window", "auroc_window_det", "auroc_window_mc")
 PRIORITY_METHODS = ("js_divergence", "max_class_prob", "entropy")
 KAPPA_METHODS = ("kappa_marginal_det", "kappa_marginal_mc")
 METHODS = WINDOW_METHODS + KAPPA_METHODS + PRIORITY_METHODS + ("fumera",)
+# the metric names, each with the layout it reads: kappa needs the class count, the others a positive column
+_METRIC_LAYOUT = {"sens_at_spec": "binary", "auroc": "binary", "weighted_kappa": "classes"}
+METRICS = tuple(_METRIC_LAYOUT)
 
 # Simulated-classifier setup behind the binary comparison task.
 FIGURE1_CONFIG = dict(positive_prior=0.1, mu_pos=2.0, mu_neg=-1.0, sigma_pos=1.0, sigma_neg=2.0, n=10000)
@@ -90,9 +90,6 @@ KAPPA_SAMPLE_LADDER = (8, 32, 128, 512, 2048)
 LABEL_SHIFT_CONFIG = dict(positive_prior=0.5, mu_pos=1.0, mu_neg=-1.0, sigma_pos=1.0, sigma_neg=1.0, n=30000)
 LABEL_SHIFT_TEST_SIZE = 10000
 LABEL_SHIFT_TARGET = (2.0 / 3.0, 1.0 / 3.0)
-
-# the metric names, each with the layout it reads: kappa needs the class count, the others a positive column
-_METRIC_LAYOUT = {"sens_at_spec": "binary", "auroc": "binary", "weighted_kappa": "classes"}
 
 
 @dataclass(frozen=True)
@@ -171,7 +168,7 @@ class ExperimentSpec:
         if not self.methods or not self.budgets or not self.seeds:
             raise InvalidConfig("need at least one method, one budget and one seed")
         for budget in self.budgets:
-            _check_budget(budget)
+            check_budget(budget)
         if self.metric.target_specificity is None and any(m.name == "sens_window" for m in self.methods):
             raise InvalidConfig("sens_window needs a metric with a target_specificity")
         for seed in self.seeds:
@@ -205,231 +202,10 @@ def _setting(spec: ExperimentSpec, name: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# The file boundary: every input opens through `_open_input`, every JSON file
-# is read by `_load_json` and written by `_write_json`.
-# ---------------------------------------------------------------------------
-
-def _named(path, exc: Exception) -> SchemaError:
-    """The SchemaError naming the file and the type of the exception its content raised."""
-    return SchemaError(f"{path}: {type(exc).__name__}: {exc}")
-
-
-@contextlib.contextmanager
-def _open_input(path):
-    """An input file open for reading, and the one place its content errors get names.
-
-    A missing file is InputNotFound. Bytes that are not UTF-8, a CSV cell
-    the csv module refuses (one over its field size limit) or text that is
-    not JSON, met while the file is read, is a SchemaError naming the file.
-    """
-    try:
-        fh = open(path, newline="")
-    except FileNotFoundError:
-        raise InputNotFound(path) from None
-    with fh:
-        try:
-            yield fh
-        except (UnicodeDecodeError, csv.Error, json.JSONDecodeError) as exc:
-            raise _named(path, exc) from None
-
-
-def _json_int(digits: str) -> int:
-    """A JSON integer; one past Python's digit limit is unreadable JSON, not a plain ValueError."""
-    try:
-        return int(digits)
-    except ValueError as exc:
-        raise json.JSONDecodeError(str(exc), digits, 0) from None
-
-
-def _load_json(path, build):
-    """Return ``build(payload)`` for the JSON file at ``path``.
-
-    A file that is not JSON or is nested past the parser's recursion limit,
-    a top level that is not an object, or a payload ``build`` cannot read (a
-    missing or unknown field, or a wrong type: the KeyError or TypeError
-    Python raises) is a SchemaError naming the file.
-    A value ``build`` rejects is its own AbstainkitError.
-    """
-    with _open_input(path) as fh:
-        try:
-            payload = json.load(fh, parse_int=_json_int)
-        except RecursionError as exc:
-            raise _named(path, exc) from None
-    if not isinstance(payload, dict):
-        raise SchemaError(f"{path}: top level must be a JSON object, got {type(payload).__name__}")
-    try:
-        return build(payload)
-    except (KeyError, TypeError) as exc:
-        raise _named(path, exc) from None
-
-
-def _write_json(path, payload, indent) -> None:
-    """The one JSON file writer: the payload, then a newline."""
-    with open(path, "w") as fh:
-        fh.write(json.dumps(payload, indent=indent) + "\n")
-
-
-# ---------------------------------------------------------------------------
-# Prediction CSV schema: binary files carry `id,label,prob`, multiclass files
-# `id,label,p_0,...,p_{C-1}`; the label cell may be empty for unlabeled rows.
-# Raw-score files read by the CLI use the same layout with `score` / `z_c`.
-# ---------------------------------------------------------------------------
-
-def _write_rows(path, header, rows) -> None:
-    """The one CSV writer: prediction files and experiment results."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-_WRITE_BLOCK = 4096
-
-
-def write_predictions(path, probs, labels=None, ids=None) -> None:
-    probs = as_array(getattr(probs, "entries", probs), "probs")
-    n = probs.shape[0]
-    binary = probs.ndim == 1
-    header = ["id", "label", "prob"] if binary else ["id", "label"] + [f"p_{c}" for c in range(probs.shape[1])]
-    table = probs[:, None] if binary else probs
-    for name, column in (("labels", labels), ("ids", ids)):
-        if column is not None and len(column) != n:
-            raise DimensionMismatch(f"{len(column)} {name} for {n} rows")
-
-    # Rows become Python values one block at a time: one `tolist` per block is
-    # cheaper than a numpy scalar per cell, and a whole-table list would raise
-    # the peak memory.
-    def rows():
-        row_ids = range(n) if ids is None else ids
-        for start in range(0, n, _WRITE_BLOCK):
-            stop = min(start + _WRITE_BLOCK, n)
-            marks = [""] * (stop - start) if labels is None else np.asarray(labels[start:stop], dtype=np.int64).tolist()
-            for row_id, label, values in zip(row_ids[start:stop], marks, table[start:stop].tolist()):
-                yield [row_id, label, *values]
-
-    _write_rows(path, header, rows())
-
-
-def _line_breaks(data: bytes) -> int:
-    """Line terminators in ``data``: `\\n`, `\\r\\n` and a lone `\\r` count once each."""
-    codes = np.frombuffer(data, dtype=np.uint8)
-    newlines, returns = codes == 10, codes == 13
-    return int(np.count_nonzero(newlines) + np.count_nonzero(returns) - np.count_nonzero(returns[:-1] & newlines[1:]))
-
-
-def _file_line_breaks(path):
-    """Line terminators in the file at ``path``, read in chunks, and whether it ends with one."""
-    breaks, last = 0, b""
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            # a `\r\n` split across chunks counts once: the `\r` was already counted alone
-            breaks += _line_breaks(last[-1:] + chunk) - _line_breaks(last[-1:])
-            last = chunk
-    return breaks, last[-1:] in (b"\n", b"\r")
-
-
-def _read_value_csv(path, binary_column: str, class_prefix: str):
-    """Read `id,label,<binary_column>` or `id,label,<class_prefix>_0..`.
-
-    Returns ``(ids, labels_or_None, values)`` with ``values`` a vector for
-    the binary layout and an N x C array otherwise. The body is parsed in one
-    ``np.loadtxt`` pass: ids and labels as strings, values as floats.
-    """
-    with _open_input(path) as fh:
-        first = fh.readline()
-        if not first:
-            raise SchemaError(f"{path}: empty file")
-        header = next(csv.reader([first]), [])
-        body = fh.tell()
-        lead = fh.read(1)
-        if not lead:
-            raise SchemaError(f"{path}: no data rows")
-        if header[:2] != ["id", "label"]:
-            raise SchemaError(f"{path}: header must start with id,label")
-        value_cols = header[2:]
-        if value_cols == [binary_column]:
-            binary = True
-        elif value_cols == [f"{class_prefix}_{c}" for c in range(len(value_cols))] and value_cols:
-            binary = False
-        else:
-            raise SchemaError(
-                f"{path}: value columns must be `{binary_column}` or `{class_prefix}_0..{class_prefix}_{{C-1}}`"
-            )
-        blank_row = SchemaError(f"{path}: row has 0 cells, expected {len(header)}")
-        if lead in "\r\n":
-            raise blank_row
-        fh.seek(body)
-        dtype = [("id", object), ("label", object), ("values", float, (len(value_cols),))]
-        try:
-            # comments=None: a `#` inside an id is data, not the start of a comment
-            table = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, ndmin=1, dtype=dtype)
-        except UnicodeDecodeError:  # a ValueError too: `_open_input` names it
-            raise
-        except ValueError as exc:
-            raise _parse_error(path, len(header), exc) from None
-    ids, labels = table["id"].tolist(), table["label"]
-    # loadtxt skips blank lines, which are rows of 0 cells: every line break must end a row or sit in a cell
-    breaks, ends_with_break = _file_line_breaks(path)
-    if breaks != len(ids) + ends_with_break:
-        in_cells = sum(_line_breaks(cell.encode()) for cell in [*ids, *labels.tolist()])
-        if breaks != len(ids) + ends_with_break + in_cells:
-            raise blank_row
-    present = labels != ""
-    if present.any() and not present.all():
-        raise SchemaError(f"{path}: labels must be all present or all empty")
-    try:
-        label_arr = labels.astype(np.int64) if present.any() else None
-    except (ValueError, OverflowError):  # OverflowError: an integer beyond int64
-        raise _label_error(path, labels) from None
-    values = np.ascontiguousarray(table["values"][:, 0] if binary else table["values"])
-    class_count = 2 if binary else values.shape[1]
-    if label_arr is not None and not (label_arr.min() >= 0 and label_arr.max() < class_count):
-        raise SchemaError(f"{path}: labels must lie in [0, {class_count})")
-    return ids, label_arr, values
-
-
-def _parse_error(path, cells: int, exc: ValueError) -> SchemaError:
-    """The SchemaError for a ValueError from ``np.loadtxt``; rows are numbered from 1."""
-    text = str(exc)
-    ragged = re.search(r"requires \d+ columns but (\d+) were found at row (\d+)", text)
-    if ragged:
-        return SchemaError(f"{path}: row has {ragged[1]} cells, expected {cells} (row {ragged[2]})")
-    number = re.search(r"could not convert string (.*) to float64 at row (\d+)", text)
-    if number:
-        return SchemaError(f"{path}: value cell is not a number: {number[1]} (row {int(number[2]) + 1})")
-    return SchemaError(f"{path}: {text}")
-
-
-def _label_error(path, labels) -> SchemaError:
-    """The SchemaError for the first label cell that is not a 64-bit integer; rows are numbered from 1."""
-    for row, cell in enumerate(labels.tolist(), 1):
-        try:
-            np.int64(int(cell))
-        except (ValueError, OverflowError):
-            break
-    return SchemaError(f"{path}: label cell is not a 64-bit integer: {cell!r} (row {row})")
-
-
-def read_predictions(path):
-    """Read a prediction CSV; returns ``(ids, labels_or_None, probs)``.
-
-    ``probs`` is a vector for binary files and an N x C array otherwise.
-    The values follow :func:`~abstainkit.errors.check_probabilities`; the
-    first row that breaks it is a SchemaError naming the file.
-    """
-    ids, labels, probs = _read_value_csv(path, "prob", "p")
-    try:
-        check_probabilities(probs)
-    except InvalidConfig as exc:
-        raise SchemaError(f"{path}: {exc}") from None
-    return ids, labels, probs
-
-
-# ---------------------------------------------------------------------------
 # Method pipelines
 # ---------------------------------------------------------------------------
 
-def _shaped(probs, layout: str, consumer: str):
+def shaped(probs, layout: str, consumer: str):
     """The one shape rule for predictions, whether a file stores `prob` or `p_0..`.
 
     ``"binary"`` returns the positive-class vector of a vector or an N x 2
@@ -452,7 +228,7 @@ def _shaped(probs, layout: str, consumer: str):
 
 def evaluate_metric(metric: MetricSpec, probs, labels) -> float:
     """Recompute the metric on (retained) examples with their true labels."""
-    probs = _shaped(probs, _METRIC_LAYOUT[metric.name], metric.name)
+    probs = shaped(probs, _METRIC_LAYOUT[metric.name], metric.name)
     if metric.name == "weighted_kappa":
         weights = PenaltyWeightMatrix.quadratic(probs.class_count)
         return weighted_kappa(probs.entries.argmax(axis=1), labels, weights)
@@ -460,17 +236,6 @@ def evaluate_metric(metric: MetricSpec, probs, labels) -> float:
     if metric.name == "sens_at_spec":
         return sensitivity_at_specificity(preds, metric.target_specificity)
     return auroc(preds)
-
-
-def _retained_metric(metric: MetricSpec, probs, labels, dropped) -> float:
-    """The metric on the rows not in ``dropped``, an array of distinct row indices."""
-    return evaluate_metric(metric, np.delete(probs, dropped, axis=0), np.delete(labels, dropped))
-
-
-def _check_budget(fraction: float) -> None:
-    """A budget fraction must lie in [0, 1) (NaN fails); else BudgetTooLarge."""
-    if not 0.0 <= fraction < 1.0:
-        raise BudgetTooLarge(f"abstention budget must lie in [0, 1), got {fraction}")
 
 
 def abstain_indices(
@@ -493,7 +258,7 @@ def abstain_indices(
     search needs; ``js_divergence`` also takes their class frequencies as its
     priors when ``priors`` is None.
     """
-    _check_budget(budget_fraction)
+    check_budget(budget_fraction)
     probs = as_array(getattr(probs, "entries", probs), "probs")
     n = probs.shape[0]
     d = int(np.floor(budget_fraction * n))
@@ -504,7 +269,7 @@ def abstain_indices(
     sampled = None if name.endswith("_det") else mc
 
     if name in WINDOW_METHODS:
-        probs = _shaped(probs, "binary", name)
+        probs = shaped(probs, "binary", name)
         order = np.argsort(probs, kind="stable")
         preds = SortedPredictionSet(probs[order])
         if name == "sens_window":
@@ -515,14 +280,14 @@ def abstain_indices(
         return np.sort(order[selected]), float(scores.scores[selected[0]])
 
     if name in KAPPA_METHODS:
-        matrix = _shaped(probs, "classes", name)
+        matrix = shaped(probs, "classes", name)
         weights = PenaltyWeightMatrix.quadratic(matrix.class_count)
         scores = score_examples_kappa(matrix, weights, mc=sampled)
         selected = select_abstentions(scores, d)
         return selected, float(np.mean(scores.scores[selected]))
 
     if name in PRIORITY_METHODS:
-        matrix = _shaped(probs, "lifted", name)
+        matrix = shaped(probs, "lifted", name)
         if name == "js_divergence" and priors is None and labels is not None:
             priors = PriorEstimate.from_labels(labels, matrix.class_count)
         priorities = baseline_scores(matrix, priors=priors, method=name)
@@ -532,8 +297,8 @@ def abstain_indices(
     if labels is None:
         raise SchemaError("fumera needs validation labels")
     # the search skips tuples the metric rejects, so a wrong shape would abstain on nothing
-    _shaped(probs, _METRIC_LAYOUT[metric.name], metric.name)
-    matrix = _shaped(probs, "lifted", name)
+    shaped(probs, _METRIC_LAYOUT[metric.name], metric.name)
+    matrix = shaped(probs, "lifted", name)
     thresholds = fumera_threshold_search(
         matrix,
         np.asarray(labels),
@@ -563,7 +328,7 @@ def _run_grid(spec: ExperimentSpec, cases):
         for method in spec.methods:
             for budget in spec.budgets:
                 indices, _ = abstain_indices(method, probs, budget, spec.metric, mc, labels=labels, priors=priors)
-                post = _retained_metric(spec.metric, probs, labels, indices)
+                post = evaluate_metric(spec.metric, np.delete(probs, indices, axis=0), np.delete(labels, indices))
                 rows.append(
                     (seed, method.name, budget, spec.metric.name, adapted, base, post, indices.size, labels.size)
                 )
@@ -665,12 +430,12 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     os.makedirs(spec.output, exist_ok=True)
     results_path = os.path.join(spec.output, "results.csv")
     manifest_path = os.path.join(spec.output, "manifest.json")
-    _write_rows(results_path, header, rows)
+    write_rows(results_path, header, rows)
     manifest = {
         "spec": asdict(spec),
         "version": __version__,
         "rows": len(rows),
         "written_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    _write_json(manifest_path, manifest, indent=2)
+    write_json(manifest_path, manifest, indent=2)
     return {"results": results_path, "manifest": manifest_path}

@@ -382,7 +382,7 @@ def brute_force_auroc_after_drop(probs, labels, drop):
 def read_value_csv(path, binary_column, class_prefix):
     """Prediction / raw-score CSV reader: `csv.reader` rows and `float()` per cell.
 
-    Returns ``(ids, labels_or_None, values)`` like ``experiments._read_value_csv``
+    Returns ``(ids, labels_or_None, values)`` like ``files.read_value_csv``
     and raises SchemaError on the same inputs.
     """
     with open(path, newline="") as fh:

@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abstainkit import experiments
+from abstainkit import files
 from abstainkit.errors import DimensionMismatch, SchemaError
-from abstainkit.experiments import _read_value_csv, read_predictions, write_predictions
+from abstainkit.experiments import read_predictions, write_predictions
+from abstainkit.files import read_value_csv as _read_value_csv
 from oracles import read_value_csv
 
 # ids that need quoting, hold a line break or start like a comment
@@ -117,7 +118,7 @@ def test_write_then_read_round_trips(tmp_path_factory, table, labeled, data):
 
 def test_write_round_trips_across_row_blocks(tmp_path):
     # rows are converted a block at a time; no id, label or value may slip at a block's edge
-    n = 2 * experiments._WRITE_BLOCK + 3
+    n = 2 * files._WRITE_BLOCK + 3
     rng = np.random.default_rng(3)
     probs = rng.dirichlet(np.ones(3), n)
     labels = rng.integers(0, 3, n)
