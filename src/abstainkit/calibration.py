@@ -19,7 +19,8 @@ expectation/maximization over the unknown test priors.
 
 from __future__ import annotations
 
-# scipy is imported inside the functions that call it: ~0.7 s per subpackage, unused by most subcommands.
+# scipy.optimize is imported inside `_fit`, its one caller: its import takes 0.2-0.3 s (`-X importtime`, 2 vCPUs),
+# and only the calibrator fits need it.
 
 from dataclasses import dataclass
 

@@ -22,7 +22,9 @@ import re
 
 import numpy as np
 
-from .errors import DimensionMismatch, InputNotFound, InvalidConfig, SchemaError, as_array, check_probabilities
+from .errors import (
+    DimensionMismatch, InputNotFound, InvalidConfig, SchemaError, as_array, check_labels, check_probabilities,
+)
 
 
 def _named(path, exc: Exception) -> SchemaError:
@@ -106,7 +108,11 @@ def write_predictions(path, probs, labels=None, ids=None) -> None:
     The header is `id,label,prob` for a probability vector and
     `id,label,p_0,...,p_{C-1}` for an N x C matrix. ``ids`` default to the
     row numbers from 0; the label cells are empty when ``labels`` is None.
-    Labels or ids whose count is not N are DimensionMismatch.
+    Labels or ids whose count is not N are DimensionMismatch; probabilities
+    that break :func:`~abstainkit.errors.check_probabilities`, or labels that
+    break :func:`~abstainkit.errors.check_labels` (whole numbers in [0, 2)
+    for a vector, [0, C) for a matrix), are InvalidConfig. Every check runs
+    before the file is opened.
     """
     probs = as_array(getattr(probs, "entries", probs), "probs")
     n = probs.shape[0]
@@ -116,6 +122,9 @@ def write_predictions(path, probs, labels=None, ids=None) -> None:
     for name, column in (("labels", labels), ("ids", ids)):
         if column is not None and len(column) != n:
             raise DimensionMismatch(f"{len(column)} {name} for {n} rows")
+    check_probabilities(probs)
+    if labels is not None:
+        labels = check_labels(labels, 2 if binary else probs.shape[1], n)
 
     # Rows become Python values one block at a time: one `tolist` per block is
     # cheaper than a numpy scalar per cell, and a whole-table list would raise
@@ -124,7 +133,7 @@ def write_predictions(path, probs, labels=None, ids=None) -> None:
         row_ids = range(n) if ids is None else ids
         for start in range(0, n, _WRITE_BLOCK):
             stop = min(start + _WRITE_BLOCK, n)
-            marks = [""] * (stop - start) if labels is None else np.asarray(labels[start:stop], dtype=np.int64).tolist()
+            marks = [""] * (stop - start) if labels is None else labels[start:stop].tolist()
             for row_id, label, values in zip(row_ids[start:stop], marks, table[start:stop].tolist()):
                 yield [row_id, label, *values]
 

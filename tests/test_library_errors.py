@@ -202,6 +202,14 @@ _CASES = {
     "abstain_indices_ragged": (lambda: abstain_indices(MethodSpec("max_class_prob"), [[0.1], [0.2, 0.3]], 0.5,
                                                        MetricSpec("auroc"), MonteCarloConfig(2)), DimensionMismatch),
     "write_predictions_ragged": (lambda: write_predictions(os.devnull, [[0.1], [0.2, 0.3]]), DimensionMismatch),
+    # the writer refuses what read_predictions would refuse, before the file is opened
+    "write_predictions_fractional_labels": (lambda: write_predictions(os.devnull, [0.2, 0.6], [0.5, 1.7]),
+                                            InvalidConfig),
+    "write_predictions_nan_label": (lambda: write_predictions(os.devnull, [0.2, 0.6], [0.0, np.nan]), InvalidConfig),
+    "write_predictions_binary_label_3": (lambda: write_predictions(os.devnull, [0.2, 0.6], [0, 3]), InvalidConfig),
+    "write_predictions_nan_probability": (lambda: write_predictions(os.devnull, [0.2, np.nan]), InvalidConfig),
+    "write_predictions_probability_above_one": (lambda: write_predictions(os.devnull, [0.2, 1.5]), InvalidConfig),
+    "write_predictions_row_sum": (lambda: write_predictions(os.devnull, [[0.5, 0.5], [0.5, 0.6]]), InvalidConfig),
     "marginal_scores_ragged": (lambda: MarginalScoreVector([[0.1], [0.2, 0.3]]), DimensionMismatch),
     "window_scores_ragged": (lambda: WindowScoreVector([[0.1], [0.2, 0.3]], 1), DimensionMismatch),
     # EM arguments the CLI checks before reading, checked by the library too
