@@ -124,7 +124,7 @@ def write_predictions(path, probs, labels=None, ids=None) -> None:
             raise DimensionMismatch(f"{len(column)} {name} for {n} rows")
     check_probabilities(probs)
     if labels is not None:
-        labels = check_labels(labels, 2 if binary else probs.shape[1], n)
+        labels = check_labels(labels, 2 if binary else probs.shape[1])
 
     # Rows become Python values one block at a time: one `tolist` per block is
     # cheaper than a numpy scalar per cell, and a whole-table list would raise
