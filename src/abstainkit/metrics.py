@@ -203,50 +203,44 @@ def running_counts(values, window: int) -> SuffixCounts:
 
 
 def specificity_threshold_index(neg_suffix, denom, target_specificity, removed_above=0.0):
-    """Smallest index i with ``1 - (neg_suffix[i] - removed_above)/denom >= s``.
+    """Smallest index i in [0, N) with ``1 - (neg_suffix[i] - removed_above)/denom >= s``, else N.
 
-    ``denom`` is the total negative count after any abstention and
-    ``removed_above`` the number of abstained negatives that sat at or above
-    index i. Both may be vectors (broadcast together), in which case a vector
-    of indices is returned. The comparison is evaluated in exactly this
-    floating-point form everywhere in the package so that threshold decisions
-    agree bit-for-bit across the fast paths and the definitional ones.
+    ``neg_suffix`` is the non-increasing suffix count of the negatives among
+    0/1 labels (N + 1 entries), ``denom`` the total negative count after any
+    abstention and ``removed_above`` the whole number of abstained negatives
+    that sat at or above index i. ``denom`` and ``removed_above`` may be
+    arrays (broadcast together), in which case an intp array of indices of
+    their shape is returned; otherwise an int. The comparison is evaluated in
+    exactly this floating-point form everywhere in the package so that
+    threshold decisions agree bit-for-bit across the fast paths and the
+    definitional ones.
+
+    The predicate depends on i only through the level
+    ``neg_suffix[i] - removed_above`` and falls as it rises, so on whole
+    counts it holds up to one largest whole level, found from the rounded
+    crossing ``(1 - s) * denom`` by one exact check each way; one search then
+    gives the first index at or below it. Counts that are not whole, where
+    that level may not decide the index, are InvalidConfig.
     """
     neg_suffix = np.asarray(neg_suffix, dtype=float)
     denom = np.asarray(denom, dtype=float)
     removed_above = np.asarray(removed_above, dtype=float)
     if np.any(denom <= 0):
         raise NoNegatives("no negatives remain; specificity threshold undefined")
-    shape = np.broadcast_shapes(denom.shape, removed_above.shape)
-    # flat views (a copy only where a matrix is broadcast), so a scalar is not repeated
-    denom = np.broadcast_to(denom, shape).reshape(-1)
-    removed_above = np.broadcast_to(removed_above, shape).reshape(-1)
-    n = neg_suffix.size - 1
 
-    def holds(i, k=slice(None)):
-        return 1.0 - (neg_suffix[i] - removed_above[k]) / denom[k] >= target_specificity
+    def holds(level):
+        return 1.0 - level / denom >= target_specificity
 
-    # The predicate depends on i only through neg_suffix[i] and is monotone in
-    # it, so the answer is the first index of a run of equal values. Up to
-    # rounding it holds where neg_suffix[i] <= removed_above + (1 - s) * denom:
-    # one search in the ascending -neg_suffix finds that crossing, then the
-    # exact predicate, checked at every crossing at once, moves the few indices
-    # it rejects by whole runs until each is the smallest index where it holds
-    # (or N where it never does, as a scan of [0, N) gives).
-    # The clamps keep both loops finite should neg_suffix not be sorted.
-    ascending = -neg_suffix
-    idx = np.minimum(np.searchsorted(ascending, -(removed_above + (1.0 - target_specificity) * denom)), n)
-    k = np.flatnonzero((idx < n) & ~holds(idx))
-    while k.size:  # up: where the predicate fails at idx, skip idx's run
-        idx[k] = np.minimum(np.maximum(np.searchsorted(ascending, ascending[idx[k]], "right"), idx[k] + 1), n)
-        k = k[idx[k] < n]
-        k = k[~holds(idx[k], k)]
-    k = np.flatnonzero((idx > 0) & holds(idx - 1))
-    while k.size:  # down: where it holds just below idx, go to that run's start
-        idx[k] = np.minimum(np.searchsorted(ascending, ascending[idx[k] - 1], "left"), idx[k] - 1)
-        k = k[idx[k] > 0]
-        k = k[holds(idx[k] - 1, k)]
-    return idx.reshape(shape) if shape else int(idx[0])
+    level = np.floor((1.0 - target_specificity) * denom)
+    level -= ~holds(level)
+    level += holds(level + 1.0)
+    idx = np.minimum(np.searchsorted(-neg_suffix, -(level + removed_above)), neg_suffix.size - 1)
+    # the predicate holds at idx; it must fail just below it, else the levels were not whole
+    if np.any(removed_above != np.floor(removed_above)) or np.any(
+        (idx > 0) & holds(neg_suffix[idx - 1] - removed_above)
+    ):
+        raise InvalidConfig("specificity thresholds need whole-number counts")
+    return idx if idx.ndim else int(idx)
 
 
 def _label_counts(preds: SortedPredictionSet) -> SuffixCounts:

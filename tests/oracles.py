@@ -12,7 +12,7 @@ import numpy as np
 
 from abstainkit import SortedPredictionSet, auroc, sensitivity_at_specificity, weighted_kappa
 from abstainkit.errors import DegenerateDenominator, NoNegatives, NoPositives, SchemaError
-from abstainkit.metrics import kappa_aggregates, running_counts, specificity_threshold_index
+from abstainkit.metrics import kappa_aggregates, running_counts
 from abstainkit.scoring import auroc_rank_sums
 
 
@@ -182,8 +182,10 @@ def masked_monte_carlo_mean(samples, seed, size, draw, score):
 def full_range_sens_window_sample(labels, d, target_specificity):
     """One-sample window sensitivities with thresholds for every removed count.
 
-    Left and right thresholds are searched for each j = 0..max_removed, not
-    only for the counts the windows remove, then gathered per window.
+    Left and right thresholds are found for each j = 0..max_removed, not only
+    for the counts the windows remove, then gathered per window. Each is the
+    first index of [0, N) where the threshold predicate holds, else N, by a
+    scan of every index.
     """
     counts = running_counts(labels, d)
     n_pos, n_neg = counts.total_pos, counts.total_neg
@@ -193,8 +195,13 @@ def full_range_sens_window_sample(labels, d, target_specificity):
         return np.zeros(w_pos.size), valid
     max_removed = int(min(d, n_neg - 1))
     j = np.arange(max_removed + 1, dtype=float)
-    left = specificity_threshold_index(counts.neg_suffix, n_neg - j, target_specificity)
-    right = specificity_threshold_index(counts.neg_suffix, n_neg - j, target_specificity, removed_above=j)
+
+    def first_holding(removed_above):
+        level = counts.neg_suffix[None, :-1] - removed_above[:, None]
+        holds = 1.0 - level / (n_neg - j)[:, None] >= target_specificity
+        return np.where(holds.any(axis=1), holds.argmax(axis=1), holds.shape[1])
+
+    left, right = first_holding(np.zeros_like(j)), first_holding(j)
     removed = np.minimum(w_neg.astype(np.int64), max_removed)
     t_right, t_left = right[removed], left[removed]
     starts = np.arange(w_pos.size)

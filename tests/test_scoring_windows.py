@@ -50,13 +50,12 @@ def _hard_instance(rng, n_min=20, n_max=60):
 def _ulp_close_runs(draw):
     """A descending ``neg_suffix`` whose runs of equal values sit a few ulps apart around the crossings.
 
-    The crossing of an entry is ``removed_above + (1 - s) * denom``, where the
-    search starts; around it the rounded predicate and the crossing disagree,
-    so the run-skipping loops take second steps and the down loop reaches
-    index 0. Returns ``(neg_suffix, denom, removed_above, s)``; ``denom`` and
+    The crossing of an entry is ``removed_above + (1 - s) * denom``; around it
+    the rounded predicate and the crossing disagree, and the levels are not
+    whole counts, so the threshold is the scan's index or InvalidConfig.
+    Returns ``(neg_suffix, denom, removed_above, s)``; ``denom`` and
     ``removed_above`` are each a float or a vector of up to 3 entries.
     """
-    # second steps up are seen at s = 1/3 and 0.1, steps down to index 0 at the larger targets
     s = draw(st.sampled_from([1 / 3, 0.1, 0.7, 0.9, 0.99]))
     size = draw(st.integers(1, 3))
     denoms = draw(st.lists(st.one_of(st.integers(1, 100).map(float), st.floats(1.0, 100.0)),
@@ -66,8 +65,6 @@ def _ulp_close_runs(draw):
     vector_removed = draw(st.booleans())
     if not vector_removed:
         removed = removed[:1] * size
-    # the search lands on the first level at or below the crossing, so the top run
-    # moves to index 0 only when one level (and a run of 1) sits above it
     low, high = draw(st.integers(-6, 0)), draw(st.integers(0, 3))
     levels = {c + o * np.spacing(c) for d, r in zip(denoms, removed)
               for c in [r + (1.0 - s) * d] for o in range(low, high + 1)}
@@ -80,6 +77,16 @@ def _ulp_close_runs(draw):
         neg_suffix = np.append(neg_suffix, 0.0)
     denom = np.array(denoms) if size > 1 or draw(st.booleans()) else denoms[0]
     return neg_suffix, denom, np.array(removed) if vector_removed else removed[0], s
+
+
+def _scan_or_refused(call, want) -> bool:
+    """``call()`` gives the linear scan's indices ``want``, or raises InvalidConfig; True when it answers."""
+    try:
+        got = call()
+    except InvalidConfig:
+        return False
+    assert np.atleast_1d(got).tolist() == want
+    return True
 
 
 class TestThresholdVectors:
@@ -134,9 +141,13 @@ class TestThresholdVectors:
         st.one_of(st.floats(0.0, 1e-9), st.floats(0.0, 1.0), st.floats(1.0 - 1e-9, 1.0)),
         st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
     )
+    # (1 - s) * denom rounds to just below the whole count 1, and 1 - 9/10 to just below s
+    @example([0] * 5 + [4] * 5, False, 0.8, [0.5])
+    @example([0] * 10 + [4] * 2, False, 0.1, [0.5])
     def test_matches_linear_scan(self, quarters, soft, s, fractions):
-        # 0/1 labels give integer runs of equal neg_suffix values; quarter
-        # probabilities give soft ones. Both vector forms the scorer uses are
+        # 0/1 labels give integer runs of equal neg_suffix values, where the
+        # index is exact; quarter probabilities give soft ones, where it is the
+        # scan's or InvalidConfig. Both vector forms the scorer uses are
         # checked: removed mass below the threshold (left) and above it (right).
         values = np.sort(np.array(quarters) / 4.0) if soft else (np.array(quarters) >= 2).astype(float)
         counts = running_counts(values, window=1)
@@ -154,6 +165,14 @@ class TestThresholdVectors:
                     (i for i in range(n) if 1.0 - (counts.neg_suffix[i] - r) / d >= target), n
                 )
 
+            if soft:
+                _scan_or_refused(lambda: specificity_threshold_index(counts.neg_suffix, denom, target),
+                                 [scan(d, 0.0) for d in denom])
+                _scan_or_refused(lambda: specificity_threshold_index(counts.neg_suffix, denom, target, removed),
+                                 [scan(d, r) for d, r in zip(denom, removed)])
+                _scan_or_refused(lambda: specificity_threshold_index(counts.neg_suffix, total, target),
+                                 [scan(total, 0.0)])
+                continue
             left = specificity_threshold_index(counts.neg_suffix, denom, target)
             right = specificity_threshold_index(counts.neg_suffix, denom, target, removed_above=removed)
             assert left.shape == right.shape == denom.shape
@@ -164,22 +183,21 @@ class TestThresholdVectors:
 
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(_ulp_close_runs())
-    # the crossing (1 - 1/3) * 5 and the two floats below it: the predicate fails at the first two, two steps up
+    # the crossing (1 - 1/3) * 5 and the two floats below it, where the predicate fails at the first two
     @example((np.array([3.333333333333334, 3.3333333333333335, 3.333333333333333]), 5.0, 0.0, 1 / 3))
-    # the crossing (1 - 0.9) * 1 and the float above it, where the predicate still holds: down to index 0
+    # the crossing (1 - 0.9) * 1 and the float above it, where the predicate still holds
     @example((np.array([0.09999999999999999, 0.09999999999999998]), 1.0, 0.0, 0.9))
     def test_matches_linear_scan_at_ulp_close_runs(self, instance):
-        # runs a few ulps apart make the loops take second steps and the down loop reach index 0
+        # levels a few ulps apart are not whole counts: the scan's index or InvalidConfig, never another index
         neg_suffix, denom, removed_above, s = instance
         n = neg_suffix.size - 1
 
         def scan(d, r):
             return next((i for i in range(n) if 1.0 - (neg_suffix[i] - r) / d >= s), n)
 
-        got = specificity_threshold_index(neg_suffix, denom, s, removed_above=removed_above)
         pairs = np.broadcast_arrays(np.asarray(denom), np.asarray(removed_above))
         want = [scan(d, r) for d, r in zip(pairs[0].ravel().tolist(), pairs[1].ravel().tolist())]
-        assert np.atleast_1d(got).tolist() == want
+        _scan_or_refused(lambda: specificity_threshold_index(neg_suffix, denom, s, removed_above=removed_above), want)
 
 
 @st.composite
