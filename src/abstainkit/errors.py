@@ -7,7 +7,7 @@ unless a narrower class names it. Pipelines should catch
 :class:`AbstainkitError` at the boundary and let anything else propagate as a
 bug. The input rules live here beside :class:`InvalidConfig`, each written
 once: :func:`as_array` for converting an array argument,
-:func:`check_counts` and :func:`check_numbers` for config fields,
+:func:`check_counts` (sizes up to :data:`MAX_SIZE`) and :func:`check_numbers` for config fields,
 :func:`check_labels` for class-index vectors, :func:`check_probabilities` for
 probability vectors and matrices, :func:`check_specificity` for a target
 specificity and :func:`check_budget` for an abstention budget fraction.
@@ -87,19 +87,26 @@ class InvalidConfig(AbstainkitError, ValueError):
     """A configuration violates its parameter constraints."""
 
 
+# the largest array length or stream count numpy takes
+MAX_SIZE = sys.maxsize
+
+
 def check_counts(**counts) -> None:
     """Each ``name=(value, minimum)`` must be an integer of at least ``minimum``, else InvalidConfig.
 
     An int or numpy integer counts; a bool, a float (even a whole one) or a
     string does not. A ``minimum`` of None tests the type alone, for a count
-    whose range has a narrower error class.
+    whose range has a narrower error class. A size, given as
+    ``name=(value, minimum, MAX_SIZE)``, must also be at most :data:`MAX_SIZE`.
     """
-    if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for v, _ in counts.values()):
-        got = ", ".join(f"{name}={v!r}" for name, (v, _) in counts.items())
+    if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for v, *_ in counts.values()):
+        got = ", ".join(f"{name}={v!r}" for name, (v, *_) in counts.items())
         raise InvalidConfig(f"{' and '.join(counts)} must be integers, got {got}")
-    for name, (value, minimum) in counts.items():
+    for name, (value, minimum, *maximum) in counts.items():
         if minimum is not None and value < minimum:
             raise InvalidConfig(f"{name} must be >= {minimum}, got {value}")
+        if maximum and value > maximum[0]:
+            raise InvalidConfig(f"{name} must be <= {maximum[0]}, got {value}")
 
 
 def check_numbers(**values) -> None:

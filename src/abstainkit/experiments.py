@@ -20,7 +20,8 @@ import numpy as np
 from . import __version__
 from .calibration import PriorEstimate, adapt_label_shift_em
 from .errors import (
-    DidNotConverge, InvalidConfig, SchemaError, as_array, check_budget, check_counts, check_numbers, check_specificity,
+    MAX_SIZE, DidNotConverge, InvalidConfig, SchemaError, as_array, check_budget, check_counts, check_numbers,
+    check_specificity,
 )
 # bench/launch.py times the prediction reader and writer as `experiments.read_predictions` and
 # `experiments.write_predictions`, so both stay bound here
@@ -126,7 +127,7 @@ class MethodSpec:
         if not isinstance(self.params, dict) or not takes.issuperset(self.params):  # an unknown key, as for a keyword
             raise TypeError(f"method {self.name} takes params {sorted(takes)}, got {self.params!r}")
         if "grid" in self.params:
-            check_counts(grid=(self.params["grid"], 2))
+            check_counts(grid=(self.params["grid"], 2, MAX_SIZE))
 
 
 def _spec_of(cls, entry):

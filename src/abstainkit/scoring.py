@@ -32,6 +32,7 @@ import numpy as np
 
 from .calibration import PriorEstimate
 from .errors import (
+    MAX_SIZE,
     AbstainkitError,
     BudgetMismatch,
     BudgetTooLarge,
@@ -89,7 +90,7 @@ class MonteCarloConfig:
     smooth: bool = False
 
     def __post_init__(self):
-        check_counts(samples=(self.samples, 1), seed=(self.seed, 0))
+        check_counts(samples=(self.samples, 1, MAX_SIZE), seed=(self.seed, 0))
 
 
 @dataclass(frozen=True)
@@ -474,7 +475,7 @@ def fumera_threshold_search(
     labels = check_labels(val_labels, n_classes, n)
     check_counts(budget=(budget, None))
     if np.isscalar(grid):
-        check_counts(grid=(grid, 2))
+        check_counts(grid=(grid, 2, MAX_SIZE))
         grid = np.linspace(0.0, 1.0, grid)
     grid_values = as_array(grid, "grid")
     if grid_values.size < 2:

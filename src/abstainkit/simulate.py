@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import PriorEstimate, _softmax
-from .errors import EmptyClass, InvalidConfig, as_array, check_counts, check_labels, check_numbers
+from .errors import MAX_SIZE, EmptyClass, InvalidConfig, as_array, check_counts, check_labels, check_numbers
 from .metrics import ProbabilityMatrix
 from .scoring import _draw_classes
 
@@ -50,7 +50,7 @@ class BinarySimConfig:
             raise InvalidConfig("positive_prior must be in (0, 1)")
         if self.sigma_pos <= 0 or self.sigma_neg <= 0:
             raise InvalidConfig("sigmas must be positive")
-        check_counts(n=(self.n, 1), seed=(self.seed, 0))
+        check_counts(n=(self.n, 1, MAX_SIZE), seed=(self.seed, 0))
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ class MulticlassSimConfig:
         PriorEstimate(priors)
         if sigmas.min() <= 0:
             raise InvalidConfig("sigmas must be positive")
-        check_counts(n=(self.n, 1), seed=(self.seed, 0))
+        check_counts(n=(self.n, 1, MAX_SIZE), seed=(self.seed, 0))
         object.__setattr__(self, "priors", tuple(float(p) for p in priors))
         object.__setattr__(self, "means", tuple(float(m) for m in means))
         object.__setattr__(self, "sigmas", tuple(float(s) for s in sigmas))
@@ -171,7 +171,7 @@ def resample_with_shift(posteriors, labels, target_priors, m: int, seed: int):
     posteriors = as_array(getattr(posteriors, "entries", posteriors), "posteriors")
     target = PriorEstimate(getattr(target_priors, "priors", target_priors)).priors
     labels = check_labels(labels, target.size, len(posteriors))
-    check_counts(m=(m, 0), seed=(seed, 0))
+    check_counts(m=(m, 0, MAX_SIZE), seed=(seed, 0))
     exact = m * target
     counts = np.floor(exact).astype(np.int64)
     shortfall = m - int(counts.sum())

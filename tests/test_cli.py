@@ -330,6 +330,14 @@ def test_abstain_checks_arguments_before_reading(tmp_path, capsys, argv, error_t
     _single_error_line(capsys, error_type)
 
 
+def test_a_sample_count_past_numpy_sizes_names_the_field_before_reading(tmp_path, capsys):
+    huge = sys.maxsize + 1
+    argv = ["abstain", "--input", str(tmp_path / "missing.csv"), "--method", "sens_window", "--budget", "0.3",
+            "--mc-samples", str(huge)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: InvalidConfig: samples must be <= {sys.maxsize}, got {huge}\n"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

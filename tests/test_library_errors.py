@@ -10,6 +10,7 @@ checked.
 import ast
 import os
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +46,7 @@ from abstainkit.metrics import (
     kappa_aggregates,
     running_counts,
     sensitivity_at_specificity,
+    specificity_threshold_index,
     weighted_kappa,
 )
 from abstainkit.scoring import (
@@ -59,7 +61,7 @@ from abstainkit.scoring import (
     select_abstentions,
     smooth_savitzky_golay,
 )
-from abstainkit.simulate import resample_with_shift
+from abstainkit.simulate import BinarySimConfig, MulticlassSimConfig, resample_with_shift
 from abstainkit.stats import compare_methods, rank_correlations, wilcoxon_signed_rank_one_sided
 
 from oracles import reader_probability_rule
@@ -84,6 +86,10 @@ _QUADRATIC = PenaltyWeightMatrix.quadratic(2)
 _SCORES = np.linspace(-1.0, 1.0, 12)
 _LOGITS = np.column_stack([_SCORES, -_SCORES])
 _TWELVE = np.arange(12) % 2
+
+
+# one past the largest size numpy takes; a size at or below it would be allocated
+_PAST_MAX_SIZE = sys.maxsize + 1
 
 
 def _accuracy(probs, labels):
@@ -222,6 +228,19 @@ _CASES = {
     "sens_mc_int": (lambda: score_windows_sens_at_spec(_SORTED, 0.9, 1, 5), TypeError),
     "auroc_mc_int": (lambda: score_windows_auroc(_SORTED, 1, mc=5), TypeError),
     "kappa_mc_int": (lambda: score_examples_kappa(_BINARY, _QUADRATIC, mc=5), TypeError),
+    # sizes past numpy's range: InvalidConfig naming the field, not an OverflowError or a numpy error
+    "mc_samples_past_max_size": (lambda: MonteCarloConfig(_PAST_MAX_SIZE), InvalidConfig),
+    "binary_sim_n_past_max_size": (lambda: BinarySimConfig(0.1, 2.0, -1.0, 1.0, 2.0, 10**20, 0), InvalidConfig),
+    "multiclass_sim_n_past_max_size": (lambda: MulticlassSimConfig((0.5, 0.5), (0.0, 1.0), (1.0, 1.0), _PAST_MAX_SIZE, 0),
+                                       InvalidConfig),
+    "method_grid_past_max_size": (lambda: MethodSpec("fumera", {"grid": 10**20}), InvalidConfig),
+    "fumera_grid_past_max_size": (lambda: fumera_threshold_search(_BINARY, [0, 1, 1], _accuracy, 1, grid=_PAST_MAX_SIZE),
+                                  InvalidConfig),
+    "resample_m_past_max_size": (lambda: resample_with_shift(np.array([0.2, 0.8]), [0, 1], (0.5, 0.5), 10**20, 0),
+                                 InvalidConfig),
+    # soft counts whose threshold the whole levels do not decide (a scan gives 1), refused rather than answered
+    "threshold_soft_counts": (lambda: specificity_threshold_index(running_counts([0.25, 0.5, 0.75, 1.0], 1).neg_suffix,
+                                                                  1.5, 0.5), InvalidConfig),
 }
 
 
