@@ -2,7 +2,8 @@
 `#` comments nor docstrings (the leading string of a module, class or function).
 
 Run from the repository root as `python tests/code_lines.py [DIR]`; DIR
-defaults to `src/abstainkit`. Only the `.py` files directly in DIR count.
+defaults to `src/abstainkit`. Only the `.py` files directly in DIR count. One
+`<module>.py <count>` line is printed per file, then the total on the last line.
 """
 
 import ast
@@ -30,7 +31,10 @@ def code_lines(source: str) -> int:
 
 def main(argv) -> int:
     root = Path(argv[1] if len(argv) > 1 else "src/abstainkit")
-    print(sum(code_lines(path.read_text()) for path in sorted(root.glob("*.py"))))
+    counts = {path.name: code_lines(path.read_text()) for path in sorted(root.glob("*.py"))}
+    for name, count in counts.items():
+        print(name, count)
+    print(sum(counts.values()))
     return 0
 
 
