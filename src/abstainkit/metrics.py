@@ -1,8 +1,10 @@
 """Exact post-hoc metrics on calibrated predictions plus the shared count types.
 
 Everything here is a pure function of immutable inputs: values may be shared
-freely across threads. Counts are carried as float64 arrays whose entries are
-exact integers (safe below 2**53), so ratio computations are bit-reproducible.
+freely across threads. Counts of bool labels are carried as integer arrays
+(int32 below 2**31 rows) and expected counts as float64 arrays; an exact
+integer converts to the same float, so ratio computations are
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -140,12 +142,14 @@ class SuffixCounts:
     - ``window_pos[i]`` / ``window_neg[i]``: mass inside [i, i+d) (length N+1-d)
 
     "Mass" is a 0/1 count when built from labels and an expected count when
-    built from probabilities. Counts of labels are exact integers, so for bool
-    labels the negative arrays are derived from the positive ones
-    (``neg_prefix[i] = i - pos_prefix[i]``, ``window_neg = d - window_pos``)
-    with the bits a second cumulative sum would give. Expected counts keep a
-    second cumulative sum, of ``1 - p``: ``i - cumsum(p)`` rounds differently,
-    and the deterministic scores would move with it.
+    built from probabilities. Bool labels give integer arrays, int32 below
+    2**31 rows and int64 from there, and their negative arrays are derived
+    from the positive ones (``neg_prefix[i] = i - pos_prefix[i]``,
+    ``window_neg = d - window_pos``). Converted to float, they are the bits a
+    float64 two-cumsum build gives, so consumers convert only where float
+    arithmetic happens. Probabilities give float64 arrays and keep a second
+    cumulative sum, of ``1 - p``: ``i - cumsum(p)`` rounds differently, and
+    the deterministic scores would move with it.
     """
 
     pos_suffix: np.ndarray
@@ -164,13 +168,19 @@ class SuffixCounts:
         return float(self.neg_suffix[0])
 
 
+def _count_dtype(n: int):
+    """The integer dtype of label counts over ``n`` rows: int32 holds every count up to 2**31 - 1."""
+    return np.int32 if n < 2**31 else np.int64
+
+
 def running_counts(values, window: int) -> SuffixCounts:
     """Build :class:`SuffixCounts` from labels (0/1) or probabilities.
 
     ``window`` is the abstention window size d with 1 <= d <= N. Labels given
-    as a bool array take one cumulative sum, of the positives; any other
-    input is read as float mass and takes two, of ``p`` and of ``1 - p``.
-    Both give the same bits for 0/1 labels.
+    as a bool array take one cumulative sum, of the positives, and give
+    integer counts (int32 below 2**31 rows, int64 from there); any other
+    input is read as float mass, takes two, of ``p`` and of ``1 - p``, and
+    gives float64 counts. Both give the same values for 0/1 labels.
     """
     values = as_array(values, "values", 1, dtype=None)
     labels = values.dtype == bool
@@ -178,11 +188,13 @@ def running_counts(values, window: int) -> SuffixCounts:
     check_counts(window=(window, None))
     if not 1 <= window <= n:
         raise InvalidConfig(f"window must satisfy 1 <= d <= {n}, got {window}")
-    pos_prefix = np.empty(n + 1)
-    pos_prefix[0] = 0.0
+    window = int(window)
+    dtype = _count_dtype(n) if labels else float
+    pos_prefix = np.empty(n + 1, dtype=dtype)
+    pos_prefix[0] = 0
     if labels:
-        np.cumsum(values, dtype=float, out=pos_prefix[1:])
-        neg_prefix = np.arange(n + 1.0) - pos_prefix
+        np.cumsum(values, dtype=dtype, out=pos_prefix[1:])
+        neg_prefix = np.arange(n + 1, dtype=dtype) - pos_prefix
     else:
         values = values.astype(float, copy=False)
         np.cumsum(values, out=pos_prefix[1:])
@@ -220,9 +232,12 @@ def specificity_threshold_index(neg_suffix, denom, target_specificity, removed_a
     counts it holds up to one largest whole level, found from the rounded
     crossing ``(1 - s) * denom`` by one exact check each way; one search then
     gives the first index at or below it. Counts that are not whole, where
-    that level may not decide the index, are InvalidConfig.
+    that level may not decide the index, are InvalidConfig. Integer counts
+    are searched with integer keys, so they are never copied to float.
     """
-    neg_suffix = np.asarray(neg_suffix, dtype=float)
+    neg_suffix = np.asarray(neg_suffix)
+    if neg_suffix.dtype.kind != "i":
+        neg_suffix = neg_suffix.astype(float, copy=False)
     denom = np.asarray(denom, dtype=float)
     removed_above = np.asarray(removed_above, dtype=float)
     if np.any(denom <= 0):
@@ -234,7 +249,11 @@ def specificity_threshold_index(neg_suffix, denom, target_specificity, removed_a
     level = np.floor((1.0 - target_specificity) * denom)
     level -= ~holds(level)
     level += holds(level + 1.0)
-    idx = np.minimum(np.searchsorted(-neg_suffix, -(level + removed_above)), neg_suffix.size - 1)
+    key = level + removed_above
+    if neg_suffix.dtype.kind == "i":
+        # a whole level, clipped to the counts' range (NaN to below it, as a float search puts it), is exact
+        key = np.fmin(np.fmax(key, neg_suffix[-1] - 1), neg_suffix[0]).astype(neg_suffix.dtype)
+    idx = np.minimum(np.searchsorted(-neg_suffix, -key), neg_suffix.size - 1)
     # the predicate holds at idx; it must fail just below it, else the levels were not whole
     if np.any(removed_above != np.floor(removed_above)) or np.any(
         (idx > 0) & holds(neg_suffix[idx - 1] - removed_above)

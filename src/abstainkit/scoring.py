@@ -16,10 +16,13 @@ sample; windows whose complement lost an entire class skip that sample and
 are normalized by their own valid-sample count.
 
 Sampled labels are bool arrays, for which :func:`running_counts` takes one
-cumulative sum and derives the negative counts exactly; the expected-count
-forms keep a second cumulative sum, of ``1 - p``, whose rounding their
-scores carry. Every sample takes the same masked add, so an entry's sum and
-valid-sample count see only the samples where it was valid.
+cumulative sum and gives integer counts (int32 below 2**31 rows), the
+negative ones derived exactly; the kernels convert them to float only where
+float arithmetic happens, and an exact integer converts to the float a
+float count would hold. The expected-count forms keep float64 counts and a
+second cumulative sum, of ``1 - p``, whose rounding their scores carry.
+Every sample takes the same masked add, so an entry's sum and valid-sample
+count see only the samples where it was valid.
 """
 
 from __future__ import annotations
@@ -194,7 +197,7 @@ def _sens_window_sample(labels, d: int, target_specificity: float, ends):
     # window's count less lo.
     cap = int(min(d, n_neg - 1))
     lo, hi = min(lo, cap), min(hi, cap)
-    removed = np.subtract(np.minimum(w_neg, cap), lo, out=np.empty(w_neg.size, dtype=np.intp), casting="unsafe")
+    removed = np.subtract(np.minimum(w_neg, cap), lo, out=np.empty(w_neg.size, dtype=np.intp))
     j = np.arange(lo, hi + 1, dtype=float)
     # one search for both: nothing removed above the threshold (left), j (right)
     left, right = specificity_threshold_index(
@@ -243,14 +246,16 @@ def auroc_rank_sums(values, window: int) -> AurocSums:
     minus (remaining positives above the window) * (negatives inside it),
     which equals the rank sum recomputed without the window exactly.
     ``values`` may be 0/1 labels or probabilities standing in for them;
-    bool labels take :func:`running_counts`' one-cumsum form.
+    bool labels take :func:`running_counts`' one-cumsum form and its
+    integer counts.
     """
     values = np.asarray(values)
     counts = running_counts(values, window)
     n = values.size
     cum = np.empty(n + 1)
     cum[0] = 0.0
-    np.cumsum(values * counts.neg_prefix[:-1], out=cum[1:])
+    # in float: the running sum of bool labels' int32 products passes 2**31 near 150k rows
+    np.cumsum(values * counts.neg_prefix[:-1], dtype=float, out=cum[1:])
     window_rank = cum[window:] - cum[: n + 1 - window]
     above_pos = counts.total_pos - counts.pos_prefix[window:]
     return AurocSums(

@@ -27,7 +27,8 @@ def _assert_counts_match_float_labels(labels):
         want = running_counts(labels.astype(float), d)
         for field in FIELDS:
             a, b = getattr(got, field), getattr(want, field)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (d, field)
+            assert a.dtype == np.int32, (d, field)
+            assert a.astype(float).tobytes() == b.tobytes(), (d, field)
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)

@@ -7,6 +7,8 @@ definitional evaluation while the Monte-Carlo scorer must sit within
 sampling error of a from-scratch resampling estimate.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -145,10 +147,12 @@ class TestThresholdVectors:
     @example([0] * 10 + [4] * 2, False, 0.1, [0.5])
     def test_matches_linear_scan(self, quarters, soft, s, fractions):
         # 0/1 labels give integer runs of equal neg_suffix values, where the
-        # index is exact; quarter probabilities give soft ones, where it is the
-        # scan's or InvalidConfig. Both vector forms the scorer uses are
+        # index is exact, both as float counts of float labels and as int32
+        # counts of bool labels; quarter probabilities give soft ones, where it
+        # is the scan's or InvalidConfig. Both vector forms the scorer uses are
         # checked: removed mass below the threshold (left) and above it (right).
-        values = np.sort(np.array(quarters) / 4.0) if soft else (np.array(quarters) >= 2).astype(float)
+        labels = np.array(quarters) >= 2
+        values = np.sort(np.array(quarters) / 4.0) if soft else labels.astype(float)
         counts = running_counts(values, window=1)
         n, total = values.size, counts.total_neg
         if total == 0:
@@ -172,13 +176,40 @@ class TestThresholdVectors:
                 _scan_or_refused(lambda: specificity_threshold_index(counts.neg_suffix, total, target),
                                  [scan(total, 0.0)])
                 continue
-            left = specificity_threshold_index(counts.neg_suffix, denom, target)
-            right = specificity_threshold_index(counts.neg_suffix, denom, target, removed_above=removed)
-            assert left.shape == right.shape == denom.shape
-            assert left.tolist() == [scan(d, 0.0) for d in denom]
-            assert right.tolist() == [scan(d, r) for d, r in zip(denom, removed)]
-            single = specificity_threshold_index(counts.neg_suffix, total, target)
-            assert type(single) is int and single == scan(total, 0.0)
+            int_suffix = running_counts(labels, window=1).neg_suffix
+            assert int_suffix.dtype == np.int32
+            for neg_suffix in (counts.neg_suffix, int_suffix):
+                left = specificity_threshold_index(neg_suffix, denom, target)
+                right = specificity_threshold_index(neg_suffix, denom, target, removed_above=removed)
+                assert left.shape == right.shape == denom.shape
+                assert left.tolist() == [scan(d, 0.0) for d in denom]
+                assert right.tolist() == [scan(d, r) for d, r in zip(denom, removed)]
+                single = specificity_threshold_index(neg_suffix, total, target)
+                assert type(single) is int and single == scan(total, 0.0)
+
+    def test_integer_counts_are_searched_without_a_float_copy(self):
+        # a float copy of neg_suffix alone would take 8 bytes per entry
+        counts = running_counts(np.random.default_rng(2).random(200_000) < 0.4, window=1)
+        neg_suffix = counts.neg_suffix
+        assert neg_suffix.dtype == np.int32
+        j = np.arange(500.0)
+        for denom, removed_above in ((counts.total_neg, 0.0), (counts.total_neg - j, np.stack((np.zeros_like(j), j)))):
+            tracemalloc.start()
+            try:
+                specificity_threshold_index(neg_suffix, denom, 0.9, removed_above=removed_above)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * neg_suffix.size
+
+    @pytest.mark.parametrize("denom, removed_above", [
+        (np.nan, 0.0), (1e12, 0.0), (30.0, 2.0**40), (np.array([30.0, np.nan, 1e12]), 3.0),
+    ])
+    def test_integer_counts_take_keys_past_their_range_as_float_counts_do(self, denom, removed_above):
+        neg_suffix = running_counts(np.random.default_rng(3).random(60) < 0.4, window=1).neg_suffix
+        want = specificity_threshold_index(neg_suffix.astype(float), denom, 0.9, removed_above)
+        got = specificity_threshold_index(neg_suffix, denom, 0.9, removed_above)
+        assert np.array_equal(got, want) and type(got) is type(want)
 
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(_ulp_close_runs())
