@@ -7,7 +7,8 @@
 - Abstain files: the JSON object `abstain` writes, read for its `indices`.
 - JSON in (configs, specs, calibrators) and out (payloads, manifests).
 
-Every input opens through :func:`open_input`, every JSON file is read by
+Every input opens through :func:`open_input`, once per read (a prediction CSV
+too: its blank rows are found in the one parse); every JSON file is read by
 :func:`load_json` and written by :func:`write_json`, and every CSV is written
 by :func:`write_rows`.
 """
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 import json
 import math
 import re
@@ -140,22 +142,9 @@ def write_predictions(path, probs, labels=None, ids=None) -> None:
     write_rows(path, header, rows())
 
 
-def _line_breaks(data: bytes) -> int:
-    """Line terminators in ``data``: `\\n`, `\\r\\n` and a lone `\\r` count once each."""
-    codes = np.frombuffer(data, dtype=np.uint8)
-    newlines, returns = codes == 10, codes == 13
-    return int(np.count_nonzero(newlines) + np.count_nonzero(returns) - np.count_nonzero(returns[:-1] & newlines[1:]))
-
-
-def _file_line_breaks(path):
-    """Line terminators in the file at ``path``, read in chunks, and whether it ends with one."""
-    breaks, last = 0, b""
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            # a `\r\n` split across chunks counts once: the `\r` was already counted alone
-            breaks += _line_breaks(last[-1:] + chunk) - _line_breaks(last[-1:])
-            last = chunk
-    return breaks, last[-1:] in (b"\n", b"\r")
+def _line_breaks(text: str) -> int:
+    """Line terminators in ``text``: `\\n`, `\\r\\n` and a lone `\\r` count once each."""
+    return text.count("\n") + text.count("\r") - text.count("\r\n")
 
 
 def read_value_csv(path, binary_column: str, class_prefix: str):
@@ -164,6 +153,10 @@ def read_value_csv(path, binary_column: str, class_prefix: str):
     Returns ``(ids, labels_or_None, values)`` with ``values`` a vector for
     the binary layout and an N x C array otherwise. The body is parsed in one
     ``np.loadtxt`` pass: ids and labels as strings, values as floats.
+    ``loadtxt`` skips blank lines, so the lines it pulls from the file are
+    counted as it reads them: a row takes one line, plus one per line break
+    inside its id and label cells, and a line left over is a blank row, a
+    row of 0 cells.
     """
     with open_input(path) as fh:
         first = fh.readline()
@@ -190,20 +183,21 @@ def read_value_csv(path, binary_column: str, class_prefix: str):
             raise blank_row
         fh.seek(body)
         dtype = [("id", object), ("label", object), ("values", float, (len(value_cols),))]
+        # every line loadtxt pulls passes `compress` and advances `lines`, in C, with no Python call per line
+        lines = itertools.count(1)
         try:
             # comments=None: a `#` inside an id is data, not the start of a comment
-            table = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, ndmin=1, dtype=dtype)
+            table = np.loadtxt(itertools.compress(fh, lines), delimiter=",", quotechar='"', comments=None,
+                               ndmin=1, dtype=dtype)
         except UnicodeDecodeError:  # a ValueError too: `open_input` names it
             raise
         except ValueError as exc:
             raise _parse_error(path, len(header), exc) from None
     ids, labels = table["id"].tolist(), table["label"]
-    # loadtxt skips blank lines, which are rows of 0 cells: every line break must end a row or sit in a cell
-    breaks, ends_with_break = _file_line_breaks(path)
-    if breaks != len(ids) + ends_with_break:
-        in_cells = sum(_line_breaks(cell.encode()) for cell in [*ids, *labels.tolist()])
-        if breaks != len(ids) + ends_with_break + in_cells:
-            raise blank_row
+    # loadtxt skips blank lines, which are rows of 0 cells: every body line must start a row or continue a cell
+    seen = next(lines) - 1
+    if seen != len(ids) and seen != len(ids) + sum(_line_breaks(cell) for cell in [*ids, *labels.tolist()]):
+        raise blank_row
     present = labels != ""
     if present.any() and not present.all():
         raise SchemaError(f"{path}: labels must be all present or all empty")

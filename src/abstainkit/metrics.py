@@ -232,14 +232,17 @@ def specificity_threshold_index(neg_suffix, denom, target_specificity, removed_a
     counts it holds up to one largest whole level, found from the rounded
     crossing ``(1 - s) * denom`` by one exact check each way; one search then
     gives the first index at or below it. Counts that are not whole, where
-    that level may not decide the index, are InvalidConfig. Integer counts
-    are searched with integer keys, so they are never copied to float.
+    that level may not decide the index, are InvalidConfig, as is a
+    ``denom`` or ``removed_above`` that is not finite. Integer counts are
+    searched with integer keys, so they are never copied to float.
     """
     neg_suffix = np.asarray(neg_suffix)
     if neg_suffix.dtype.kind != "i":
         neg_suffix = neg_suffix.astype(float, copy=False)
     denom = np.asarray(denom, dtype=float)
     removed_above = np.asarray(removed_above, dtype=float)
+    if not (np.isfinite(denom).all() and np.isfinite(removed_above).all()):
+        raise InvalidConfig("denom and removed_above must be finite")
     if np.any(denom <= 0):
         raise NoNegatives("no negatives remain; specificity threshold undefined")
 

@@ -257,9 +257,10 @@ def auroc_rank_sums(values, window: int) -> AurocSums:
     # in float: the running sum of bool labels' int32 products passes 2**31 near 150k rows
     np.cumsum(values * counts.neg_prefix[:-1], dtype=float, out=cum[1:])
     window_rank = cum[window:] - cum[: n + 1 - window]
-    above_pos = counts.total_pos - counts.pos_prefix[window:]
+    # in float: the int32 product of the positives above a window and the negatives inside it passes 2**31
+    above_times_inside = np.multiply(counts.pos_suffix[window:], counts.window_neg, dtype=float)
     return AurocSums(
-        post_sums=float(cum[-1]) - window_rank - above_pos * counts.window_neg,
+        post_sums=float(cum[-1]) - window_rank - above_times_inside,
         remaining_neg=counts.total_neg - counts.window_neg,
         remaining_pos=counts.total_pos - counts.window_pos,
     )

@@ -58,11 +58,14 @@ def rank_correlations(a, b) -> tuple[float, float]:
     """(spearman, pearson) between two aligned vectors.
 
     Spearman is Pearson applied to average ranks, so ties get their mean rank.
+    A NaN or an infinity in either vector is InvalidConfig.
     """
     a = as_array(a, "a")
     b = as_array(b, "b")
     if a.shape != b.shape or a.ndim != 1 or a.size < 3:
         raise DimensionMismatch("need two aligned vectors of length >= 3")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise InvalidConfig("a and b must be finite")
     pearson = _pearson(a, b)
     spearman = _pearson(_average_ranks(a), _average_ranks(b))
     return spearman, pearson

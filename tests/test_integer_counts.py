@@ -3,8 +3,9 @@
 Bool labels give int32 counts below 2**31 rows and int64 counts from
 there. The auROC rank sums multiply labels by those counts and add the
 products up; past about 150k rows that running sum no longer fits in
-int32, so it is added in float, and every score must still be the bytes
-the float-label path gives.
+int32, so it is added in float, as is the product of the positives above
+a window and the negatives inside it, and every score must still be the
+bytes the float-label path gives.
 """
 
 import numpy as np
@@ -38,6 +39,18 @@ def half_positive():
 def test_rank_sums_past_2_31_are_the_bytes_of_float_labels(half_positive, d):
     assert running_counts(half_positive, d).neg_prefix.dtype == np.int32
     got, want = auroc_rank_sums(half_positive, d), auroc_rank_sums(half_positive.astype(float), d)
+    for field in ("post_sums", "remaining_neg", "remaining_pos"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype == np.float64 and a.tobytes() == b.tobytes(), field
+
+
+@pytest.mark.parametrize("d", [3 * N // 10, N // 2])
+def test_rank_sums_of_separated_labels_are_the_bytes_of_float_labels(d):
+    # every negative below every positive: the positives above the first window times the negatives inside it,
+    # (N - d) / 2 * d / 2 at d = 3N/10 and (N / 2) ** 2 at d = N/2, pass 2**31
+    labels = np.arange(N) >= N // 2
+    assert int(labels[d:].sum()) * d > 2**31
+    got, want = auroc_rank_sums(labels, d), auroc_rank_sums(labels.astype(float), d)
     for field in ("post_sums", "remaining_neg", "remaining_pos"):
         a, b = getattr(got, field), getattr(want, field)
         assert a.dtype == b.dtype == np.float64 and a.tobytes() == b.tobytes(), field

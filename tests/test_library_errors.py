@@ -96,6 +96,9 @@ def _accuracy(probs, labels):
     return float(np.mean(probs.argmax(axis=1) == labels))
 
 
+# the negatives' suffix counts of the labels 0, 1, 0, 1, as int32
+_NEG_SUFFIX = running_counts(np.array([False, True, False, True]), 1).neg_suffix
+
 # (call, the error it raises); one case per checked input and per named numpy failure
 _CASES = {
     "sorted_matrix": (lambda: SortedPredictionSet(np.zeros((2, 2))), DimensionMismatch),
@@ -241,6 +244,16 @@ _CASES = {
     # soft counts whose threshold the whole levels do not decide (a scan gives 1), refused rather than answered
     "threshold_soft_counts": (lambda: specificity_threshold_index(running_counts([0.25, 0.5, 0.75, 1.0], 1).neg_suffix,
                                                                   1.5, 0.5), InvalidConfig),
+    "threshold_denom_nan": (lambda: specificity_threshold_index(_NEG_SUFFIX, np.nan, 0.9), InvalidConfig),
+    "threshold_denom_inf": (lambda: specificity_threshold_index(_NEG_SUFFIX, np.inf, 0.9), InvalidConfig),
+    "threshold_denom_vector_inf": (lambda: specificity_threshold_index(_NEG_SUFFIX, np.array([2.0, np.inf]), 0.9),
+                                   InvalidConfig),
+    "threshold_removed_inf": (lambda: specificity_threshold_index(_NEG_SUFFIX, 2.0, 0.9, removed_above=np.inf),
+                              InvalidConfig),
+    "threshold_removed_nan": (lambda: specificity_threshold_index(_NEG_SUFFIX, 2.0, 0.9, removed_above=np.nan),
+                              InvalidConfig),
+    "rank_correlations_nan": (lambda: rank_correlations([1.0, np.nan, 3.0], [1.0, 2.0, 3.0]), InvalidConfig),
+    "rank_correlations_inf": (lambda: rank_correlations([1.0, 2.0, 3.0], [1.0, np.inf, 3.0]), InvalidConfig),
 }
 
 

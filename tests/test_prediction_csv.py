@@ -47,7 +47,7 @@ def value_files(draw):
         rows[row][1] = "1.0"
     elif mutation == "text_value":
         rows[row][draw(st.integers(2, len(header) - 1))] = "abc"
-    terminator = draw(st.sampled_from(["\n", "\r\n"]))
+    terminator = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     lines = []
     for cells in [header, *rows]:
         out = io.StringIO()
@@ -161,7 +161,10 @@ def test_prediction_values_are_checked_where_read(tmp_path, content, message):
 
 def test_blank_lines_are_rows_without_cells(tmp_path):
     path = tmp_path / "preds.csv"
-    bodies = ("0,0,0.1\n\n1,1,0.5\n", "\n0,0,0.1\n", "0,0,0.1\n1,1,0.5\n\n", "0,0,0.1\r\n\r\n1,1,0.5", "\n", "\r\n\r\n")
+    bodies = ("0,0,0.1\n\n1,1,0.5\n", "\n0,0,0.1\n", "0,0,0.1\n1,1,0.5\n\n", "0,0,0.1\r\n\r\n1,1,0.5", "\n", "\r\n\r\n",
+              "0,0,0.1\r\r1,1,0.5",
+              # a line break inside a quoted value cell is not part of an id or label: it reads as a blank row
+              'a,0,"0.1\n"\nb,1,0.5\n')
     for body in bodies:
         path.write_text("id,label,prob\n" + body, newline="")
         with warnings.catch_warnings():
@@ -171,6 +174,20 @@ def test_blank_lines_are_rows_without_cells(tmp_path):
     # a line break inside a quoted id is part of the id, not a blank line
     path.write_text('id,label,prob\n"a\n\nb",0,0.1\n"c\r\n",1,0.5\n', newline="")
     assert read_predictions(path)[0] == ["a\n\nb", "c\r\n"]
+    path.write_text('id,label,prob\n"x\ry",1,0.5\r', newline="")
+    assert read_predictions(path)[0] == ["x\ry"]
+
+
+@pytest.mark.parametrize("read, column", [(read_predictions, "prob"), (files.read_raw_scores, "score")])
+def test_each_read_opens_its_file_once(tmp_path, monkeypatch, read, column):
+    # blank rows are found in the one parse, not by reading the file again
+    path = tmp_path / "values.csv"
+    path.write_text(f"id,label,{column}\na,0,0.1\nb,1,0.5\n")
+    opened = []
+    monkeypatch.setattr(files, "open", lambda *args, **kwargs: opened.append(args) or open(*args, **kwargs),
+                        raising=False)
+    assert read(path)[0] == ["a", "b"]
+    assert len(opened) == 1
 
 
 def test_underscore_in_a_number_is_rejected(tmp_path):

@@ -207,6 +207,11 @@ class TestThresholdVectors:
     ])
     def test_integer_counts_take_keys_past_their_range_as_float_counts_do(self, denom, removed_above):
         neg_suffix = running_counts(np.random.default_rng(3).random(60) < 0.4, window=1).neg_suffix
+        if np.isnan(denom).any():  # a NaN denom is refused, on float and integer counts alike
+            for counts in (neg_suffix.astype(float), neg_suffix):
+                with pytest.raises(InvalidConfig, match="must be finite"):
+                    specificity_threshold_index(counts, denom, 0.9, removed_above)
+            return
         want = specificity_threshold_index(neg_suffix.astype(float), denom, 0.9, removed_above)
         got = specificity_threshold_index(neg_suffix, denom, 0.9, removed_above)
         assert np.array_equal(got, want) and type(got) is type(want)
