@@ -314,6 +314,7 @@ def adapt_label_shift_em(
     for iterations in range(1, max_iter + 1):
         weighted = cols * (priors / train)[:, None]
         row_sums = _row_sums(weighted)
+        # kept: no legal input is known to empty a row, and no proof rules one out
         if np.any(row_sums <= 0):
             raise InvalidConfig("a row lost all probability mass during adaptation")
         adapted = weighted / row_sums

@@ -24,7 +24,7 @@ from .errors import (
     check_specificity,
 )
 # bench/launch.py times the prediction reader and writer as `experiments.read_predictions` and
-# `experiments.write_predictions`, so both stay bound here
+# `experiments.write_predictions`; nothing here calls the writer, which is bound for that alone
 from .files import read_predictions, write_json, write_predictions, write_rows
 from .metrics import (
     PenaltyWeightMatrix,
@@ -305,7 +305,7 @@ def abstain_indices(
         np.asarray(labels),
         lambda keep_p, keep_y: evaluate_metric(metric, keep_p, keep_y),
         d,
-        grid=method.params.get("grid", 51),
+        **method.params,
     )
     return np.flatnonzero(_fumera_abstained(matrix.entries, thresholds)), None
 

@@ -179,8 +179,10 @@ def running_counts(values, window: int) -> SuffixCounts:
     ``window`` is the abstention window size d with 1 <= d <= N. Labels given
     as a bool array take one cumulative sum, of the positives, and give
     integer counts (int32 below 2**31 rows, int64 from there); any other
-    input is read as float mass, takes two, of ``p`` and of ``1 - p``, and
-    gives float64 counts. Both give the same values for 0/1 labels.
+    input is read as float mass, which must lie in [0, 1]
+    (:func:`~abstainkit.errors.check_probabilities`), takes two, of ``p``
+    and of ``1 - p``, and gives float64 counts. Both give the same values
+    for 0/1 labels.
     """
     values = as_array(values, "values", 1, dtype=None)
     labels = values.dtype == bool
@@ -197,6 +199,7 @@ def running_counts(values, window: int) -> SuffixCounts:
         neg_prefix = np.arange(n + 1, dtype=dtype) - pos_prefix
     else:
         values = values.astype(float, copy=False)
+        check_probabilities(values)
         np.cumsum(values, out=pos_prefix[1:])
         neg_prefix = np.empty(n + 1)
         neg_prefix[0] = 0.0

@@ -506,7 +506,7 @@ def fumera_threshold_search(
         if count > budget:
             continue
         index = [g for _, g in choice]
-        keep = ~_fumera_abstained(p, grid_values[index])
+        keep = ~(top_prob < grid_values[index][top_class])  # the rows `_fumera_abstained` keeps, without its argmax
         try:
             score = float(metric(p[keep], labels[keep]))
         except AbstainkitError:

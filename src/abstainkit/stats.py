@@ -36,12 +36,10 @@ def _pearson(a: np.ndarray, b: np.ndarray) -> float:
 def _average_ranks(x: np.ndarray) -> np.ndarray:
     """1-based ranks of ``x``, each run of tied values given its mean rank.
 
-    The same values as ``scipy.stats.rankdata(x, method="average")``, all
-    NaN when ``x`` holds a NaN. Every rank is an integer or a half, so it is
-    exact.
+    The same values as ``scipy.stats.rankdata(x, method="average")`` for
+    ``x`` free of NaN, which both callers refuse first. Every rank is an
+    integer or a half, so it is exact.
     """
-    if np.isnan(x).any():
-        return np.full(x.shape, np.nan)
     order = np.argsort(x, kind="stable")
     ordered = x[order]
     # a tie run starts where the sorted value differs from the one before it; the last run stops at the end

@@ -20,7 +20,8 @@ import tempfile
 
 import numpy as np
 
-from abstainkit.experiments import ExperimentSpec, run_experiment, write_predictions
+from abstainkit.experiments import ExperimentSpec, run_experiment
+from abstainkit.files import write_predictions
 from abstainkit.simulate import MulticlassSimConfig, simulate_multiclass
 
 DIGESTS_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "results_digests.json")

@@ -21,6 +21,7 @@ from abstainkit.errors import (
     DegenerateLabels,
     DidNotConverge,
     DimensionMismatch,
+    InvalidConfig,
     NonpositiveTrainPrior,
 )
 
@@ -237,6 +238,13 @@ class TestLabelShiftEM:
     def test_no_rows_rejected(self):
         with pytest.raises(ValueError, match="at least one row"):
             adapt_label_shift_em(ProbabilityMatrix(np.empty((0, 2))), PriorEstimate(np.array([0.5, 0.5])))
+
+    def test_a_row_without_mass_is_named(self):
+        # fault injection: no legal input is known to empty a row, so the matrix skips its own check
+        probs = object.__new__(ProbabilityMatrix)
+        object.__setattr__(probs, "entries", np.array([[0.5, 0.5], [0.0, 0.0]]))
+        with pytest.raises(InvalidConfig, match="^a row lost all probability mass during adaptation$"):
+            adapt_label_shift_em(probs, PriorEstimate(np.array([0.5, 0.5])))
 
 
 # The class-major EM and NLL passes must give the bytes of the row-major

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from abstainkit.cli import main
-from abstainkit.experiments import read_predictions, write_predictions
+from abstainkit.files import read_predictions, write_predictions
 from abstainkit.stats import compare_methods
 
 

@@ -25,7 +25,8 @@ from hypothesis import strategies as st
 from abstainkit import errors
 from abstainkit.calibration import CALIBRATOR_KINDS
 from abstainkit.cli import main
-from abstainkit.experiments import _METRIC_LAYOUT, METHODS, read_predictions
+from abstainkit.experiments import _METRIC_LAYOUT, METHODS
+from abstainkit.files import read_predictions
 
 _BINARY_SIM = {"positive_prior": 0.1, "mu_pos": 2.0, "mu_neg": -1.0, "sigma_pos": 1.0, "sigma_neg": 2.0,
                "n": 40, "seed": 0}

@@ -15,10 +15,9 @@ from abstainkit.experiments import (
     MethodSpec,
     MetricSpec,
     abstain_indices,
-    read_predictions,
     run_experiment,
-    write_predictions,
 )
+from abstainkit.files import read_predictions, write_predictions
 from abstainkit.scoring import MonteCarloConfig
 
 

@@ -36,8 +36,8 @@ from abstainkit.experiments import (
     MetricSpec,
     abstain_indices,
     evaluate_metric,
-    write_predictions,
 )
+from abstainkit.files import write_predictions
 from abstainkit.metrics import (
     PenaltyWeightMatrix,
     ProbabilityMatrix,
@@ -53,6 +53,7 @@ from abstainkit.scoring import (
     MarginalScoreVector,
     MonteCarloConfig,
     WindowScoreVector,
+    auroc_rank_sums,
     baseline_scores,
     fumera_threshold_search,
     score_examples_kappa,
@@ -117,6 +118,10 @@ _CASES = {
     "weights_negative": (lambda: PenaltyWeightMatrix(-np.ones((2, 2))), InvalidConfig),
     "weights_nan": (lambda: PenaltyWeightMatrix(np.array([[0.0, np.nan], [1.0, 0.0]])), InvalidConfig),
     "running_counts_window": (lambda: running_counts(np.array([0.1, 0.2]), 3), InvalidConfig),
+    "running_counts_nan": (lambda: running_counts(np.array([np.nan, 0.5, 0.2]), 1), InvalidConfig),
+    "running_counts_above_one": (lambda: running_counts(np.array([1.5, 0.5, 0.2]), 1), InvalidConfig),
+    "rank_sums_nan": (lambda: auroc_rank_sums(np.array([np.nan, 0.5, 0.2]), 1), InvalidConfig),
+    "rank_sums_above_one": (lambda: auroc_rank_sums(np.array([1.5, 0.5, 0.2]), 1), InvalidConfig),
     "kappa_misaligned": (lambda: weighted_kappa([0, 1, 1], [0, 1], _QUADRATIC), DimensionMismatch),
     "kappa_fraction_labels": (lambda: weighted_kappa([0, 1, 1, 0], [0.9, 1.5, 1, 0], _QUADRATIC), InvalidConfig),
     "sens_at_spec_none": (lambda: sensitivity_at_specificity(_SORTED, None), InvalidSpecificity),

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from abstainkit import files
 from abstainkit.errors import DimensionMismatch, SchemaError
-from abstainkit.experiments import read_predictions, write_predictions
+from abstainkit.files import read_predictions, write_predictions
 from abstainkit.files import read_value_csv as _read_value_csv
 from oracles import read_value_csv
 
@@ -197,3 +197,15 @@ def test_underscore_in_a_number_is_rejected(tmp_path):
     assert read_value_csv(path, "score", "z")[2].tolist() == [10.0]
     with pytest.raises(SchemaError, match=rf"^{path}: value cell is not a number: '1_0' \(row 1\)"):
         _read_value_csv(path, "score", "z")
+
+
+def test_a_parser_message_of_no_known_form_is_named_whole(tmp_path, monkeypatch):
+    # pyproject.toml admits numpy >= 1.24, whose loadtxt may word its errors otherwise
+    def loadtxt(*args, **kwargs):
+        raise ValueError("a message in no known form")
+
+    path = tmp_path / "preds.csv"
+    path.write_text("id,label,prob\n0,0,0.1\n")
+    monkeypatch.setattr(files.np, "loadtxt", loadtxt)
+    with pytest.raises(SchemaError, match=rf"^{re.escape(str(path))}: a message in no known form$"):
+        read_predictions(path)

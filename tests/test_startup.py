@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import abstainkit
-from abstainkit.experiments import write_predictions
+from abstainkit.files import write_predictions
 
 _SRC = os.path.dirname(os.path.dirname(abstainkit.__file__))
 _ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")])))

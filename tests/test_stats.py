@@ -17,16 +17,12 @@ from oracles import definitional_correlations, enumerate_wilcoxon
 _LATTICE = [-np.inf, -2.0, -0.5, -0.0, 0.0, 0.5, 1.0, 3.0, np.inf]
 
 
+# no NaN: both callers refuse it before ranking
 @settings(derandomize=True, deadline=None, max_examples=300)
-@given(st.lists(st.sampled_from(_LATTICE), max_size=50), st.none() | st.integers(0, 49))
-def test_average_ranks_match_scipy_rankdata(values, nan_at):
+@given(st.lists(st.sampled_from(_LATTICE), max_size=50))
+def test_average_ranks_match_scipy_rankdata(values):
     x = np.array(values, dtype=float)
-    if nan_at is not None and nan_at < x.size:
-        x[nan_at] = np.nan
-    got = _average_ranks(x)
-    assert got.tobytes() == rankdata(x, method="average").tobytes()
-    if np.isnan(x).any():
-        assert np.isnan(got).all()
+    assert _average_ranks(x).tobytes() == rankdata(x, method="average").tobytes()
 
 
 class TestRankCorrelations:
