@@ -298,8 +298,8 @@ def adapt_label_shift_em(
         raise InvalidConfig(f"tol must be finite and > 0, got {tol}")
     check_counts(max_iter=(max_iter, 0))
     train = train_priors.priors
-    if np.any(train <= 0):
-        raise NonpositiveTrainPrior("train priors must be strictly positive")
+    if np.any(train < np.finfo(float).tiny):  # a smaller prior overflows EM's prior ratio
+        raise NonpositiveTrainPrior(f"train priors must be at least the smallest normal double, {np.finfo(float).tiny}")
     probs = test_probs.entries
     if probs.shape[1] != train.size:
         raise DimensionMismatch("test_probs and train_priors disagree on class count")

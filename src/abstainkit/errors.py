@@ -56,7 +56,7 @@ class DimensionMismatch(AbstainkitError, ValueError):
 
 
 class NonpositiveTrainPrior(AbstainkitError, ValueError):
-    """Label-shift adaptation requires strictly positive training priors."""
+    """Label-shift adaptation requires training priors of at least the smallest normal double."""
 
 
 class BudgetTooLarge(AbstainkitError, ValueError):
@@ -73,10 +73,6 @@ class DegenerateExpectedCounts(AbstainkitError, ValueError):
 
 class WindowTooLarge(AbstainkitError, ValueError):
     """Smoothing window exceeds the length of the input vector."""
-
-
-class EvenWindow(AbstainkitError, ValueError):
-    """Smoothing window length must be odd."""
 
 
 class MissingPriors(AbstainkitError, ValueError):
@@ -132,8 +128,9 @@ def as_array(value, name: str, ndim: int | None = None, dtype=float) -> np.ndarr
     """``value`` as an array of ``dtype`` (None keeps the one numpy infers).
 
     Ragged nesting, or a number of dimensions other than ``ndim`` where that
-    is given, is DimensionMismatch naming ``name``. An ndarray of that dtype
-    passes through uncopied.
+    is given, is DimensionMismatch naming ``name``; content that does not
+    convert to ``dtype``, such as text, is TypeError naming it. An ndarray of
+    that dtype passes through uncopied.
     """
     try:
         array = np.asarray(value)
@@ -141,7 +138,10 @@ def as_array(value, name: str, ndim: int | None = None, dtype=float) -> np.ndarr
         raise DimensionMismatch(f"{name} must be {_SHAPES.get(ndim, 'an array')}, got ragged nesting") from None
     if ndim is not None and array.ndim != ndim:
         raise DimensionMismatch(f"{name} must be {_SHAPES[ndim]}, got shape {array.shape}")
-    return array if dtype is None else array.astype(dtype, copy=False)
+    try:
+        return array if dtype is None else array.astype(dtype, copy=False)
+    except ValueError:  # numpy's could-not-convert error
+        raise TypeError(f"{name} must hold numbers, got an array of {array.dtype}") from None
 
 
 def check_labels(labels, class_count: int, rows: int | None = None) -> np.ndarray:

@@ -350,18 +350,21 @@ class KappaAggregates:
     denom_col_adjust: np.ndarray
 
 
-def kappa_aggregates(weights: PenaltyWeightMatrix, true_counts, pred) -> KappaAggregates:
-    """Assemble :class:`KappaAggregates` for hard or expected true counts."""
+def kappa_aggregates(weights: PenaltyWeightMatrix, true_counts, pred_counts) -> KappaAggregates:
+    """Assemble :class:`KappaAggregates` from per-class true mass (hard or expected) and predicted counts.
+
+    Both are C-vectors, else DimensionMismatch; ``N`` is the sum of
+    ``pred_counts``, and below 2 it is DegenerateDenominator.
+    """
     w = weights.weights
-    true_counts = np.asarray(true_counts, dtype=float)
-    pred = np.asarray(pred, dtype=np.int64)
-    n = pred.size
+    true_counts = as_array(true_counts, "true_counts", 1)
+    pred_counts = as_array(pred_counts, "pred_counts", 1)
+    if not true_counts.size == pred_counts.size == weights.class_count:
+        raise DimensionMismatch(f"{true_counts.size} true and {pred_counts.size} predicted counts "
+                                f"for {weights.class_count} classes")
+    n = pred_counts.sum()
     if n < 2:
         raise DegenerateDenominator("need at least 2 examples")
-    # a min and a max, not check_labels' isin: the Monte-Carlo kappa kernel calls this once per sample
-    if not (pred.min() >= 0 and pred.max() < weights.class_count):
-        raise InvalidConfig(f"predicted labels must lie in [0, {weights.class_count})")
-    pred_counts = np.bincount(pred, minlength=weights.class_count).astype(float)
     scale = 1.0 / (n - 1)
     return KappaAggregates(
         denom_base=float((w @ pred_counts) @ true_counts * scale),

@@ -42,7 +42,6 @@ from .errors import (
     DegenerateDenominator,
     DegenerateExpectedCounts,
     DimensionMismatch,
-    EvenWindow,
     InvalidConfig,
     MissingPriors,
     WindowTooLarge,
@@ -104,7 +103,7 @@ class WindowScoreVector:
     window_size: int
 
     def __post_init__(self):
-        object.__setattr__(self, "scores", as_array(self.scores, "scores"))
+        object.__setattr__(self, "scores", as_array(self.scores, "scores", 1))
 
     def __len__(self) -> int:
         return self.scores.size
@@ -117,7 +116,7 @@ class MarginalScoreVector:
     scores: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "scores", as_array(self.scores, "scores"))
+        object.__setattr__(self, "scores", as_array(self.scores, "scores", 1))
 
     def __len__(self) -> int:
         return self.scores.size
@@ -153,7 +152,7 @@ def _monte_carlo_mean(mc: MonteCarloConfig, size: int, draw, score) -> np.ndarra
     else TypeError.
     """
     if not isinstance(mc, MonteCarloConfig):
-        raise TypeError(f"mc must be a MonteCarloConfig or None, got {mc!r}")
+        raise TypeError(f"mc must be a MonteCarloConfig, got {mc!r}")
     sums = np.zeros(size)
     valid_counts = np.zeros(size)
     for seq in np.random.SeedSequence(mc.seed).spawn(mc.samples):
@@ -170,7 +169,7 @@ def _sampled_window_scores(preds: SortedPredictionSet, d: int, mc: MonteCarloCon
     if mc.smooth:
         if not np.isfinite(scores).all():
             raise DegenerateExpectedCounts("cannot smooth scores: some windows never had a valid sample")
-        scores = smooth_savitzky_golay(scores, SMOOTH_WINDOW, SMOOTH_POLYORDER)
+        scores = smooth_savitzky_golay(scores)
     return WindowScoreVector(scores=scores, window_size=d)
 
 
@@ -319,11 +318,12 @@ def score_examples_kappa(
         raise DimensionMismatch("weights dimension must equal the class count")
     w = weights.weights
     pred = p.argmax(axis=1)
+    pred_counts = np.bincount(pred, minlength=n_classes)
     scale = 1.0 / (n - 1)
 
     if mc is None:
         w_by_pred = w[:, pred].T  # [x, i] -> penalty if x's true class were i
-        agg = kappa_aggregates(weights, p.sum(axis=0), pred)
+        agg = kappa_aggregates(weights, p.sum(axis=0), pred_counts)
         terms = _left_out_kappa(agg, agg.denom_col_adjust[pred][:, None], agg.denom_row_adjust[None, :],
                                 w_by_pred, float((p * w_by_pred).sum()), scale)
         return MarginalScoreVector((p * terms).sum(axis=1))
@@ -337,7 +337,7 @@ def score_examples_kappa(
     def score(sampled):
         true_counts = np.bincount(sampled, minlength=n_classes).astype(float)
         penalties = flat_w.take(sampled * n_classes + pred)
-        agg = kappa_aggregates(weights, true_counts, pred)
+        agg = kappa_aggregates(weights, true_counts, pred_counts)
         kappa = _left_out_kappa(agg, agg.denom_row_adjust[sampled], agg.denom_col_adjust[pred],
                                 penalties, float(penalties.sum()), scale)
         return kappa, True  # every example is valid
@@ -380,30 +380,26 @@ def _center_fit_weights(half: int, polyorder: int) -> np.ndarray:
     return np.linalg.pinv(design)[0]
 
 
-def smooth_savitzky_golay(values, window: int, polyorder: int) -> np.ndarray:
+def smooth_savitzky_golay(values) -> np.ndarray:
     """Least-squares local polynomial smoothing with shrinking edge windows.
 
-    Each interior point is replaced by the value at the center of a
-    polynomial fit over its ``window`` neighbors. Near the edges the window
-    shrinks symmetrically to the largest centered one that fits (the
-    polynomial order drops with it when fewer points than coefficients
-    remain), so no values outside the input ever influence the result.
+    Each interior point is replaced by the value at the center of an order
+    :data:`SMOOTH_POLYORDER` polynomial fit over its :data:`SMOOTH_WINDOW`
+    neighbors. Near the edges the window shrinks symmetrically to the largest
+    centered one that fits (the polynomial order drops with it when fewer
+    points than coefficients remain), so no values outside the input ever
+    influence the result. Fewer values than the window is WindowTooLarge.
     """
     v = as_array(values, "values", 1)
     n = v.size
-    check_counts(window=(window, None), polyorder=(polyorder, None))
-    if window < 1 or window % 2 == 0:
-        raise EvenWindow(f"window must be a positive odd integer, got {window}")
-    if window > n:
-        raise WindowTooLarge(f"window {window} exceeds input length {n}")
-    if not 0 <= polyorder < window:
-        raise InvalidConfig("polyorder must satisfy 0 <= polyorder < window")
-    half = window // 2
+    if SMOOTH_WINDOW > n:
+        raise WindowTooLarge(f"window {SMOOTH_WINDOW} exceeds input length {n}")
+    half = SMOOTH_WINDOW // 2
     out = np.empty(n)
     # Center-row weights are symmetric, so convolution needs no kernel flip.
-    out[half : n - half] = np.convolve(v, _center_fit_weights(half, polyorder), mode="valid")
+    out[half : n - half] = np.convolve(v, _center_fit_weights(half, SMOOTH_POLYORDER), mode="valid")
     for i in range(half):
-        weights = _center_fit_weights(i, min(polyorder, 2 * i))
+        weights = _center_fit_weights(i, min(SMOOTH_POLYORDER, 2 * i))
         out[i] = weights @ v[: 2 * i + 1]
         out[n - 1 - i] = weights @ v[n - 1 - 2 * i :]
     return out
@@ -483,7 +479,7 @@ def fumera_threshold_search(
     if np.isscalar(grid):
         check_counts(grid=(grid, 2, MAX_SIZE))
         grid = np.linspace(0.0, 1.0, grid)
-    grid_values = as_array(grid, "grid")
+    grid_values = as_array(grid, "grid", 1)
     if grid_values.size < 2:
         raise InvalidConfig("grid needs at least 2 points per class")
     if not np.isfinite(grid_values).all():

@@ -258,7 +258,7 @@ def clamped_kappa_scores(P, weights, samples, seed):
     def score(sampled):
         true_counts = np.bincount(sampled, minlength=c).astype(float)
         penalties = w[sampled, pred]
-        agg = kappa_aggregates(weights, true_counts, pred)
+        agg = kappa_aggregates(weights, true_counts, np.bincount(pred, minlength=c))
         denom = (
             agg.denom_base
             - agg.denom_row_adjust[sampled]

@@ -234,6 +234,8 @@ class TestLabelShiftEM:
         probs = ProbabilityMatrix(np.array([[0.5, 0.5]]))
         with pytest.raises(NonpositiveTrainPrior):
             adapt_label_shift_em(probs, PriorEstimate(np.array([1.0, 0.0])))
+        # the smallest normal double is the least prior EM divides by without overflow
+        assert adapt_label_shift_em(probs, PriorEstimate(np.array([1.0, np.finfo(float).tiny]))).converged
 
     def test_no_rows_rejected(self):
         with pytest.raises(ValueError, match="at least one row"):

@@ -482,6 +482,14 @@ def test_adapt_stops_on_unconverged_em(tmp_path, capsys):
     assert main(argv) == 0
 
 
+def test_adapt_refuses_a_subnormal_train_prior(tmp_path, capsys):
+    data, out = tmp_path / "preds.csv", tmp_path / "adapted.csv"
+    write_predictions(data, np.array([0.2, 0.7, 0.9]), np.array([0, 1, 1]))
+    assert main(["adapt", "--input", str(data), "--train-priors", "1,1e-310", "--output", str(out)]) == 1
+    _single_error_line(capsys, "NonpositiveTrainPrior")
+    assert not out.exists()
+
+
 def test_abstain_reads_vector_and_two_column_files_alike(tmp_path, capsys):
     rng = np.random.default_rng(11)
     probs = rng.uniform(0, 1, 200)

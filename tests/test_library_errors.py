@@ -27,6 +27,7 @@ from abstainkit.errors import (
     DimensionMismatch,
     InvalidConfig,
     InvalidSpecificity,
+    NonpositiveTrainPrior,
     check_labels,
     check_probabilities,
 )
@@ -100,7 +101,7 @@ def _accuracy(probs, labels):
 # the negatives' suffix counts of the labels 0, 1, 0, 1, as int32
 _NEG_SUFFIX = running_counts(np.array([False, True, False, True]), 1).neg_suffix
 
-# (call, the error it raises); one case per checked input and per named numpy failure
+# (call, the error it raises[, a pattern its message matches]); one case per checked input and per named numpy failure
 _CASES = {
     "sorted_matrix": (lambda: SortedPredictionSet(np.zeros((2, 2))), DimensionMismatch),
     "sorted_out_of_range": (lambda: SortedPredictionSet(np.array([0.1, 1.5])), InvalidConfig),
@@ -128,7 +129,6 @@ _CASES = {
     "metric_spec_nan": (lambda: MetricSpec("sens_at_spec", float("nan")), InvalidSpecificity),
     "kappa_scorer_weights": (lambda: score_examples_kappa(_BINARY, PenaltyWeightMatrix.quadratic(3)),
                              DimensionMismatch),
-    "smooth_polyorder": (lambda: smooth_savitzky_golay(np.zeros(9), 5, 5), InvalidConfig),
     "window_scorer_none": (lambda: score_windows_sens_at_spec(_SORTED, None, 1, MonteCarloConfig(2)),
                            InvalidSpecificity),
     "baseline_unknown": (lambda: baseline_scores(_BINARY, method="psychic"), InvalidConfig),
@@ -143,8 +143,6 @@ _CASES = {
                              InvalidConfig),
     "fumera_grid_fraction": (lambda: fumera_threshold_search(_BINARY, [0, 1, 1], _accuracy, 1, grid=2.5),
                              InvalidConfig),
-    "kappa_aggregates_pred_above": (lambda: kappa_aggregates(_QUADRATIC, [1.0, 1.0], [0, 3]), InvalidConfig),
-    "kappa_aggregates_pred_negative": (lambda: kappa_aggregates(_QUADRATIC, [1.0, 1.0], [0, -1]), InvalidConfig),
     "platt_temperature": (lambda: Calibrator("platt", 1.0, [0.0]).temperature, InvalidConfig),
     "platt_label_two": (lambda: fit_calibrator("platt", _SCORES, np.r_[_TWELVE[:-1], 2]), InvalidConfig),
     "temperature_label_range": (lambda: fit_calibrator("temperature", _LOGITS, np.r_[_TWELVE[:-1], 2]),
@@ -179,8 +177,6 @@ _CASES = {
     "sens_window_fraction": (lambda: score_windows_sens_at_spec(_SORTED, 0.9, 1.5, MonteCarloConfig(2)),
                              InvalidConfig),
     "auroc_window_fraction": (lambda: score_windows_auroc(_SORTED, 1.5), InvalidConfig),
-    "smooth_polyorder_fraction": (lambda: smooth_savitzky_golay(np.zeros(9), 3, 0.5), InvalidConfig),
-    "smooth_window_float": (lambda: smooth_savitzky_golay(np.zeros(9), 3.0, 1), InvalidConfig),
     "select_fraction": (lambda: select_abstentions(MarginalScoreVector([0.1, 0.2]), 1.5), InvalidConfig),
     "running_counts_fraction": (lambda: running_counts(np.zeros(3), 1.5), InvalidConfig),
     "fumera_budget_fraction": (lambda: fumera_threshold_search(_BINARY, [0, 1, 1], _accuracy, 1.5), InvalidConfig),
@@ -189,7 +185,7 @@ _CASES = {
     "wilcoxon_matrix": (lambda: wilcoxon_signed_rank_one_sided(np.ones((3, 3))), DimensionMismatch),
     "compare_matrix_runs": (lambda: compare_methods({"a": np.ones((6, 2)), "b": np.zeros((6, 2))}),
                             DimensionMismatch),
-    "smooth_matrix": (lambda: smooth_savitzky_golay(np.zeros((5, 2)), 3, 1), DimensionMismatch),
+    "smooth_matrix": (lambda: smooth_savitzky_golay(np.zeros((11, 2))), DimensionMismatch),
     "labels_ragged": (lambda: check_labels([[0], [0, 1]], 2), DimensionMismatch),
     "unsorted_ragged": (lambda: SortedPredictionSet.from_unsorted([[0.1], [0.2, 0.3]]), DimensionMismatch),
     "unsorted_ragged_labels": (lambda: SortedPredictionSet.from_unsorted([0.5, 0.1], [[0], [0, 1]]),
@@ -198,7 +194,7 @@ _CASES = {
     "priors_ragged": (lambda: PriorEstimate([[0.5], [0.25, 0.25]]), DimensionMismatch),
     "running_counts_ragged": (lambda: running_counts([[0.1], [0.2, 0.3]], 1), DimensionMismatch),
     "wilcoxon_ragged": (lambda: wilcoxon_signed_rank_one_sided([[0.1], [0.2, 0.3]]), DimensionMismatch),
-    "smooth_ragged": (lambda: smooth_savitzky_golay([[0.1], [0.2, 0.3]], 1, 0), DimensionMismatch),
+    "smooth_ragged": (lambda: smooth_savitzky_golay([[0.1], [0.2, 0.3]]), DimensionMismatch),
     "apply_calibrator_ragged": (lambda: apply_calibrator(Calibrator("temperature", 1.0, [0.0, 0.0]),
                                                          [[0.0, 1.0], [0.5]]), DimensionMismatch),
     "rank_correlations_ragged": (lambda: rank_correlations([[0.1], [0.2, 0.3]], [1.0, 2.0, 3.0]),
@@ -259,13 +255,40 @@ _CASES = {
                               InvalidConfig),
     "rank_correlations_nan": (lambda: rank_correlations([1.0, np.nan, 3.0], [1.0, 2.0, 3.0]), InvalidConfig),
     "rank_correlations_inf": (lambda: rank_correlations([1.0, 2.0, 3.0], [1.0, np.inf, 3.0]), InvalidConfig),
+    # kappa aggregates take one count per class
+    "kappa_aggregates_pred_counts_shape": (lambda: kappa_aggregates(_QUADRATIC, [1.0, 1.0], [1, 1, 1]),
+                                           DimensionMismatch),
+    "kappa_aggregates_true_counts_shape": (lambda: kappa_aggregates(_QUADRATIC, [1.0, 1.0, 1.0], [1, 1]),
+                                           DimensionMismatch),
+    # a train prior below the smallest normal double would overflow EM's prior ratio
+    "em_subnormal_train_prior": (lambda: adapt_label_shift_em(_BINARY, PriorEstimate([1.0, 1e-310])),
+                                 NonpositiveTrainPrior, "smallest normal double, 2.2250738585072014e-308$"),
+    # score vectors and the Fumera grid are vectors
+    "window_scores_matrix": (lambda: WindowScoreVector(np.arange(6.0).reshape(2, 3), 1), DimensionMismatch,
+                             "^scores must be a vector"),
+    "window_scores_scalar": (lambda: WindowScoreVector(0.5, 1), DimensionMismatch, "^scores must be a vector"),
+    "marginal_scores_scalar": (lambda: MarginalScoreVector(0.5), DimensionMismatch, "^scores must be a vector"),
+    "marginal_scores_matrix": (lambda: MarginalScoreVector(np.zeros((2, 2))), DimensionMismatch,
+                               "^scores must be a vector"),
+    "fumera_grid_matrix": (lambda: fumera_threshold_search(_BINARY, [0, 1, 1], _accuracy, 1,
+                                                           grid=[[0.0, 0.5], [0.5, 1.0]]), DimensionMismatch,
+                           "^grid must be a vector"),
+    # text where numbers belong: a TypeError naming the argument, not numpy's conversion error
+    "priors_text": (lambda: PriorEstimate([0.5, "half"]), TypeError, "^priors must hold numbers"),
+    "wilcoxon_text": (lambda: wilcoxon_signed_rank_one_sided(["1.0", "x", 3.0, 4.0, 5.0]), TypeError,
+                      "^differences must hold numbers"),
+    "fit_calibrator_text": (lambda: fit_calibrator("platt", [*_SCORES[:-1], "x"], _TWELVE), TypeError,
+                            "^raw_scores must hold numbers"),
+    # the sens scorer has no mc=None form, and the message does not offer one
+    "sens_mc_none": (lambda: score_windows_sens_at_spec(_SORTED, 0.9, 1, None), TypeError,
+                     "^mc must be a MonteCarloConfig, got None$"),
 }
 
 
 @pytest.mark.parametrize("case", list(_CASES))
 def test_each_bad_input_is_its_named_error(case):
-    call, error = _CASES[case]
-    with pytest.raises(error):
+    call, error, *match = _CASES[case]
+    with pytest.raises(error, match=match[0] if match else None):
         call()
 
 
@@ -293,8 +316,6 @@ def _count_consumers(value):
         "auroc_budget": (range(1, 9), lambda: score_windows_auroc(sorted_nine, value)),
         "auroc_budget_mc": (range(1, 9), lambda: score_windows_auroc(sorted_nine, value, MonteCarloConfig(2))),
         "running_counts_window": (range(1, 10), lambda: running_counts(_NINE, value)),
-        "smooth_window": (range(1, 10, 2), lambda: smooth_savitzky_golay(_NINE, value, 0)),
-        "smooth_polyorder": (range(0, 5), lambda: smooth_savitzky_golay(_NINE, 5, value)),
         "select_count": (range(0, 10), lambda: select_abstentions(MarginalScoreVector(_NINE), value)),
         "fumera_budget": (range(-3, 13), lambda: fumera_threshold_search(_BINARY, [0, 1, 1], lambda p, y: y.size,
                                                                          value)),

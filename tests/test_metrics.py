@@ -211,7 +211,7 @@ class TestWeightedKappa:
             with pytest.raises(DegenerateDenominator, match="need at least 2 examples"):
                 weighted_kappa(labels, labels, self.quadratic)
             with pytest.raises(DegenerateDenominator, match="need at least 2 examples"):
-                kappa_aggregates(self.quadratic, np.ones(5), labels)
+                kappa_aggregates(self.quadratic, np.ones(5), np.bincount(labels, minlength=5))
 
     def test_can_be_negative(self):
         pred = np.array([0, 0, 4, 4])
