@@ -101,7 +101,7 @@ def _accuracy(probs, labels):
 # the negatives' suffix counts of the labels 0, 1, 0, 1, as int32
 _NEG_SUFFIX = running_counts(np.array([False, True, False, True]), 1).neg_suffix
 
-# (call, the error it raises[, a pattern its message matches]); one case per checked input and per named numpy failure
+# (call, its error[, a pattern its message matches]); one case per checked input and per named numpy failure
 _CASES = {
     "sorted_matrix": (lambda: SortedPredictionSet(np.zeros((2, 2))), DimensionMismatch),
     "sorted_out_of_range": (lambda: SortedPredictionSet(np.array([0.1, 1.5])), InvalidConfig),
