@@ -59,16 +59,15 @@ _MAX_ITER = 500
 class PriorEstimate:
     """Per-class prior probabilities (training, target or EM-estimated).
 
-    The one check that priors are a distribution: a vector of at least one
-    nonnegative entry summing to 1 within 1e-9, else InvalidConfig.
+    The one check that priors are a distribution: a vector (else
+    DimensionMismatch) of at least one nonnegative entry summing to 1 within
+    1e-9, else InvalidConfig.
     """
 
     priors: np.ndarray
 
     def __post_init__(self):
-        priors = as_array(self.priors, "priors")
-        if priors.ndim != 1:
-            raise InvalidConfig("priors must be a vector")
+        priors = as_array(self.priors, "priors", 1)
         if not (priors.size and priors.min() >= 0 and abs(priors.sum() - 1.0) <= 1e-9):  # NaN fails too
             raise InvalidConfig("priors must be nonnegative and sum to 1 within 1e-9")
         object.__setattr__(self, "priors", priors)

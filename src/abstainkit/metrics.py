@@ -101,14 +101,14 @@ class ProbabilityMatrix:
     @classmethod
     def from_binary(cls, positive_probs) -> "ProbabilityMatrix":
         """Lift a vector of positive-class probabilities to a 2-column matrix."""
-        p = as_array(positive_probs, "positive_probs")
+        p = as_array(positive_probs, "positive_probs", 1)
         return cls(np.column_stack([1.0 - p, p]))
 
 
 @dataclass(frozen=True)
 class PenaltyWeightMatrix:
-    """C x C nonnegative penalties: weights[i, j] is the cost of predicting
-    class j for an example whose true class is i."""
+    """C x C finite nonnegative penalties: weights[i, j] is the cost of
+    predicting class j for an example whose true class is i."""
 
     weights: np.ndarray
 
@@ -116,8 +116,8 @@ class PenaltyWeightMatrix:
         weights = as_array(self.weights, "weights")
         if weights.ndim != 2 or weights.shape[0] != weights.shape[1]:
             raise DimensionMismatch("weights must be square")
-        if weights.size and not weights.min() >= 0:  # NaN fails too
-            raise InvalidConfig("weights must be nonnegative")
+        if weights.size and not (weights.min() >= 0 and np.isfinite(weights).all()):
+            raise InvalidConfig("weights must be finite and nonnegative")
         object.__setattr__(self, "weights", weights)
 
     @property
@@ -126,7 +126,8 @@ class PenaltyWeightMatrix:
 
     @classmethod
     def quadratic(cls, class_count: int) -> "PenaltyWeightMatrix":
-        """The (i - j)^2 penalty used for ordinal rating agreement."""
+        """The (i - j)^2 penalty used for ordinal rating agreement; ``class_count`` is an integer of at least 1."""
+        check_counts(class_count=(class_count, 1))
         idx = np.arange(class_count)
         return cls((idx[:, None] - idx[None, :]).astype(float) ** 2)
 
@@ -135,16 +136,16 @@ class PenaltyWeightMatrix:
 class SuffixCounts:
     """Running positive/negative counts over a sorted prediction vector.
 
-    All six arrays are derived from cumulative sums:
+    All five arrays are derived from cumulative sums:
 
     - ``pos_suffix[i]`` / ``neg_suffix[i]``: mass at indices >= i (length N+1)
-    - ``pos_prefix[i]`` / ``neg_prefix[i]``: mass at indices < i (length N+1)
+    - ``neg_prefix[i]``: negative mass at indices < i (length N+1)
     - ``window_pos[i]`` / ``window_neg[i]``: mass inside [i, i+d) (length N+1-d)
 
     "Mass" is a 0/1 count when built from labels and an expected count when
     built from probabilities. Bool labels give integer arrays, int32 below
     2**31 rows and int64 from there, and their negative arrays are derived
-    from the positive ones (``neg_prefix[i] = i - pos_prefix[i]``,
+    from the positive ones (``neg_prefix[i]`` is i less the positives below i,
     ``window_neg = d - window_pos``). Converted to float, they are the bits a
     float64 two-cumsum build gives, so consumers convert only where float
     arithmetic happens. Probabilities give float64 arrays and keep a second
@@ -154,7 +155,6 @@ class SuffixCounts:
 
     pos_suffix: np.ndarray
     neg_suffix: np.ndarray
-    pos_prefix: np.ndarray
     neg_prefix: np.ndarray
     window_pos: np.ndarray
     window_neg: np.ndarray
@@ -210,42 +210,41 @@ def running_counts(values, window: int) -> SuffixCounts:
     return SuffixCounts(
         pos_suffix=pos_suffix,
         neg_suffix=neg_suffix,
-        pos_prefix=pos_prefix,
         neg_prefix=neg_prefix,
         window_pos=window_pos,
         window_neg=window - window_pos if labels else neg_suffix[: n + 1 - window] - neg_suffix[window:],
     )
 
 
-def specificity_threshold_index(neg_suffix, denom, target_specificity, removed_above=0.0):
+def specificity_threshold_index(neg_suffix, denom, target_specificity, removed_above=0):
     """Smallest index i in [0, N) with ``1 - (neg_suffix[i] - removed_above)/denom >= s``, else N.
 
     ``neg_suffix`` is the non-increasing suffix count of the negatives among
-    0/1 labels (N + 1 entries), ``denom`` the total negative count after any
-    abstention and ``removed_above`` the whole number of abstained negatives
-    that sat at or above index i. ``denom`` and ``removed_above`` may be
-    arrays (broadcast together), in which case an intp array of indices of
-    their shape is returned; otherwise an int. The comparison is evaluated in
-    exactly this floating-point form everywhere in the package so that
-    threshold decisions agree bit-for-bit across the fast paths and the
-    definitional ones.
+    0/1 labels (an integer vector of N + 1 entries), ``denom`` the total
+    negative count after any abstention and ``removed_above`` the integer
+    number of abstained negatives that sat at or above index i. ``denom`` and
+    ``removed_above`` may be arrays (broadcast together), in which case an
+    intp array of indices of their shape is returned; otherwise an int. The
+    comparison is evaluated in exactly this floating-point form everywhere in
+    the package so that threshold decisions agree bit-for-bit across the fast
+    paths and the definitional ones.
 
-    The predicate depends on i only through the level
-    ``neg_suffix[i] - removed_above`` and falls as it rises, so on whole
-    counts it holds up to one largest whole level, found from the rounded
-    crossing ``(1 - s) * denom`` by one exact check each way; one search then
-    gives the first index at or below it. Counts that are not whole, where
-    that level may not decide the index, are InvalidConfig, as is a
-    ``denom`` or ``removed_above`` that is not finite. Integer counts are
-    searched with integer keys, so they are never copied to float.
+    The predicate depends on i only through the whole level
+    ``neg_suffix[i] - removed_above`` and falls as it rises, so it holds up
+    to one largest whole level, found from the rounded crossing
+    ``(1 - s) * denom`` by one exact check each way; one search with integer
+    keys then gives the first index at or below it, so the counts are never
+    copied to float. Counts whose dtype is not a signed integer, and a
+    ``denom`` that is not finite, are InvalidConfig.
     """
-    neg_suffix = np.asarray(neg_suffix)
-    if neg_suffix.dtype.kind != "i":
-        neg_suffix = neg_suffix.astype(float, copy=False)
+    neg_suffix = as_array(neg_suffix, "neg_suffix", 1, dtype=None)
+    removed_above = np.asarray(removed_above)
+    if neg_suffix.dtype.kind != "i" or removed_above.dtype.kind != "i":
+        raise InvalidConfig(f"specificity thresholds need integer counts, got neg_suffix of {neg_suffix.dtype} "
+                            f"and removed_above of {removed_above.dtype}")
     denom = np.asarray(denom, dtype=float)
-    removed_above = np.asarray(removed_above, dtype=float)
-    if not (np.isfinite(denom).all() and np.isfinite(removed_above).all()):
-        raise InvalidConfig("denom and removed_above must be finite")
+    if not np.isfinite(denom).all():
+        raise InvalidConfig("denom must be finite")
     if np.any(denom <= 0):
         raise NoNegatives("no negatives remain; specificity threshold undefined")
 
@@ -255,16 +254,9 @@ def specificity_threshold_index(neg_suffix, denom, target_specificity, removed_a
     level = np.floor((1.0 - target_specificity) * denom)
     level -= ~holds(level)
     level += holds(level + 1.0)
-    key = level + removed_above
-    if neg_suffix.dtype.kind == "i":
-        # a whole level, clipped to the counts' range (NaN to below it, as a float search puts it), is exact
-        key = np.fmin(np.fmax(key, neg_suffix[-1] - 1), neg_suffix[0]).astype(neg_suffix.dtype)
+    # the whole key, clipped to the counts' range, is exact in their dtype
+    key = np.fmin(np.fmax(level + removed_above, neg_suffix[-1] - 1), neg_suffix[0]).astype(neg_suffix.dtype)
     idx = np.minimum(np.searchsorted(-neg_suffix, -key), neg_suffix.size - 1)
-    # the predicate holds at idx; it must fail just below it, else the levels were not whole
-    if np.any(removed_above != np.floor(removed_above)) or np.any(
-        (idx > 0) & holds(neg_suffix[idx - 1] - removed_above)
-    ):
-        raise InvalidConfig("specificity thresholds need whole-number counts")
     return idx if idx.ndim else int(idx)
 
 

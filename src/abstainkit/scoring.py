@@ -197,7 +197,7 @@ def _sens_window_sample(labels, d: int, target_specificity: float, ends):
     cap = int(min(d, n_neg - 1))
     lo, hi = min(lo, cap), min(hi, cap)
     removed = np.subtract(np.minimum(w_neg, cap), lo, out=np.empty(w_neg.size, dtype=np.intp))
-    j = np.arange(lo, hi + 1, dtype=float)
+    j = np.arange(lo, hi + 1)
     # one search for both: nothing removed above the threshold (left), j (right)
     left, right = specificity_threshold_index(
         counts.neg_suffix, n_neg - j, target_specificity, removed_above=np.stack((np.zeros_like(j), j))

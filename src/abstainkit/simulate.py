@@ -82,7 +82,7 @@ class MulticlassSimConfig:
 
 
 def _normal_logpdf(x, mu, sigma):
-    z = (np.asarray(x, dtype=float) - mu) / sigma
+    z = (x - mu) / sigma
     return -0.5 * z * z - np.log(sigma) - 0.5 * np.log(2.0 * np.pi)
 
 
@@ -92,6 +92,7 @@ def binary_posterior(values, cfg: BinarySimConfig) -> np.ndarray:
     Written as q / (q + (1-q) * exp(log_neg - log_pos)); when both class
     densities agree exactly the ratio is 1 and the result is exactly q.
     """
+    values = as_array(values, "values")
     q = cfg.positive_prior
     log_ratio = _normal_logpdf(values, cfg.mu_neg, cfg.sigma_neg) - _normal_logpdf(
         values, cfg.mu_pos, cfg.sigma_pos
@@ -100,13 +101,16 @@ def binary_posterior(values, cfg: BinarySimConfig) -> np.ndarray:
         return q / (q + (1.0 - q) * np.exp(log_ratio))
 
 
-def multiclass_posterior(values, priors, means, sigmas) -> ProbabilityMatrix:
-    """Row x of the result is P(class | values[x]), normalized in log space."""
-    priors = np.asarray(priors, dtype=float)
-    values = np.asarray(values, dtype=float)
-    log_w = np.log(priors)[None, :] + _normal_logpdf(
-        values[:, None], np.asarray(means, dtype=float)[None, :], np.asarray(sigmas, dtype=float)[None, :]
-    )
+def multiclass_posterior(values, cfg: MulticlassSimConfig) -> ProbabilityMatrix:
+    """Row x of the result is P(class | values[x]) under the config's generating distribution.
+
+    Normalized in log space; a class of prior 0 gets probability 0.0.
+    """
+    values = as_array(values, "values", 1)
+    with np.errstate(divide="ignore"):  # log(0) is -inf: a zero prior's class weight
+        log_priors = np.log(cfg.priors)
+    log_w = log_priors[None, :] + _normal_logpdf(values[:, None], np.array(cfg.means)[None, :],
+                                                 np.array(cfg.sigmas)[None, :])
     return ProbabilityMatrix(_softmax(log_w))
 
 
@@ -127,12 +131,11 @@ def simulate_binary(cfg: BinarySimConfig):
 def simulate_multiclass(cfg: MulticlassSimConfig):
     """Draw labels and calibrated posterior rows; returns ``(posteriors, labels)``."""
     rng = np.random.default_rng(cfg.seed)
-    priors = np.asarray(cfg.priors)
-    labels = _draw_classes(rng.random(cfg.n), np.cumsum(priors)[:-1])
+    labels = _draw_classes(rng.random(cfg.n), np.cumsum(cfg.priors)[:-1])
     means = np.asarray(cfg.means)
     sigmas = np.asarray(cfg.sigmas)
     values = rng.normal(means[labels], sigmas[labels])
-    return multiclass_posterior(values, priors, cfg.means, cfg.sigmas), labels
+    return multiclass_posterior(values, cfg), labels
 
 
 def sample_random_binary_config(seed: int) -> BinarySimConfig:

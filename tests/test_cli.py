@@ -69,6 +69,16 @@ def test_multiclass_simulate_and_kappa_abstain(tmp_path, capsys):
     assert payload["abstained"] == 120
 
 
+def test_simulate_with_a_zero_prior_prints_no_warning(tmp_path):
+    config = tmp_path / "sim.json"
+    config.write_text(json.dumps({"priors": [0.5, 0.0, 0.5], "means": [-1, 0, 1], "sigmas": [1, 1, 1],
+                                  "n": 50, "seed": 0}))
+    proc = subprocess.run([sys.executable, "-m", "abstainkit.cli", "simulate", "--config", str(config),
+                           "--output", str(tmp_path / "mc.csv")], capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+
+
 def test_calibrate_apply_adapt_flow(tmp_path, capsys):
     rng = np.random.default_rng(3)
     scores = rng.normal(0, 2, 2000)

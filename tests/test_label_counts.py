@@ -18,7 +18,7 @@ from abstainkit.scoring import MonteCarloConfig
 
 from oracles import float_label_auroc_window_scores, full_range_sens_window_scores, same_stream_window_means
 
-FIELDS = ("pos_suffix", "neg_suffix", "pos_prefix", "neg_prefix", "window_pos", "window_neg")
+FIELDS = ("pos_suffix", "neg_suffix", "neg_prefix", "window_pos", "window_neg")
 
 
 def _assert_counts_match_float_labels(labels):

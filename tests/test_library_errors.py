@@ -63,7 +63,13 @@ from abstainkit.scoring import (
     select_abstentions,
     smooth_savitzky_golay,
 )
-from abstainkit.simulate import BinarySimConfig, MulticlassSimConfig, resample_with_shift
+from abstainkit.simulate import (
+    BinarySimConfig,
+    MulticlassSimConfig,
+    binary_posterior,
+    multiclass_posterior,
+    resample_with_shift,
+)
 from abstainkit.stats import compare_methods, rank_correlations, wilcoxon_signed_rank_one_sided
 
 from oracles import reader_probability_rule
@@ -97,6 +103,9 @@ _PAST_MAX_SIZE = sys.maxsize + 1
 def _accuracy(probs, labels):
     return float(np.mean(probs.argmax(axis=1) == labels))
 
+
+_BINARY_SIM = BinarySimConfig(0.5, 1.0, -1.0, 1.0, 1.0, 10, 0)
+_MULTICLASS_SIM = MulticlassSimConfig((0.5, 0.5), (0.0, 1.0), (1.0, 1.0), 10, 0)
 
 # the negatives' suffix counts of the labels 0, 1, 0, 1, as int32
 _NEG_SUFFIX = running_counts(np.array([False, True, False, True]), 1).neg_suffix
@@ -133,7 +142,7 @@ _CASES = {
                            InvalidSpecificity),
     "baseline_unknown": (lambda: baseline_scores(_BINARY, method="psychic"), InvalidConfig),
     "baseline_matrix_priors": (lambda: baseline_scores(_BINARY, np.full((2, 2), 0.25), "js_divergence"),
-                               InvalidConfig),
+                               DimensionMismatch),
     "fumera_misaligned": (lambda: fumera_threshold_search(_BINARY, [0, 1], _accuracy, 1), DimensionMismatch),
     "fumera_label_two": (lambda: fumera_threshold_search(_BINARY, [0, 1, 2], _accuracy, 1), InvalidConfig),
     "fumera_grid_one": (lambda: fumera_threshold_search(_BINARY, [0, 1, 1], _accuracy, 1, grid=1), InvalidConfig),
@@ -242,9 +251,15 @@ _CASES = {
                                   InvalidConfig),
     "resample_m_past_max_size": (lambda: resample_with_shift(np.array([0.2, 0.8]), [0, 1], (0.5, 0.5), 10**20, 0),
                                  InvalidConfig),
-    # soft counts whose threshold the whole levels do not decide (a scan gives 1), refused rather than answered
+    # thresholds read integer counts only: soft, whole float and 0-d counts and a float removed count are refused
     "threshold_soft_counts": (lambda: specificity_threshold_index(running_counts([0.25, 0.5, 0.75, 1.0], 1).neg_suffix,
                                                                   1.5, 0.5), InvalidConfig),
+    "threshold_whole_float_counts": (lambda: specificity_threshold_index(
+        running_counts([0.0, 1.0, 0.0, 1.0], 1).neg_suffix, 2.0, 0.9), InvalidConfig, "^specificity thresholds need"),
+    "threshold_float_removed": (lambda: specificity_threshold_index(_NEG_SUFFIX, 2.0, 0.9, removed_above=1.0),
+                                InvalidConfig, "^specificity thresholds need"),
+    "threshold_scalar_counts": (lambda: specificity_threshold_index(np.array(2), 2.0, 0.9), DimensionMismatch,
+                                "^neg_suffix must be a vector"),
     "threshold_denom_nan": (lambda: specificity_threshold_index(_NEG_SUFFIX, np.nan, 0.9), InvalidConfig),
     "threshold_denom_inf": (lambda: specificity_threshold_index(_NEG_SUFFIX, np.inf, 0.9), InvalidConfig),
     "threshold_denom_vector_inf": (lambda: specificity_threshold_index(_NEG_SUFFIX, np.array([2.0, np.inf]), 0.9),
@@ -263,6 +278,16 @@ _CASES = {
     # a train prior below the smallest normal double would overflow EM's prior ratio
     "em_subnormal_train_prior": (lambda: adapt_label_shift_em(_BINARY, PriorEstimate([1.0, 1e-310])),
                                  NonpositiveTrainPrior, "smallest normal double, 2.2250738585072014e-308$"),
+    # priors and a lifted probability vector are vectors
+    "priors_scalar": (lambda: PriorEstimate(1.0), DimensionMismatch, "^priors must be a vector"),
+    "from_binary_scalar": (lambda: ProbabilityMatrix.from_binary(0.3), DimensionMismatch,
+                           "^positive_probs must be a vector"),
+    "from_binary_matrix": (lambda: ProbabilityMatrix.from_binary([[0.2, 0.8]]), DimensionMismatch,
+                           "^positive_probs must be a vector"),
+    # penalties kappa can score: finite weights, a whole class count of at least 1
+    "weights_inf": (lambda: PenaltyWeightMatrix(np.array([[0.0, np.inf], [1.0, 0.0]])), InvalidConfig),
+    "quadratic_fraction": (lambda: PenaltyWeightMatrix.quadratic(1.5), InvalidConfig),
+    "quadratic_negative": (lambda: PenaltyWeightMatrix.quadratic(-1), InvalidConfig),
     # score vectors and the Fumera grid are vectors
     "window_scores_matrix": (lambda: WindowScoreVector(np.arange(6.0).reshape(2, 3), 1), DimensionMismatch,
                              "^scores must be a vector"),
@@ -275,6 +300,9 @@ _CASES = {
                            "^grid must be a vector"),
     # text where numbers belong: a TypeError naming the argument, not numpy's conversion error
     "priors_text": (lambda: PriorEstimate([0.5, "half"]), TypeError, "^priors must hold numbers"),
+    "binary_posterior_text": (lambda: binary_posterior(["a"], _BINARY_SIM), TypeError, "^values must hold numbers"),
+    "multiclass_posterior_text": (lambda: multiclass_posterior(["a"], _MULTICLASS_SIM), TypeError,
+                                  "^values must hold numbers"),
     "wilcoxon_text": (lambda: wilcoxon_signed_rank_one_sided(["1.0", "x", 3.0, 4.0, 5.0]), TypeError,
                       "^differences must hold numbers"),
     "fit_calibrator_text": (lambda: fit_calibrator("platt", [*_SCORES[:-1], "x"], _TWELVE), TypeError,

